@@ -49,7 +49,8 @@ void BM_Matmul(benchmark::State& state) {
   for (auto& v : b.data()) v = static_cast<float>(rng.normal());
   for (auto _ : state) benchmark::DoNotOptimize(matmul(a, b));
   state.counters["GFLOPs"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * n, benchmark::Counter::kIsRate,
+      2.0 * static_cast<double>(n) * n * n,
+      benchmark::Counter::kIsIterationInvariantRate,
       benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
@@ -70,7 +71,8 @@ void BM_GemmBlockedSingle(benchmark::State& state) {
     benchmark::DoNotOptimize(c.raw());
   }
   state.counters["GFLOPs"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * n, benchmark::Counter::kIsRate,
+      2.0 * static_cast<double>(n) * n * n,
+      benchmark::Counter::kIsIterationInvariantRate,
       benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_GemmBlockedSingle)->Arg(128)->Arg(256);
@@ -86,7 +88,8 @@ void BM_GemmReferenceSingle(benchmark::State& state) {
     benchmark::DoNotOptimize(c.raw());
   }
   state.counters["GFLOPs"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * n, benchmark::Counter::kIsRate,
+      2.0 * static_cast<double>(n) * n * n,
+      benchmark::Counter::kIsIterationInvariantRate,
       benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_GemmReferenceSingle)->Arg(128)->Arg(256);

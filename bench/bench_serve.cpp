@@ -7,8 +7,8 @@
 // server has to answer. Part 2 runs N sessions of the learned Tiny-VBF
 // beamformer through the same inference engine one-frame-at-a-time
 // (max_batch 1) and cross-session batched — the batcher stacks every ready
-// frame into one forward pass, amortizing per-pass fixed cost (autograd
-// graph, GEMM packing, pool fan-out) the way the PlanCache amortizes
+// frame into one forward pass, amortizing per-pass fixed cost (GEMM
+// packing, pool fan-out) the way the PlanCache amortizes
 // geometry. Part 3 checks
 // that served per-session output stays bit-identical to a solo
 // Pipeline::run of the same source, DAS and Tiny-VBF alike. Part 4 A/Bs

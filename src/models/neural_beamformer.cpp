@@ -5,14 +5,16 @@
 
 namespace tvbf::models {
 
-Tensor normalized_input(const us::TofCube& cube) {
+float input_scale(const us::TofCube& cube) {
   TVBF_REQUIRE(cube.real.rank() == 3, "cube holds no data");
+  const float m = max_abs(cube.real);
+  return m > 0.0f ? 1.0f / m : 1.0f;
+}
+
+Tensor normalized_input(const us::TofCube& cube) {
+  const float inv = input_scale(cube);
   Tensor in = cube.real;
-  const float m = max_abs(in);
-  if (m > 0.0f) {
-    const float inv = 1.0f / m;
-    for (auto& v : in.data()) v *= inv;
-  }
+  for (auto& v : in.data()) v *= inv;
   return in;
 }
 
@@ -61,7 +63,7 @@ TinyVbfBeamformer::TinyVbfBeamformer(std::shared_ptr<const TinyVbf> model)
 }
 
 Tensor TinyVbfBeamformer::beamform(const us::TofCube& cube) const {
-  return model_->infer(normalized_input(cube));
+  return model_->infer(cube.real, input_scale(cube));
 }
 
 std::vector<Tensor> TinyVbfBeamformer::beamform_batch(

@@ -15,11 +15,12 @@
 
 namespace tvbf::models {
 
-/// Tiny-VBF as a Beamformer: normalizes the RF cube to [-1, 1] and runs the
-/// network; the network output is already an IQ image. Batch-capable: the
-/// per-depth-row transformer lets several frames stack into one forward
-/// pass (cubes are normalized per frame first, so batched outputs are
-/// bit-identical to solo beamform() calls).
+/// Tiny-VBF as a Beamformer: runs the network on the RF cube scaled to
+/// [-1, 1] (the engine scales each depth tile as it loads it); the network
+/// output is already an IQ image. Batch-capable: the per-depth-row
+/// transformer lets several frames stack into one forward pass (cubes are
+/// normalized per frame first, so batched outputs are bit-identical to solo
+/// beamform() calls).
 class TinyVbfBeamformer : public bf::BatchedBeamformer {
  public:
   explicit TinyVbfBeamformer(std::shared_ptr<const TinyVbf> model);
@@ -60,8 +61,13 @@ class FcnnBeamformer : public bf::Beamformer {
   std::shared_ptr<const Fcnn> model_;
 };
 
-/// Normalized copy of the cube's RF data (shared by the adapters and the
-/// training-set builder so train/test preprocessing cannot diverge).
+/// 1 / max|x| of the cube's RF data (1 for an all-zero cube): the factor
+/// that maps it to the networks' [-1, 1] input range.
+float input_scale(const us::TofCube& cube);
+
+/// Normalized copy of the cube's RF data, each value times input_scale()
+/// (shared by the adapters and the training-set builder so train/test
+/// preprocessing cannot diverge).
 Tensor normalized_input(const us::TofCube& cube);
 
 /// Shared plumbing of every batch-of-frames entry point: stacks the

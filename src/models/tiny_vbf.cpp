@@ -1,6 +1,7 @@
 #include "models/tiny_vbf.hpp"
 
 #include "models/neural_beamformer.hpp"
+#include "models/tiny_vbf_engine.hpp"
 
 namespace tvbf::models {
 
@@ -75,15 +76,15 @@ nn::Variable TinyVbf::forward(const nn::Variable& x) const {
   return nn::reshape(h, {nz, config_.num_lateral, 2});
 }
 
-Tensor TinyVbf::infer(const Tensor& input) const {
-  return forward(nn::constant(input)).value();
+Tensor TinyVbf::infer(const Tensor& input, float input_scale) const {
+  return run_tiny_vbf(config_, weights_of(*this), input, input_scale);
 }
 
 std::vector<Tensor> TinyVbf::infer_batch(
     const std::vector<const Tensor*>& inputs) const {
-  // Frames stack along the depth axis: forward() treats nz as a pure batch
-  // dimension (every op is per depth row), so the stacked pass is row-wise
-  // identical to per-frame passes while paying the per-op overhead once.
+  // Frames stack along the depth axis: the network treats nz as a pure
+  // batch dimension (every op is per depth row), so the stacked pass is
+  // row-wise identical to per-frame passes.
   return stacked_forward(inputs,
                          [this](const Tensor& stacked) { return infer(stacked); });
 }

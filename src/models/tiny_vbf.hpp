@@ -53,15 +53,17 @@ class TinyVbf : public nn::Module {
   /// (nz, nx, nch); returns the IQ image (nz, nx, 2).
   nn::Variable forward(const nn::Variable& x) const;
 
-  /// Inference-only convenience over a raw tensor.
-  Tensor infer(const Tensor& input) const;
+  /// Inference over a raw tensor through the engine in tiny_vbf_engine.hpp
+  /// (no autograd graph): bit-identical to forward() on the input with
+  /// every element multiplied by `input_scale` (1 / max|x| normalizes a raw
+  /// ToF cube without a copy).
+  Tensor infer(const Tensor& input, float input_scale = 1.0f) const;
 
   /// Batch-of-frames inference: stacks the per-frame inputs (nz_i, nx, nch)
-  /// along the depth axis, runs ONE forward pass, and splits the IQ output
-  /// back per frame. Depth rows are independent in this architecture
-  /// (attention runs across lateral patches within a row), so each result
-  /// is bit-identical to infer() on that frame alone; the single pass
-  /// amortizes the autograd graph and GEMM setup across the whole batch.
+  /// along the depth axis, runs one infer() over the stack, and splits the
+  /// IQ output back per frame. Depth rows are independent in this
+  /// architecture (attention runs across lateral patches within a row), so
+  /// each result is bit-identical to infer() on that frame alone.
   std::vector<Tensor> infer_batch(
       const std::vector<const Tensor*>& inputs) const;
 

@@ -1,0 +1,78 @@
+// The Tiny-VBF inference engine: one plain-tensor forward pass, shared by
+// float inference (TinyVbf::infer) and the fixed-point datapath
+// (quant::QuantizedTinyVbf::infer).
+//
+// It makes the same tensor_ops calls, in the same order, as the autograd
+// forward TinyVbf::forward, so float inference is bit-identical to it by
+// construction, without building a graph or keeping its intermediates. The
+// fixed-point datapath passes a rounding hook that the engine calls, in
+// place, on every buffer the accelerator rounds (Figs 5-8); float inference
+// passes none.
+//
+// A frame runs in tiles of kVbfTileRows depth rows. Every op of the network
+// acts within one depth row (attention runs across the lateral patches of a
+// row), so the output does not depend on the tiling; the tiling bounds the
+// working set. Each tile is scaled (and, with a hook, rounded) as it is
+// loaded from the input into one tile buffer reused across tiles, so a raw
+// ToF cube needs no normalized copy.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include "models/tiny_vbf.hpp"
+
+namespace tvbf::models {
+
+/// The points where the fixed-point datapath rounds: a multiply or add
+/// result (the op width), a layer's output buffer (the intermediate width),
+/// and a softmax output (its own, wider width).
+enum class RoundAt { kOp, kInter, kSoftmax };
+
+/// Rounds x[0, n) in place to the format of one datapath point.
+using RoundingHook = std::function<void(RoundAt at, float* x, std::int64_t n)>;
+
+/// Non-owning views of one Tiny-VBF's weights, laid out as TinyVbf's
+/// modules: dense weights (in, out) with biases (out), the flat positional
+/// embedding (np * d_model), layer-norm gamma and beta (d_model).
+struct TinyVbfWeights {
+  struct Dense {
+    const Tensor* w = nullptr;
+    const Tensor* b = nullptr;
+  };
+  struct Block {
+    const Tensor* ln1_gamma = nullptr;
+    const Tensor* ln1_beta = nullptr;
+    Dense wq, wk, wv, wo;
+    const Tensor* ln2_gamma = nullptr;
+    const Tensor* ln2_beta = nullptr;
+    Dense fc1, fc2;
+  };
+  Dense embed;
+  const Tensor* pos = nullptr;
+  std::vector<Block> blocks;
+  Dense dec1, dec2;
+};
+
+/// Views of a model's live weights.
+TinyVbfWeights weights_of(const TinyVbf& model);
+
+/// Depth rows per tile, from a sweep of the float forward over the
+/// paper-scale frame (368 x 128, 128 channels; 4-vCPU Xeon): on one thread,
+/// tiles of 8-64 rows ran within 3% of each other (22 ms) and larger ones
+/// up to 17% slower (26 ms untiled); on four, tiles under 64 rows were
+/// slower (26-36 ms) while 64-184 rows ran in 24-27 ms. 64 is the smallest
+/// tile near the best on both, with a 4 MB input tile.
+inline constexpr std::int64_t kVbfTileRows = 64;
+
+/// Tiny-VBF over (nz, nx, nch) input: every element is multiplied by
+/// `input_scale` as its tile is loaded (a raw ToF cube with 1 / max|x| is
+/// the network's [-1, 1] input; an already normalized input passes 1).
+/// With a hook, the loaded tile is rounded at RoundAt::kInter and every
+/// datapath result at its point. Returns the IQ image (nz, nx, 2).
+Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
+                    const Tensor& input, float input_scale,
+                    const RoundingHook& rounding = {});
+
+}  // namespace tvbf::models

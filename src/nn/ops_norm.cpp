@@ -1,4 +1,4 @@
-#include <cmath>
+#include <memory>
 #include <vector>
 
 #include "nn/ops.hpp"
@@ -9,25 +9,8 @@ namespace tvbf::nn {
 using detail::Node;
 
 Variable softmax_last(const Variable& a) {
-  const Tensor& x = a.value();
-  TVBF_REQUIRE(x.rank() >= 1, "softmax_last needs rank >= 1");
-  const std::int64_t w = x.shape().back();
-  TVBF_REQUIRE(w >= 1, "softmax over an empty axis");
-  Tensor out(x.shape());
-  const std::int64_t rows = x.size() / w;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xi = x.raw() + r * w;
-    float* yi = out.raw() + r * w;
-    float m = xi[0];
-    for (std::int64_t j = 1; j < w; ++j) m = std::max(m, xi[j]);
-    double denom = 0.0;
-    for (std::int64_t j = 0; j < w; ++j) {
-      yi[j] = std::exp(xi[j] - m);
-      denom += yi[j];
-    }
-    const auto inv = static_cast<float>(1.0 / denom);
-    for (std::int64_t j = 0; j < w; ++j) yi[j] *= inv;
-  }
+  Tensor out = tvbf::softmax_last(a.value());
+  const std::int64_t w = out.shape().back();
   return Variable::make_op(
       std::move(out), {a},
       [w](Node& n) {
@@ -52,42 +35,12 @@ Variable softmax_last(const Variable& a) {
 
 Variable layer_norm(const Variable& a, const Variable& gamma,
                     const Variable& beta, float epsilon) {
-  const Tensor& x = a.value();
-  TVBF_REQUIRE(x.rank() >= 1, "layer_norm needs rank >= 1");
-  const std::int64_t w = x.shape().back();
-  TVBF_REQUIRE(gamma.value().rank() == 1 && gamma.value().size() == w,
-               "layer_norm gamma must be rank 1 of trailing-dim length");
-  TVBF_REQUIRE(beta.value().rank() == 1 && beta.value().size() == w,
-               "layer_norm beta must be rank 1 of trailing-dim length");
-  TVBF_REQUIRE(epsilon > 0.0f, "layer_norm epsilon must be positive");
-  const std::int64_t rows = x.size() / w;
-  Tensor out(x.shape());
   // Cache the normalized activations and inverse std-dev for backward.
-  auto xhat = std::make_shared<Tensor>(x.shape());
-  auto inv_std = std::make_shared<std::vector<float>>(
-      static_cast<std::size_t>(rows));
-  const float* g = gamma.value().raw();
-  const float* b = beta.value().raw();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = x.raw() + r * w;
-    float* yr = out.raw() + r * w;
-    float* hr = xhat->raw() + r * w;
-    double mu = 0.0;
-    for (std::int64_t j = 0; j < w; ++j) mu += xr[j];
-    mu /= static_cast<double>(w);
-    double var = 0.0;
-    for (std::int64_t j = 0; j < w; ++j) {
-      const double d = xr[j] - mu;
-      var += d * d;
-    }
-    var /= static_cast<double>(w);
-    const auto istd = static_cast<float>(1.0 / std::sqrt(var + epsilon));
-    (*inv_std)[static_cast<std::size_t>(r)] = istd;
-    for (std::int64_t j = 0; j < w; ++j) {
-      hr[j] = (xr[j] - static_cast<float>(mu)) * istd;
-      yr[j] = g[j] * hr[j] + b[j];
-    }
-  }
+  auto xhat = std::make_shared<Tensor>();
+  auto inv_std = std::make_shared<std::vector<float>>();
+  Tensor out = tvbf::layer_norm(a.value(), gamma.value(), beta.value(),
+                                epsilon, xhat.get(), inv_std.get());
+  const std::int64_t w = out.shape().back();
   return Variable::make_op(
       std::move(out), {a, gamma, beta},
       [w, xhat, inv_std](Node& n) {

@@ -147,8 +147,10 @@ void OpsServer::Impl::serve_one(int fd) {
   const std::string response = http_response(status, content_type, body);
   std::size_t sent = 0;
   while (sent < response.size()) {
-    const ssize_t n =
-        ::send(fd, response.data() + sent, response.size() - sent, 0);
+    // MSG_NOSIGNAL: a client that hangs up mid-response gets EPIPE here
+    // instead of a SIGPIPE that would kill the serving process.
+    const ssize_t n = ::send(fd, response.data() + sent,
+                             response.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) break;
     sent += static_cast<std::size_t>(n);
   }

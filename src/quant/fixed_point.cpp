@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "kernels/quantize.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace tvbf::quant {
@@ -34,9 +35,15 @@ float quantize_value(float v, const FixedFormat& fmt) {
   return static_cast<float>(clamped * fmt.step());
 }
 
-void quantize_tensor_inplace(Tensor& t, const FixedFormat& fmt) {
+void quantize_inplace(float* x, std::int64_t n, const FixedFormat& fmt) {
   fmt.validate();
-  for (auto& v : t.data()) v = quantize_value(v, fmt);
+  const std::int64_t done =
+      kernels::fake_quantize_blocks(x, n, fmt.bits, fmt.frac_bits);
+  for (std::int64_t i = done; i < n; ++i) x[i] = quantize_value(x[i], fmt);
+}
+
+void quantize_tensor_inplace(Tensor& t, const FixedFormat& fmt) {
+  quantize_inplace(t.raw(), t.size(), fmt);
 }
 
 Tensor quantized(const Tensor& t, const FixedFormat& fmt) {

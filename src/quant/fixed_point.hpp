@@ -5,9 +5,10 @@
 // provided:
 //  * FixedFormat + quantize_value: "fake quantization" — float values
 //    snapped to the representable grid with round-to-nearest and
-//    saturation. The quantized inference kernels use this (it is bit-exact
-//    with integer arithmetic whose products are rounded back to the same
-//    format, which unit tests verify).
+//    saturation (it is bit-exact with integer arithmetic whose products are
+//    rounded back to the same format, which unit tests verify).
+//    quantize_inplace applies it to buffers through the vectorized kernel
+//    in kernels/quantize.hpp, with quantize_value as its scalar reference.
 //  * Fixed: an actual integer-backed value type used by those tests and by
 //    the accelerator's PE model.
 #pragma once
@@ -36,6 +37,9 @@ struct FixedFormat {
 
 /// Rounds to the nearest representable value, saturating at the range ends.
 float quantize_value(float v, const FixedFormat& fmt);
+
+/// quantize_value over x[0, n) in place, vectorized (same bits).
+void quantize_inplace(float* x, std::int64_t n, const FixedFormat& fmt);
 
 /// Quantizes every element in place.
 void quantize_tensor_inplace(Tensor& t, const FixedFormat& fmt);

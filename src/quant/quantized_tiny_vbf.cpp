@@ -1,10 +1,8 @@
 #include "quant/quantized_tiny_vbf.hpp"
 
-#include <cmath>
 #include <utility>
 
 #include "models/neural_beamformer.hpp"
-#include "tensor/tensor_ops.hpp"
 
 namespace tvbf::quant {
 namespace {
@@ -59,133 +57,34 @@ QuantizedTinyVbf::QuantizedTinyVbf(const models::TinyVbf& model,
   dec2_ = grab(model.decoder_out());
 }
 
-Tensor QuantizedTinyVbf::q_op(Tensor t) const {
-  if (!scheme_.is_float) quantize_tensor_inplace(t, scheme_.op_format());
-  return t;
+models::TinyVbfWeights QuantizedTinyVbf::weights() const {
+  const auto view = [](const DenseW& d) {
+    return models::TinyVbfWeights::Dense{&d.w, &d.b};
+  };
+  models::TinyVbfWeights w;
+  w.embed = view(embed_);
+  w.pos = &pos_;
+  for (const BlockW& b : blocks_)
+    w.blocks.push_back({&b.ln1_gamma, &b.ln1_beta, view(b.wq), view(b.wk),
+                        view(b.wv), view(b.wo), &b.ln2_gamma, &b.ln2_beta,
+                        view(b.fc1), view(b.fc2)});
+  w.dec1 = view(dec1_);
+  w.dec2 = view(dec2_);
+  return w;
 }
 
-Tensor QuantizedTinyVbf::q_inter(Tensor t) const {
-  if (!scheme_.is_float) quantize_tensor_inplace(t, scheme_.inter_format());
-  return t;
-}
-
-Tensor QuantizedTinyVbf::dense(const Tensor& x, const DenseW& d) const {
-  Tensor y = q_op(batched_matmul(x, d.w));
-  return q_op(add_bias(y, d.b));
-}
-
-Tensor QuantizedTinyVbf::layer_norm(const Tensor& x, const Tensor& gamma,
-                                    const Tensor& beta) const {
-  // Mean/variance/rsqrt run at full precision (the accelerator computes the
-  // non-linear ops — division, sqrt — in a dedicated wide unit); the
-  // normalized output is rounded to the op width.
-  const std::int64_t w = x.shape().back();
-  const std::int64_t rows = x.size() / w;
-  Tensor out(x.shape());
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = x.raw() + r * w;
-    float* yr = out.raw() + r * w;
-    double mu = 0.0;
-    for (std::int64_t j = 0; j < w; ++j) mu += xr[j];
-    mu /= static_cast<double>(w);
-    double var = 0.0;
-    for (std::int64_t j = 0; j < w; ++j) {
-      const double d = xr[j] - mu;
-      var += d * d;
-    }
-    var /= static_cast<double>(w);
-    const double istd = 1.0 / std::sqrt(var + 1e-5);
-    for (std::int64_t j = 0; j < w; ++j)
-      yr[j] = static_cast<float>(
-          gamma.raw()[j] * (xr[j] - mu) * istd + beta.raw()[j]);
-  }
-  return q_op(std::move(out));
-}
-
-Tensor QuantizedTinyVbf::softmax_last(const Tensor& x) const {
-  const std::int64_t w = x.shape().back();
-  const std::int64_t rows = x.size() / w;
-  Tensor out(x.shape());
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = x.raw() + r * w;
-    float* yr = out.raw() + r * w;
-    float m = xr[0];
-    for (std::int64_t j = 1; j < w; ++j) m = std::max(m, xr[j]);
-    double denom = 0.0;
-    for (std::int64_t j = 0; j < w; ++j) {
-      yr[j] = std::exp(xr[j] - m);
-      denom += yr[j];
-    }
-    const auto inv = static_cast<float>(1.0 / denom);
-    for (std::int64_t j = 0; j < w; ++j) yr[j] *= inv;
-  }
+Tensor QuantizedTinyVbf::infer(const Tensor& input, float input_scale) const {
+  models::RoundingHook rounding;
   if (!scheme_.is_float)
-    quantize_tensor_inplace(out, scheme_.softmax_format());
-  return out;
-}
-
-Tensor QuantizedTinyVbf::attention(const Tensor& x, const BlockW& blk) const {
-  const std::int64_t nz = x.dim(0), np = x.dim(1), d = x.dim(2);
-  const std::int64_t heads = config_.num_heads;
-  const std::int64_t dk = d / heads;
-  const Tensor q = dense(x, blk.wq);
-  const Tensor k = dense(x, blk.wk);
-  const Tensor v = dense(x, blk.wv);
-  const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dk));
-  Tensor heads_out({nz, np, d});
-  // Per-head slices are contiguous bands of the trailing axis.
-  Tensor qh({nz, np, dk}), kh({nz, np, dk}), vh({nz, np, dk});
-  for (std::int64_t h = 0; h < heads; ++h) {
-    for (std::int64_t r = 0; r < nz * np; ++r)
-      for (std::int64_t j = 0; j < dk; ++j) {
-        qh.raw()[r * dk + j] = q.raw()[r * d + h * dk + j];
-        kh.raw()[r * dk + j] = k.raw()[r * d + h * dk + j];
-        vh.raw()[r * dk + j] = v.raw()[r * d + h * dk + j];
-      }
-    // Q.K^T through the blocked NT kernel: no materialized transpose.
-    Tensor scores = q_op(batched_matmul_nt(qh, kh));
-    scores = q_op(scale(scores, inv_sqrt_dk));
-    const Tensor attn = softmax_last(scores);
-    const Tensor oh = q_op(batched_matmul(attn, vh));  // (nz, np, dk)
-    for (std::int64_t r = 0; r < nz * np; ++r)
-      for (std::int64_t j = 0; j < dk; ++j)
-        heads_out.raw()[r * d + h * dk + j] = oh.raw()[r * dk + j];
-  }
-  return dense(heads_out, blk.wo);
-}
-
-Tensor QuantizedTinyVbf::infer(const Tensor& input) const {
-  const auto& s = input.shape();
-  TVBF_REQUIRE(s.size() == 3 && s[1] == config_.num_lateral &&
-                   s[2] == config_.in_channels,
-               "QuantizedTinyVbf expects (nz, " +
-                   std::to_string(config_.num_lateral) + ", " +
-                   std::to_string(config_.in_channels) + "); got " +
-                   to_string(s));
-  const std::int64_t nz = s[0];
-  const std::int64_t np = config_.num_patches();
-  const std::int64_t d = config_.d_model;
-
-  // Input samples arrive through the same ADC-width path as intermediates.
-  Tensor h = q_inter(input);
-  h.reshape({nz, np, config_.patch_size * config_.in_channels});
-  h = q_inter(dense(h, embed_));
-  {  // positional embedding
-    Tensor flat = h.reshaped({nz, np * d});
-    flat = q_inter(add_bias(flat, pos_));
-    h = flat.reshaped({nz, np, d});
-  }
-  for (const auto& blk : blocks_) {
-    const Tensor n1 = layer_norm(h, blk.ln1_gamma, blk.ln1_beta);
-    h = q_inter(add(h, attention(n1, blk)));
-    const Tensor n2 = layer_norm(h, blk.ln2_gamma, blk.ln2_beta);
-    Tensor m = q_op(relu(dense(n2, blk.fc1)));
-    m = dense(m, blk.fc2);
-    h = q_inter(add(h, m));
-  }
-  h = q_op(relu(dense(h, dec1_)));
-  h = q_inter(dense(h, dec2_));
-  return h.reshaped({nz, config_.num_lateral, 2});
+    rounding = [this](models::RoundAt at, float* x, std::int64_t n) {
+      using models::RoundAt;
+      quantize_inplace(x, n,
+                       at == RoundAt::kOp      ? scheme_.op_format()
+                       : at == RoundAt::kInter ? scheme_.inter_format()
+                                               : scheme_.softmax_format());
+    };
+  return models::run_tiny_vbf(config_, weights(), input, input_scale,
+                              rounding);
 }
 
 std::vector<Tensor> QuantizedTinyVbf::infer_batch(
@@ -207,7 +106,7 @@ std::string QuantizedVbfBeamformer::name() const {
 }
 
 Tensor QuantizedVbfBeamformer::beamform(const us::TofCube& cube) const {
-  return model_->infer(models::normalized_input(cube));
+  return model_->infer(cube.real, models::input_scale(cube));
 }
 
 std::vector<Tensor> QuantizedVbfBeamformer::beamform_batch(

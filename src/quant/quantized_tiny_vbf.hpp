@@ -1,11 +1,12 @@
 // Fixed-point inference of a trained Tiny-VBF under a QuantScheme.
 //
-// Re-implements the network forward pass with plain tensor kernels and a
-// fake-quantization step after every hardware operation, mirroring the
-// datapath of the accelerator (Figs 5-8): weights are stored quantized,
-// every multiply/add result is rounded to the op width, softmax runs at its
-// own (wider) width, and each layer writes its output BRAM buffer at the
-// intermediate width. With QuantScheme::float_reference() the output is
+// Runs the one Tiny-VBF inference engine (models/tiny_vbf_engine.hpp) over
+// quantized copies of the weights, with a rounding hook that fake-quantizes
+// every hardware result in place, mirroring the datapath of the
+// accelerator (Figs 5-8): weights are stored quantized, every multiply/add
+// result is rounded to the op width, softmax runs at its own (wider) width,
+// and each layer writes its output BRAM buffer at the intermediate width.
+// With QuantScheme::float_reference() there is no hook and the output is
 // bit-identical to TinyVbf::infer.
 #pragma once
 
@@ -13,7 +14,7 @@
 #include <vector>
 
 #include "beamform/beamformer.hpp"
-#include "models/tiny_vbf.hpp"
+#include "models/tiny_vbf_engine.hpp"
 #include "quant/scheme.hpp"
 
 namespace tvbf::quant {
@@ -25,15 +26,16 @@ class QuantizedTinyVbf {
   /// nothing — weights are copied.
   QuantizedTinyVbf(const models::TinyVbf& model, QuantScheme scheme);
 
-  /// Fixed-point forward pass: (nz, nx, nch) -> IQ (nz, nx, 2).
-  Tensor infer(const Tensor& input) const;
+  /// Fixed-point forward pass: (nz, nx, nch) -> IQ (nz, nx, 2), every
+  /// input element multiplied by `input_scale` before it is rounded (see
+  /// models::run_tiny_vbf).
+  Tensor infer(const Tensor& input, float input_scale = 1.0f) const;
 
   /// Batch-of-frames fixed-point inference: stacks the per-frame inputs
-  /// along the depth axis, runs one pass through the quantized datapath and
-  /// splits the IQ output per frame. Every stage (dense, layer norm,
-  /// softmax, fake quantization) is per depth row, so each result is
-  /// bit-identical to infer() on that frame alone; the single pass
-  /// amortizes GEMM packing and tensor allocation across the batch.
+  /// along the depth axis, runs one infer() over the stack and splits the
+  /// IQ output per frame. Every stage (dense, layer norm, softmax, fake
+  /// quantization) is per depth row, so each result is bit-identical to
+  /// infer() on that frame alone.
   std::vector<Tensor> infer_batch(
       const std::vector<const Tensor*>& inputs) const;
 
@@ -55,16 +57,8 @@ class QuantizedTinyVbf {
     DenseW fc1, fc2;
   };
 
-  Tensor dense(const Tensor& x, const DenseW& d) const;
-  Tensor layer_norm(const Tensor& x, const Tensor& gamma,
-                    const Tensor& beta) const;
-  Tensor softmax_last(const Tensor& x) const;
-  Tensor attention(const Tensor& x, const BlockW& blk) const;
-
-  /// Quantizes to the multiply/add op format (no-op for float schemes).
-  Tensor q_op(Tensor t) const;
-  /// Quantizes to the intermediate-buffer format.
-  Tensor q_inter(Tensor t) const;
+  /// Views of the stored weights for the engine.
+  models::TinyVbfWeights weights() const;
 
   models::TinyVbfConfig config_;
   QuantScheme scheme_;

@@ -1,9 +1,9 @@
 // Cross-session inference batching.
 //
 // Sessions running learned beamformers produce one (nz, nx, nch) patch
-// tensor per frame. Dispatching each alone wastes most of the forward
-// pass on per-op overhead (autograd graph nodes, GEMM packing, thread
-// fan-out) — the same per-frame fixed cost the PlanCache removes from the
+// tensor per frame. Dispatching each alone spends part of the forward
+// pass on per-op overhead (GEMM packing, thread fan-out) — the same
+// per-frame fixed cost the PlanCache removes from the
 // geometry stage. The batcher stacks every cube that is ready across
 // sessions along the depth axis and runs ONE forward pass through the
 // tensor/kernels datapath, splitting the IQ images back per frame. The

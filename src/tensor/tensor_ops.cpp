@@ -170,25 +170,6 @@ Tensor batched_matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor batched_matmul_nt(const Tensor& a, const Tensor& b) {
-  TVBF_REQUIRE(a.rank() == 3 && b.rank() == 3,
-               "batched_matmul_nt needs rank-3 inputs");
-  const std::int64_t B = a.dim(0), m = a.dim(1), k = a.dim(2);
-  TVBF_REQUIRE(b.dim(0) == B, "batch sizes differ: " + to_string(a.shape()) +
-                                  " x " + to_string(b.shape()));
-  TVBF_REQUIRE(b.dim(2) == k, "batched_matmul_nt inner dims differ: " +
-                                  to_string(a.shape()) + " x " +
-                                  to_string(b.shape()));
-  const std::int64_t n = b.dim(1);
-  Tensor c({B, m, n});
-  device::current().submit(
-      device::CommandEncoder()
-          .batched_gemm(a.raw(), b.raw(), c.raw(), B, m, k, n,
-                        /*transpose_b=*/true)
-          .finish());
-  return c;
-}
-
 Tensor transpose(const Tensor& a) {
   TVBF_REQUIRE(a.rank() == 2, "transpose needs a rank-2 tensor");
   const std::int64_t m = a.dim(0), n = a.dim(1);
@@ -209,6 +190,67 @@ Tensor transpose_last2(const Tensor& a) {
       for (std::int64_t j = 0; j < n; ++j) pc[j * m + i] = pa[i * n + j];
   }
   return c;
+}
+
+Tensor softmax_last(const Tensor& x) {
+  TVBF_REQUIRE(x.rank() >= 1, "softmax_last needs rank >= 1");
+  const std::int64_t w = x.shape().back();
+  TVBF_REQUIRE(w >= 1, "softmax over an empty axis");
+  Tensor out(x.shape());
+  const std::int64_t rows = x.size() / w;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* xi = x.raw() + r * w;
+    float* yi = out.raw() + r * w;
+    float m = xi[0];
+    for (std::int64_t j = 1; j < w; ++j) m = std::max(m, xi[j]);
+    double denom = 0.0;
+    for (std::int64_t j = 0; j < w; ++j) {
+      yi[j] = std::exp(xi[j] - m);
+      denom += yi[j];
+    }
+    const auto inv = static_cast<float>(1.0 / denom);
+    for (std::int64_t j = 0; j < w; ++j) yi[j] *= inv;
+  }
+  return out;
+}
+
+Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                  float epsilon, Tensor* xhat, std::vector<float>* inv_std) {
+  TVBF_REQUIRE(x.rank() >= 1, "layer_norm needs rank >= 1");
+  const std::int64_t w = x.shape().back();
+  TVBF_REQUIRE(gamma.rank() == 1 && gamma.size() == w,
+               "layer_norm gamma must be rank 1 of trailing-dim length");
+  TVBF_REQUIRE(beta.rank() == 1 && beta.size() == w,
+               "layer_norm beta must be rank 1 of trailing-dim length");
+  TVBF_REQUIRE(epsilon > 0.0f, "layer_norm epsilon must be positive");
+  const std::int64_t rows = x.size() / w;
+  Tensor out(x.shape());
+  if (xhat != nullptr) *xhat = Tensor(x.shape());
+  if (inv_std != nullptr) inv_std->assign(static_cast<std::size_t>(rows), 0.0f);
+  const float* g = gamma.raw();
+  const float* b = beta.raw();
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* xr = x.raw() + r * w;
+    float* yr = out.raw() + r * w;
+    double mu = 0.0;
+    for (std::int64_t j = 0; j < w; ++j) mu += xr[j];
+    mu /= static_cast<double>(w);
+    double var = 0.0;
+    for (std::int64_t j = 0; j < w; ++j) {
+      const double d = xr[j] - mu;
+      var += d * d;
+    }
+    var /= static_cast<double>(w);
+    const auto istd = static_cast<float>(1.0 / std::sqrt(var + epsilon));
+    if (inv_std != nullptr) (*inv_std)[static_cast<std::size_t>(r)] = istd;
+    float* hr = xhat != nullptr ? xhat->raw() + r * w : nullptr;
+    for (std::int64_t j = 0; j < w; ++j) {
+      const float h = (xr[j] - static_cast<float>(mu)) * istd;
+      if (hr != nullptr) hr[j] = h;
+      yr[j] = g[j] * h + b[j];
+    }
+  }
+  return out;
 }
 
 Tensor slice0(const Tensor& a, std::int64_t begin, std::int64_t end) {

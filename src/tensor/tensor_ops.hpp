@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -52,16 +53,26 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 /// broadcast across the batch.
 Tensor batched_matmul(const Tensor& a, const Tensor& b);
 
-/// Batched matmul against the transposed rhs: a (B,m,k) x b (B,n,k)^T ->
-/// (B,m,n), i.e. c[b](i,j) = dot(a[b] row i, b[b] row j). Attention scores
-/// (Q.K^T) consume K directly without materializing the transpose.
-Tensor batched_matmul_nt(const Tensor& a, const Tensor& b);
-
 /// Transpose of a rank-2 tensor.
 Tensor transpose(const Tensor& a);
 
 /// Swaps the last two axes of a rank-3 tensor.
 Tensor transpose_last2(const Tensor& a);
+
+// ---- normalization ---------------------------------------------------------
+
+/// Softmax over the trailing axis: each row is shifted by its max,
+/// exponentiated and scaled by 1 / (row sum, accumulated in double).
+Tensor softmax_last(const Tensor& x);
+
+/// Layer normalization over the trailing axis: y = gamma * xhat + beta with
+/// xhat = (x - mean) * inv_std and inv_std = 1 / sqrt(var + epsilon), mean
+/// and variance accumulated in double. gamma and beta are rank 1 of the
+/// trailing length. When given, `xhat` and `inv_std` receive the normalized
+/// rows and each row's inv_std (the backward pass reuses both).
+Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                  float epsilon, Tensor* xhat = nullptr,
+                  std::vector<float>* inv_std = nullptr);
 
 // ---- shaping ---------------------------------------------------------------
 

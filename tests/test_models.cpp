@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "models/complexity.hpp"
@@ -11,6 +12,7 @@
 #include "models/neural_beamformer.hpp"
 #include "models/tiny_cnn.hpp"
 #include "models/tiny_vbf.hpp"
+#include "models/tiny_vbf_engine.hpp"
 #include "models/trainer.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -22,6 +24,13 @@ Tensor random_input(std::int64_t nz, std::int64_t nx, std::int64_t nch,
   Tensor t({nz, nx, nch});
   for (auto& v : t.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   return t;
+}
+
+/// Same shape and the same bits (max_abs_diff == 0 would let -0 pass as +0).
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
 }
 
 TEST(TinyVbfConfig, ValidationAndPresets) {
@@ -91,6 +100,38 @@ TEST(TinyVbf, AttentionGivesGlobalReceptiveField) {
   for (std::int64_t c = 0; c < 2; ++c)
     delta += std::fabs(y1.at(2, 0, c) - y0.at(2, 0, c));
   EXPECT_GT(delta, 1e-6);
+}
+
+TEST(TinyVbfEngine, InferIsBitIdenticalToAutogradForward) {
+  // infer() runs the tape-free engine in depth tiles of kVbfTileRows; at
+  // row counts below, at, just past and across tiles its output must be
+  // the autograd forward's bit for bit, at paper scale and the reduced
+  // serving scale.
+  ASSERT_EQ(kVbfTileRows, 64);
+  for (const TinyVbfConfig& config :
+       {TinyVbfConfig::paper(), TinyVbfConfig::test(32, 64)}) {
+    Rng rng(11);
+    const TinyVbf model(config, rng);
+    for (const std::int64_t nz : {1, 63, 64, 65, 130}) {
+      Rng drng(static_cast<std::uint64_t>(100 + nz));
+      const Tensor x =
+          random_input(nz, config.num_lateral, config.in_channels, drng);
+      EXPECT_TRUE(
+          same_bits(model.infer(x), model.forward(nn::constant(x)).value()))
+          << "nx " << config.num_lateral << ", nz " << nz;
+    }
+  }
+}
+
+TEST(TinyVbfEngine, ScalesEachTileAsItLoads) {
+  // infer(x, s) is infer() of x with every element times s, so adapters
+  // can hand over the raw ToF cube with 1 / max|x|.
+  Rng rng(12);
+  const TinyVbf model(TinyVbfConfig::test(8, 16), rng);
+  Rng drng(13);
+  const Tensor x = random_input(70, 16, 8, drng);
+  const float s = 1.0f / 3.0f;
+  EXPECT_TRUE(same_bits(model.infer(x, s), model.infer(scale(x, s))));
 }
 
 TEST(TinyCnn, ForwardShapeAndOps) {
@@ -239,8 +280,9 @@ TEST_F(ModelPipeline, AdaptersProduceIqImages) {
       us::simulate_plane_wave(probe_, phantom_, 0.0, params_.sim);
   const us::TofCube cube = us::tof_correct(acq, grid_, {});
   Rng rng(300);
-  const TinyVbfBeamformer vbf(
-      std::make_shared<TinyVbf>(TinyVbfConfig::test(16, 16), rng));
+  const auto vbf_model =
+      std::make_shared<TinyVbf>(TinyVbfConfig::test(16, 16), rng);
+  const TinyVbfBeamformer vbf(vbf_model);
   const TinyCnnBeamformer cnn(
       std::make_shared<TinyCnn>(TinyCnnConfig::test(16), rng));
   const FcnnBeamformer fcnn(
@@ -253,6 +295,10 @@ TEST_F(ModelPipeline, AdaptersProduceIqImages) {
     EXPECT_EQ(iq.shape(), (Shape{48, 16, 2})) << b->name();
     EXPECT_GT(max_abs(iq), 0.0f) << b->name();
   }
+  // The adapter scales the raw cube as it loads it: same bits as running
+  // the network on the normalized copy.
+  EXPECT_TRUE(same_bits(vbf.beamform(cube),
+                        vbf_model->infer(normalized_input(cube))));
   EXPECT_EQ(vbf.name(), "Tiny-VBF");
   EXPECT_EQ(cnn.name(), "Tiny-CNN");
   EXPECT_EQ(fcnn.name(), "FCNN");

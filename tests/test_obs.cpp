@@ -357,6 +357,47 @@ TEST(OpsServerUnit, ServesRoutesOnEphemeralPort) {
   ServiceState::instance().reset();
 }
 
+TEST(OpsServerUnit, ClientHangingUpMidResponseLeavesServerUp) {
+  // A scraper that reads the start of a large /dump and hangs up must not
+  // kill the process with SIGPIPE; the endpoint answers the next request.
+  // A full trace buffer makes the body (several MB) outgrow the socket
+  // buffers, so the server is still sending when the client goes away.
+  telemetry::trace_start(1 << 16);
+  const auto t0 = steady_clock::now();
+  for (int i = 0; i < (1 << 16); ++i)
+    telemetry::trace_record("hang-up-fill", t0, t0);
+  telemetry::trace_stop();
+  OpsServer server(OpsServer::Options{0});
+  ASSERT_TRUE(server.start());
+  const int port = server.port();
+  for (int client = 0; client < 3; ++client) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    // A small receive window keeps most of the body unsent at hang-up.
+    const int rcvbuf = 4096;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    const std::string req = "GET /dump HTTP/1.1\r\nHost: localhost\r\n\r\n";
+    ASSERT_EQ(::send(fd, req.data(), req.size(), 0),
+              static_cast<ssize_t>(req.size()));
+    ::shutdown(fd, SHUT_WR);  // half-close after the request
+    char head[64];
+    EXPECT_GT(::recv(fd, head, sizeof(head), 0), 0);
+    ::close(fd);  // with unread data queued, the close resets the peer
+  }
+  const std::string metrics = http_get(port, "/metrics");
+  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
+  server.stop();
+  telemetry::trace_start();  // leave an empty capture behind
+  telemetry::trace_stop();
+}
+
 // ---------------------------------------------------------------------------
 // Served-run integration
 

@@ -2,7 +2,12 @@
 // arithmetic equivalence, schemes, and the quantized Tiny-VBF kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "quant/fixed_point.hpp"
@@ -77,6 +82,62 @@ TEST(Quantize, TensorInplaceAndCopy) {
   EXPECT_FLOAT_EQ(t.at(0), 0.51f);  // original untouched
   quantize_tensor_inplace(t, f);
   EXPECT_FLOAT_EQ(t.at(0), 0.5f);
+}
+
+std::uint32_t bits_of(float v) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+TEST(Quantize, VectorKernelMatchesScalarOracleBitForBit) {
+  // quantize_inplace rounds blocks of 8 in the SIMD kernel and the tail
+  // with quantize_value; every element must come out as quantize_value's
+  // bits, for every width of the paper's schemes and every input class.
+  using limits = std::numeric_limits<float>;
+  std::vector<FixedFormat> formats;
+  for (const int bits : {8, 16, 20, 24, 32}) {
+    formats.push_back(activation_format(bits, 4));
+    if (bits > 9) formats.push_back(activation_format(bits, 8));
+    formats.push_back(FixedFormat{bits, 0});
+    formats.push_back(FixedFormat{bits, bits - 1});
+  }
+  Rng rng(44);
+  for (const FixedFormat& f : formats) {
+    const auto step = static_cast<float>(f.step());
+    std::vector<float> values = {
+        limits::infinity(), -limits::infinity(), limits::quiet_NaN(),
+        -limits::quiet_NaN(), 0.0f, -0.0f, limits::denorm_min(),
+        -limits::denorm_min(), 1e-40f, -1e-40f, limits::min(), -limits::min(),
+        limits::max(), -limits::max(), 1e30f, -1e30f,
+        static_cast<float>(f.max_value()) + step / 2,
+        static_cast<float>(f.min_value()) - step / 2,
+        static_cast<float>(f.max_value()) * 3,
+        static_cast<float>(f.min_value()) * 3};
+    for (int k = -6; k <= 6; ++k)  // exact half-step ties, odd and even
+      values.push_back((static_cast<float>(k) + 0.5f) * step);
+    const double range = 2.0 * f.max_value();
+    for (int i = 0; i < 200; ++i)
+      values.push_back(static_cast<float>(rng.uniform(-range, range)));
+    for (int i = 0; i < 50; ++i)
+      values.push_back(static_cast<float>(rng.uniform(-4.0, 4.0) * f.step()));
+
+    const auto check = [&](std::size_t begin, std::size_t n) {
+      const auto first = values.begin() + static_cast<std::ptrdiff_t>(begin);
+      std::vector<float> x(first, first + static_cast<std::ptrdiff_t>(n));
+      quantize_inplace(x.data(), static_cast<std::int64_t>(n), f);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(bits_of(x[i]), bits_of(quantize_value(values[begin + i], f)))
+            << "format (" << f.bits << ", " << f.frac_bits << "), value "
+            << values[begin + i] << ", length " << n;
+    };
+    check(0, values.size());
+    // Lengths 0-9: tail only, one block, one block plus a tail; every value
+    // passes through both the kernel and the tail.
+    for (std::size_t n = 0; n <= 9; ++n)
+      for (std::size_t begin = 0; begin + n <= values.size(); ++begin)
+        check(begin, n);
+  }
 }
 
 TEST(FormatFactories, ActivationAndWeightFormats) {
@@ -202,10 +263,39 @@ class QuantizedModel : public ::testing::Test {
 };
 
 TEST_F(QuantizedModel, FloatSchemeIsExact) {
+  // Float scheme = the same engine with no rounding hook: same bits.
   const QuantizedTinyVbf q(*model_, QuantScheme::float_reference());
   const Tensor out = q.infer(input_);
-  EXPECT_TRUE(allclose(out, reference_, 1e-6f, 1e-6f))
+  ASSERT_EQ(out.shape(), reference_.shape());
+  EXPECT_EQ(std::memcmp(out.raw(), reference_.raw(),
+                        static_cast<std::size_t>(out.size()) * sizeof(float)),
+            0)
       << "max diff " << max_abs_diff(out, reference_);
+}
+
+TEST(QuantizedTiles, Hybrid2FrameEqualsItsSlicesRunOneByOne) {
+  // Every fixed-point stage is per depth row, so a 130-row frame (tiles of
+  // 64, 64 and 2 rows) must equal its 64-row slices, and its single rows,
+  // each run on its own.
+  Rng rng(45);
+  const models::TinyVbf model(models::TinyVbfConfig::test(32, 64), rng);
+  const QuantizedTinyVbf q(model, QuantScheme::hybrid2());
+  Rng drng(46);
+  Tensor x({130, 64, 32});
+  for (auto& v : x.data()) v = static_cast<float>(drng.uniform(-1.0, 1.0));
+  const Tensor whole = q.infer(x);
+  for (const std::int64_t slice : {64, 1}) {
+    for (std::int64_t z0 = 0; z0 < 130; z0 += slice) {
+      const std::int64_t z1 = std::min<std::int64_t>(z0 + slice, 130);
+      const Tensor part = q.infer(slice0(x, z0, z1));
+      const Tensor expected = slice0(whole, z0, z1);
+      ASSERT_EQ(std::memcmp(part.raw(), expected.raw(),
+                            static_cast<std::size_t>(part.size()) *
+                                sizeof(float)),
+                0)
+          << "rows [" << z0 << ", " << z1 << ")";
+    }
+  }
 }
 
 TEST_F(QuantizedModel, ErrorShrinksWithWiderDatapath) {
