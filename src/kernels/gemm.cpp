@@ -152,20 +152,24 @@ inline std::int64_t panel_width(std::int64_t remaining) {
   return remaining;
 }
 
-/// Shared panel sweep: C[row_begin:row_end) (+)= Aview . B where Aview is
-/// (m, depth) addressed through (a_rs, a_cs) and B is (depth, n).
+/// Shared panel sweep: C[row_begin:row_end) (+)= Aview . Bview where Aview
+/// is (m, depth) addressed through (a_rs, a_cs), Bview is (depth, n) with
+/// element (p, j) at b[p * b_rs + j * b_cs], and C rows are ldc apart.
 ///
 /// B is packed into contiguous (kc x panel) strips once per (Kc, Nc) block
-/// and reused across every row tile. Besides the cache-footprint argument,
+/// and reused across every row tile. Packing only copies values, so B's
+/// strides never change the arithmetic. Besides the cache-footprint argument,
 /// packing sidesteps the power-of-two-stride conflict misses that cripple
 /// unpacked sweeps at n = 128/256 (rows 512 B apart map to a handful of L1
 /// sets) — this, not the FLOP count, is where the naive kernel loses.
 void gemm_panel(const float* a, std::int64_t a_rs, std::int64_t a_cs,
-                const float* b, float* c, std::int64_t depth, std::int64_t n,
-                std::int64_t row_begin, std::int64_t row_end,
+                const float* b, std::int64_t b_rs, std::int64_t b_cs,
+                float* c, std::int64_t ldc, std::int64_t depth,
+                std::int64_t n, std::int64_t row_begin, std::int64_t row_end,
                 bool accumulate) {
   if (!accumulate)
-    std::fill(c + row_begin * n, c + row_end * n, 0.0f);
+    for (std::int64_t i = row_begin; i < row_end; ++i)
+      std::fill_n(c + i * ldc, n, 0.0f);
   // Per-thread pack buffer: gemm_panel never nests on one thread, and each
   // pool worker gets its own copy.
   thread_local std::vector<float> packed;
@@ -179,10 +183,16 @@ void gemm_panel(const float* a, std::int64_t a_rs, std::int64_t a_cs,
       float* dst = packed.data();
       for (std::int64_t j = 0; j < nc;) {
         const std::int64_t pw = panel_width(nc - j);
-        const float* src = b + p0 * n + jc + j;
-        for (std::int64_t p = 0; p < kc; ++p)
-          std::memcpy(dst + p * pw, src + p * n,
-                      static_cast<std::size_t>(pw) * sizeof(float));
+        const float* src = b + p0 * b_rs + (jc + j) * b_cs;
+        for (std::int64_t p = 0; p < kc; ++p) {
+          if (b_cs == 1) {
+            std::memcpy(dst + p * pw, src + p * b_rs,
+                        static_cast<std::size_t>(pw) * sizeof(float));
+          } else {
+            for (std::int64_t q = 0; q < pw; ++q)
+              dst[p * pw + q] = src[p * b_rs + q * b_cs];
+          }
+        }
         dst += kc * pw;
         j += pw;
       }
@@ -192,16 +202,16 @@ void gemm_panel(const float* a, std::int64_t a_rs, std::int64_t a_cs,
         const float* bp = packed.data();
         for (std::int64_t j = 0; j < nc;) {
           const std::int64_t pw = panel_width(nc - j);
-          float* ci = c + i0 * n + jc + j;
+          float* ci = c + i0 * ldc + jc + j;
 #ifdef TVBF_GEMM_VECTOR_EXT
           if (mr == kMr && pw == 2 * kVw)
-            micro_tile2(ai, a_rs, a_cs, bp, pw, ci, n, kc);
+            micro_tile2(ai, a_rs, a_cs, bp, pw, ci, ldc, kc);
           else if (mr == kMr && pw == kVw)
-            micro_tile1(ai, a_rs, a_cs, bp, pw, ci, n, kc);
+            micro_tile1(ai, a_rs, a_cs, bp, pw, ci, ldc, kc);
           else
-            micro_edge(ai, a_rs, a_cs, bp, pw, ci, n, kc, mr, pw);
+            micro_edge(ai, a_rs, a_cs, bp, pw, ci, ldc, kc, mr, pw);
 #else
-          micro_edge(ai, a_rs, a_cs, bp, pw, ci, n, kc, mr, pw);
+          micro_edge(ai, a_rs, a_cs, bp, pw, ci, ldc, kc, mr, pw);
 #endif
           bp += kc * pw;
           j += pw;
@@ -217,8 +227,16 @@ void gemm_rows(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n, std::int64_t row_begin,
                std::int64_t row_end, bool accumulate) {
   (void)m;
-  gemm_panel(a, /*a_rs=*/k, /*a_cs=*/1, b, c, k, n, row_begin, row_end,
-             accumulate);
+  gemm_panel(a, /*a_rs=*/k, /*a_cs=*/1, b, /*b_rs=*/n, /*b_cs=*/1, c,
+             /*ldc=*/n, k, n, row_begin, row_end, accumulate);
+}
+
+void gemm_strided(const float* a, std::int64_t lda, const float* b,
+                  std::int64_t b_rs, std::int64_t b_cs, float* c,
+                  std::int64_t ldc, std::int64_t m, std::int64_t k,
+                  std::int64_t n) {
+  gemm_panel(a, /*a_rs=*/lda, /*a_cs=*/1, b, b_rs, b_cs, c, ldc, k, n, 0, m,
+             /*accumulate=*/false);
 }
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
@@ -310,8 +328,8 @@ void gemm_nt_rows(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_tn_panel(const float* a, const float* b, float* c, std::int64_t m,
                    std::int64_t k, std::int64_t n, std::int64_t p_begin,
                    std::int64_t p_end) {
-  gemm_panel(a, /*a_rs=*/1, /*a_cs=*/k, b, c, /*depth=*/m, n, p_begin, p_end,
-             /*accumulate=*/true);
+  gemm_panel(a, /*a_rs=*/1, /*a_cs=*/k, b, /*b_rs=*/n, /*b_cs=*/1, c,
+             /*ldc=*/n, /*depth=*/m, n, p_begin, p_end, /*accumulate=*/true);
 }
 
 void gemm_tn_accumulate(const float* a, const float* b, float* c,

@@ -1,8 +1,8 @@
 // Register-blocked float32 GEMM micro-kernels.
 //
 // This is the hot-path layer the tensor/nn/quant matmuls are built on. All
-// matrices are row-major and fully packed (leading dimension == column
-// count). The blocked kernels tile C into MR x NR register accumulator
+// matrices are row-major and, except for gemm_strided's views, fully packed
+// (leading dimension == column count). The blocked kernels tile C into MR x NR register accumulator
 // panels swept over Kc-sized slices of the inner dimension, with no
 // data-dependent branches in the inner loops, so the compiler can keep the
 // accumulators in vector registers. The `_reference` entry points preserve
@@ -29,6 +29,17 @@ void gemm_rows(const float* a, const float* b, float* c, std::int64_t m,
 /// C = A.B, threaded over row blocks via the common pool.
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n);
+
+/// Serial C = A.B over strided views, with gemm_rows' arithmetic: a is
+/// (m, k) with rows lda apart, b is (k, n) with element (p, j) at
+/// b[p * b_rs + j * b_cs], and c is (m, n) with rows ldc apart, overwritten.
+/// B is packed into the same panels whatever its strides, so a column band
+/// of a wider matrix, or a transposed one (b_rs = 1), gives the bits
+/// gemm_rows gives on a packed copy.
+void gemm_strided(const float* a, std::int64_t lda, const float* b,
+                  std::int64_t b_rs, std::int64_t b_cs, float* c,
+                  std::int64_t ldc, std::int64_t m, std::int64_t k,
+                  std::int64_t n);
 
 /// Original naive ikj kernel (seed implementation), kept as the reference
 /// for equivalence tests and bench baselines. C rows are overwritten.

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
-#include "tensor/tensor_ops.hpp"
+#include "common/parallel.hpp"
+#include "kernels/gemm.hpp"
+#include "kernels/reduce.hpp"
 
 namespace tvbf::models {
 namespace {
@@ -11,100 +14,176 @@ namespace {
 /// nn::LayerNorm's epsilon.
 constexpr float kLayerNormEpsilon = 1e-5f;
 
-/// Head `h`'s band [h * dk, (h + 1) * dk) of the trailing axis of a
-/// (rows, np, d) tensor: the values nn::slice_last copies.
-Tensor head_band(const Tensor& x, std::int64_t h, std::int64_t dk) {
-  const std::int64_t d = x.dim(2);
-  const std::int64_t n = x.dim(0) * x.dim(1);
-  Tensor out({x.dim(0), x.dim(1), dk});
-  for (std::int64_t r = 0; r < n; ++r)
-    std::copy_n(x.raw() + r * d + h * dk, dk, out.raw() + r * dk);
-  return out;
-}
-
-/// One tile's forward pass over the views, rounding through the hook.
+/// One tile's forward pass over the views, rounding through the hook, on
+/// buffers allocated once for up to `max_rows` depth rows and reused by
+/// every tile. With n = rows * np patch rows and d = d_model:
+///   in_           (n, patch * nch)  the scaled input tile
+///   h_            (n, d)            the residual stream
+///   x_            (n, d)            layer-norm output, then the concatenated
+///                                   heads, then the MLP output
+///   q_, k_, v_    (n, d)            projections; q_ then takes W_o's output
+///   wide_         one head's scores (rows, np, np), softmaxed in place;
+///                 later the MLP and decoder hidden layers
 class TileForward {
  public:
   TileForward(const TinyVbfConfig& config, const TinyVbfWeights& weights,
-              const RoundingHook& hook)
-      : config_(config), weights_(weights), hook_(hook) {}
+              const RoundingHook& hook, std::int64_t max_rows)
+      : config_(config), weights_(weights), hook_(hook) {
+    const std::int64_t np = config.num_patches();
+    const std::int64_t n = max_rows * np;
+    const std::int64_t in = n * config.patch_size * config.in_channels;
+    const std::int64_t d = n * config.d_model;
+    const std::int64_t wide =
+        std::max({max_rows * np * np, n * config.mlp_hidden,
+                  n * config.decoder_hidden});
+    buffer_ = std::make_unique_for_overwrite<float[]>(
+        static_cast<std::size_t>(in + 5 * d + wide));
+    in_ = buffer_.get();
+    h_ = in_ + in;
+    x_ = h_ + d;
+    q_ = x_ + d;
+    k_ = q_ + d;
+    v_ = k_ + d;
+    wide_ = v_ + d;
+  }
 
-  /// (rows, np, patch * nch), loaded -> (rows, np, patch * 2).
-  Tensor operator()(const Tensor& x) const {
-    const std::int64_t rows = x.dim(0);
+  /// The input tile, (rows, np, patch * nch), to load before operator().
+  float* input() { return in_; }
+
+  /// Runs the loaded tile of `rows` depth rows and writes its IQ rows,
+  /// (rows, np, patch * 2), to out.
+  void operator()(std::int64_t rows, float* out) {
     const std::int64_t np = config_.num_patches();
     const std::int64_t d = config_.d_model;
-    Tensor h = dense(x, weights_.embed);
-    round(RoundAt::kInter, h);
-    // Positional embedding, added to every depth row of the flat view.
-    h.reshape({rows, np * d});
-    h = add_bias(h, *weights_.pos);
-    round(RoundAt::kInter, h);
-    h.reshape({rows, np, d});
+    const std::int64_t n = rows * np;
+    dense(in_, n, weights_.embed, h_);
+    round(RoundAt::kInter, h_, n * d);
+    // Positional embedding, added to every depth row.
+    const float* pos = weights_.pos->raw();
+    for (std::int64_t r = 0; r < rows; ++r) {
+      float* hr = h_ + r * np * d;
+      for (std::int64_t i = 0; i < np * d; ++i) hr[i] += pos[i];
+    }
+    round(RoundAt::kInter, h_, n * d);
     for (const TinyVbfWeights::Block& blk : weights_.blocks) {
       // Layer norm's mean, variance and rsqrt run unrounded (the
       // accelerator's wide non-linear unit); its output is an op result.
-      Tensor n1 = layer_norm(h, *blk.ln1_gamma, *blk.ln1_beta,
-                             kLayerNormEpsilon);
-      round(RoundAt::kOp, n1);
-      h = add(h, attention(n1, blk));
-      round(RoundAt::kInter, h);
-      Tensor n2 = layer_norm(h, *blk.ln2_gamma, *blk.ln2_beta,
-                             kLayerNormEpsilon);
-      round(RoundAt::kOp, n2);
+      layer_norm(blk.ln1_gamma, blk.ln1_beta, n);
+      attention(rows, blk);
+      dense(x_, n, blk.wo, q_);
+      add_residual(q_, n);
+      layer_norm(blk.ln2_gamma, blk.ln2_beta, n);
+      dense(x_, n, blk.fc1, wide_);
       // relu keeps op results on their grid, so it needs no rounding.
-      h = add(h, dense(relu(dense(n2, blk.fc1)), blk.fc2));
-      round(RoundAt::kInter, h);
+      relu(wide_, n * config_.mlp_hidden);
+      dense(wide_, n, blk.fc2, x_);
+      add_residual(x_, n);
     }
-    h = dense(relu(dense(h, weights_.dec1)), weights_.dec2);
-    round(RoundAt::kInter, h);
-    return h;
+    dense(h_, n, weights_.dec1, wide_);
+    relu(wide_, n * config_.decoder_hidden);
+    dense(wide_, n, weights_.dec2, out);
+    round(RoundAt::kInter, out, n * weights_.dec2.w->dim(1));
   }
 
  private:
-  void round(RoundAt at, Tensor& t) const {
-    if (hook_) hook_(at, t.raw(), t.size());
+  void round(RoundAt at, float* x, std::int64_t n) const {
+    if (hook_) hook_(at, x, n);
   }
 
-  /// nn::Dense::forward: x W, then + b, each result at the op width.
-  Tensor dense(const Tensor& x, const TinyVbfWeights::Dense& layer) const {
-    Tensor y = batched_matmul(x, *layer.w);
-    round(RoundAt::kOp, y);
-    y = add_bias(y, *layer.b);
-    round(RoundAt::kOp, y);
-    return y;
+  /// nn::Dense::forward over n rows: y = x W, then + b, each result at the
+  /// op width.
+  void dense(const float* x, std::int64_t n,
+             const TinyVbfWeights::Dense& layer, float* y) {
+    const std::int64_t in = layer.w->dim(0);
+    const std::int64_t out = layer.w->dim(1);
+    kernels::gemm(x, layer.w->raw(), y, n, in, out);
+    round(RoundAt::kOp, y, n * out);
+    const float* b = layer.b->raw();
+    for (std::int64_t r = 0; r < n; ++r)
+      for (std::int64_t j = 0; j < out; ++j) y[r * out + j] += b[j];
+    round(RoundAt::kOp, y, n * out);
   }
 
-  /// nn::MultiHeadAttention::forward over one tile.
-  Tensor attention(const Tensor& x, const TinyVbfWeights::Block& blk) const {
+  /// x_ = layer_norm(h_), an op result.
+  void layer_norm(const Tensor* gamma, const Tensor* beta, std::int64_t n) {
+    kernels::layer_norm_rows(h_, x_, n, config_.d_model, gamma->raw(),
+                             beta->raw(), kLayerNormEpsilon, nullptr,
+                             nullptr);
+    round(RoundAt::kOp, x_, n * config_.d_model);
+  }
+
+  /// h_ += y, at the intermediate width.
+  void add_residual(const float* y, std::int64_t n) {
+    const std::int64_t size = n * config_.d_model;
+    for (std::int64_t i = 0; i < size; ++i) h_[i] += y[i];
+    round(RoundAt::kInter, h_, size);
+  }
+
+  static void relu(float* x, std::int64_t n) {
+    for (std::int64_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  }
+
+  /// nn::MultiHeadAttention::forward up to W_o, over the layer-norm output
+  /// in x_: the heads' outputs are concatenated into x_. Head bands of
+  /// q_, k_ and v_ are read in place through GEMM strides.
+  void attention(std::int64_t rows, const TinyVbfWeights::Block& blk) {
+    const std::int64_t np = config_.num_patches();
     const std::int64_t d = config_.d_model;
     const std::int64_t dk = d / config_.num_heads;
-    const Tensor q = dense(x, blk.wq);
-    const Tensor k = dense(x, blk.wk);
-    const Tensor v = dense(x, blk.wv);
+    const std::int64_t n = rows * np;
+    dense(x_, n, blk.wq, q_);
+    dense(x_, n, blk.wk, k_);
+    dense(x_, n, blk.wv, v_);
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dk));
-    Tensor heads({x.dim(0), x.dim(1), d});
-    const std::int64_t n = x.dim(0) * x.dim(1);
+    float* scores = wide_;
+    const std::int64_t size = rows * np * np;
     for (std::int64_t h = 0; h < config_.num_heads; ++h) {
-      Tensor scores = batched_matmul(head_band(q, h, dk),
-                                     transpose_last2(head_band(k, h, dk)));
-      round(RoundAt::kOp, scores);
-      scores = scale(scores, inv_sqrt_dk);
-      round(RoundAt::kOp, scores);
-      Tensor attn = softmax_last(scores);
-      round(RoundAt::kSoftmax, attn);
-      Tensor oh = batched_matmul(attn, head_band(v, h, dk));
-      round(RoundAt::kOp, oh);
-      // Concatenate the heads along the trailing axis.
-      for (std::int64_t r = 0; r < n; ++r)
-        std::copy_n(oh.raw() + r * dk, dk, heads.raw() + r * d + h * dk);
+      const std::int64_t band = h * dk;
+      // scores = Q_h K_h^T, one (np, np) block per depth row.
+      per_row(rows, [&](std::int64_t r) {
+        const std::int64_t at = r * np * d + band;
+        kernels::gemm_strided(q_ + at, d, k_ + at, /*b_rs=*/1, /*b_cs=*/d,
+                              scores + r * np * np, np, np, dk, np);
+      });
+      round(RoundAt::kOp, scores, size);
+      for (std::int64_t i = 0; i < size; ++i) scores[i] *= inv_sqrt_dk;
+      round(RoundAt::kOp, scores, size);
+      kernels::softmax_rows(scores, scores, n, np);
+      round(RoundAt::kSoftmax, scores, size);
+      // Head h's output, attn V_h, into its band of x_.
+      per_row(rows, [&](std::int64_t r) {
+        const std::int64_t at = r * np * d + band;
+        kernels::gemm_strided(scores + r * np * np, np, v_ + at, d, 1,
+                              x_ + at, d, np, np, dk);
+      });
     }
-    return dense(heads, blk.wo);
+    // Every head's A.V result is rounded once, at the op width.
+    round(RoundAt::kOp, x_, n * d);
+  }
+
+  /// fn(r) for every depth row r of the tile, across the pool.
+  static void per_row(std::int64_t rows,
+                      const std::function<void(std::int64_t)>& fn) {
+    parallel_for(
+        0, static_cast<std::size_t>(rows),
+        [&](std::size_t rb, std::size_t re) {
+          for (std::size_t r = rb; r < re; ++r)
+            fn(static_cast<std::int64_t>(r));
+        },
+        /*min_grain=*/1);
   }
 
   const TinyVbfConfig& config_;
   const TinyVbfWeights& weights_;
   const RoundingHook& hook_;
+  std::unique_ptr<float[]> buffer_;
+  float* in_ = nullptr;
+  float* h_ = nullptr;
+  float* x_ = nullptr;
+  float* q_ = nullptr;
+  float* k_ = nullptr;
+  float* v_ = nullptr;
+  float* wide_ = nullptr;
 };
 
 }  // namespace
@@ -147,22 +226,17 @@ Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
   const std::int64_t nz = s[0];
   const std::int64_t row_in = config.num_lateral * config.in_channels;
   const std::int64_t row_out = config.num_lateral * 2;
-  const TileForward forward(config, weights, rounding);
+  TileForward forward(config, weights, rounding, std::min(kVbfTileRows, nz));
   Tensor out({nz, config.num_lateral, 2});
-  Tensor tile;
   for (std::int64_t z0 = 0; z0 < nz; z0 += kVbfTileRows) {
     const std::int64_t rows = std::min(kVbfTileRows, nz - z0);
-    if (tile.size() != rows * row_in)
-      tile = Tensor({rows, config.num_patches(),
-                     config.patch_size * config.in_channels});
     const float* src = input.raw() + z0 * row_in;
-    float* dst = tile.raw();
+    float* dst = forward.input();
     for (std::int64_t i = 0; i < rows * row_in; ++i)
       dst[i] = src[i] * input_scale;
     // Samples enter through the same path as the layer outputs.
-    if (rounding) rounding(RoundAt::kInter, dst, tile.size());
-    const Tensor y = forward(tile);
-    std::copy_n(y.raw(), rows * row_out, out.raw() + z0 * row_out);
+    if (rounding) rounding(RoundAt::kInter, dst, rows * row_in);
+    forward(rows, out.raw() + z0 * row_out);
   }
   return out;
 }

@@ -1,20 +1,26 @@
-// The Tiny-VBF inference engine: one plain-tensor forward pass, shared by
-// float inference (TinyVbf::infer) and the fixed-point datapath
-// (quant::QuantizedTinyVbf::infer).
+// The Tiny-VBF inference engine: one forward pass without an autograd
+// graph, shared by float inference (TinyVbf::infer) and the fixed-point
+// datapath (quant::QuantizedTinyVbf::infer).
 //
-// It makes the same tensor_ops calls, in the same order, as the autograd
-// forward TinyVbf::forward, so float inference is bit-identical to it by
-// construction, without building a graph or keeping its intermediates. The
-// fixed-point datapath passes a rounding hook that the engine calls, in
-// place, on every buffer the accelerator rounds (Figs 5-8); float inference
-// passes none.
+// It calls the kernels directly on raw buffers, but every op computes what
+// the autograd forward TinyVbf::forward computes, in the same order: the
+// GEMMs run the same blocked kernel (head bands of Q, K and V are read
+// through kernels::gemm_strided's strides, which pack B into the same
+// panels a copied band would), layer norm and softmax run the kernels
+// tvbf::layer_norm and tvbf::softmax_last call, and the adds, scales and
+// ReLUs are the same elementwise float ops. So float inference is the
+// autograd output bit for bit; test_models and the benchmark's traced run
+// check it. The fixed-point datapath passes a rounding hook that the engine
+// calls, in place, on every buffer the accelerator rounds (Figs 5-8);
+// float inference passes none.
 //
 // A frame runs in tiles of kVbfTileRows depth rows. Every op of the network
 // acts within one depth row (attention runs across the lateral patches of a
 // row), so the output does not depend on the tiling; the tiling bounds the
-// working set. Each tile is scaled (and, with a hook, rounded) as it is
-// loaded from the input into one tile buffer reused across tiles, so a raw
-// ToF cube needs no normalized copy.
+// working set. A call allocates one workspace for a tile's buffers and
+// reuses it for every tile, and every elementwise op runs in place in it.
+// Each tile is scaled (and, with a hook, rounded) as it is loaded from the
+// input, so a raw ToF cube needs no normalized copy.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -19,6 +21,30 @@
 namespace tvbf::obs {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// One connection's whole budget, reading the request and writing the
+/// response together. The accept thread serves connections one at a time,
+/// so a client that trickles its request or stops reading the response
+/// holds every other scrape up to this long. A scraper's GET arrives in one
+/// packet, and a localhost reader takes the largest /dump in milliseconds.
+constexpr std::chrono::milliseconds kConnectionDeadline{1000};
+
+/// poll() timeout until `deadline`; 0 once it has passed.
+int ms_left(Clock::time_point deadline) {
+  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+      deadline - Clock::now());
+  return static_cast<int>(std::max<std::int64_t>(left.count(), 0));
+}
+
+/// Waits until fd is ready for `events` or the deadline passes.
+bool wait_ready(int fd, short events, Clock::time_point deadline) {
+  const int timeout = ms_left(deadline);
+  if (timeout == 0) return false;
+  struct pollfd pfd = {fd, events, 0};
+  return ::poll(&pfd, 1, timeout) > 0;
+}
 
 /// tvbf_ prefix, dots (and anything else Prometheus rejects) to
 /// underscores.
@@ -117,13 +143,11 @@ std::string OpsServer::Impl::route(const std::string& path, int& status,
 }
 
 void OpsServer::Impl::serve_one(int fd) {
-  // Read the request head; a scrape's GET fits one read, but poll a
-  // little for slow writers.
+  const Clock::time_point deadline = Clock::now() + kConnectionDeadline;
+  // Read the request head; a scrape's GET fits one read.
   char req[1024];
   std::size_t have = 0;
-  while (have < sizeof(req) - 1) {
-    struct pollfd pfd = {fd, POLLIN, 0};
-    if (::poll(&pfd, 1, 500) <= 0) break;
+  while (have < sizeof(req) - 1 && wait_ready(fd, POLLIN, deadline)) {
     const ssize_t n = ::recv(fd, req + have, sizeof(req) - 1 - have, 0);
     if (n <= 0) break;
     have += static_cast<std::size_t>(n);
@@ -146,11 +170,14 @@ void OpsServer::Impl::serve_one(int fd) {
 
   const std::string response = http_response(status, content_type, body);
   std::size_t sent = 0;
-  while (sent < response.size()) {
+  while (sent < response.size() && wait_ready(fd, POLLOUT, deadline)) {
     // MSG_NOSIGNAL: a client that hangs up mid-response gets EPIPE here
     // instead of a SIGPIPE that would kill the serving process.
+    // MSG_DONTWAIT: a send never blocks past the deadline.
     const ssize_t n = ::send(fd, response.data() + sent,
-                             response.size() - sent, MSG_NOSIGNAL);
+                             response.size() - sent,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
     if (n <= 0) break;
     sent += static_cast<std::size_t>(n);
   }

@@ -13,7 +13,9 @@
 //
 // Binds 127.0.0.1 only — this is an operator loopback port, not a public
 // surface. One accept thread serves requests sequentially (scrapes and
-// health probes are rare and tiny); port 0 picks an ephemeral port,
+// health probes are rare and tiny), each connection within one deadline
+// for reading the request and writing the response, so a slow or stalled
+// client cannot hold the thread; port 0 picks an ephemeral port,
 // readable via port() after start(). No third-party HTTP stack: the
 // request parsing is "first line of a GET", which is all a scraper sends.
 #pragma once

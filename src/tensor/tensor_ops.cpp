@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "device/device.hpp"
+#include "kernels/reduce.hpp"
 
 namespace tvbf {
 namespace {
@@ -124,11 +125,7 @@ float max_value(const Tensor& a) {
   return *std::max_element(a.data().begin(), a.data().end());
 }
 
-float max_abs(const Tensor& a) {
-  float m = 0.0f;
-  for (float v : a.data()) m = std::max(m, std::fabs(v));
-  return m;
-}
+float max_abs(const Tensor& a) { return kernels::max_abs(a.raw(), a.size()); }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   TVBF_REQUIRE(a.rank() == 2 && b.rank() == 2, "matmul needs rank-2 inputs");
@@ -197,20 +194,7 @@ Tensor softmax_last(const Tensor& x) {
   const std::int64_t w = x.shape().back();
   TVBF_REQUIRE(w >= 1, "softmax over an empty axis");
   Tensor out(x.shape());
-  const std::int64_t rows = x.size() / w;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xi = x.raw() + r * w;
-    float* yi = out.raw() + r * w;
-    float m = xi[0];
-    for (std::int64_t j = 1; j < w; ++j) m = std::max(m, xi[j]);
-    double denom = 0.0;
-    for (std::int64_t j = 0; j < w; ++j) {
-      yi[j] = std::exp(xi[j] - m);
-      denom += yi[j];
-    }
-    const auto inv = static_cast<float>(1.0 / denom);
-    for (std::int64_t j = 0; j < w; ++j) yi[j] *= inv;
-  }
+  kernels::softmax_rows(x.raw(), out.raw(), x.size() / w, w);
   return out;
 }
 
@@ -227,29 +211,10 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   Tensor out(x.shape());
   if (xhat != nullptr) *xhat = Tensor(x.shape());
   if (inv_std != nullptr) inv_std->assign(static_cast<std::size_t>(rows), 0.0f);
-  const float* g = gamma.raw();
-  const float* b = beta.raw();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = x.raw() + r * w;
-    float* yr = out.raw() + r * w;
-    double mu = 0.0;
-    for (std::int64_t j = 0; j < w; ++j) mu += xr[j];
-    mu /= static_cast<double>(w);
-    double var = 0.0;
-    for (std::int64_t j = 0; j < w; ++j) {
-      const double d = xr[j] - mu;
-      var += d * d;
-    }
-    var /= static_cast<double>(w);
-    const auto istd = static_cast<float>(1.0 / std::sqrt(var + epsilon));
-    if (inv_std != nullptr) (*inv_std)[static_cast<std::size_t>(r)] = istd;
-    float* hr = xhat != nullptr ? xhat->raw() + r * w : nullptr;
-    for (std::int64_t j = 0; j < w; ++j) {
-      const float h = (xr[j] - static_cast<float>(mu)) * istd;
-      if (hr != nullptr) hr[j] = h;
-      yr[j] = g[j] * h + b[j];
-    }
-  }
+  kernels::layer_norm_rows(x.raw(), out.raw(), rows, w, gamma.raw(),
+                           beta.raw(), epsilon,
+                           xhat != nullptr ? xhat->raw() : nullptr,
+                           inv_std != nullptr ? inv_std->data() : nullptr);
   return out;
 }
 

@@ -61,15 +61,17 @@ Tensor transpose_last2(const Tensor& a);
 
 // ---- normalization ---------------------------------------------------------
 
-/// Softmax over the trailing axis: each row is shifted by its max,
-/// exponentiated and scaled by 1 / (row sum, accumulated in double).
+/// Softmax over the trailing axis (kernels::softmax_rows): each row is
+/// shifted by its max, exponentiated by kernels::exp_nonpositive and scaled
+/// by 1 / (row sum, accumulated in double).
 Tensor softmax_last(const Tensor& x);
 
-/// Layer normalization over the trailing axis: y = gamma * xhat + beta with
-/// xhat = (x - mean) * inv_std and inv_std = 1 / sqrt(var + epsilon), mean
-/// and variance accumulated in double. gamma and beta are rank 1 of the
-/// trailing length. When given, `xhat` and `inv_std` receive the normalized
-/// rows and each row's inv_std (the backward pass reuses both).
+/// Layer normalization over the trailing axis (kernels::layer_norm_rows):
+/// y = gamma * xhat + beta with xhat = (x - mean) * inv_std and
+/// inv_std = 1 / sqrt(var + epsilon), mean and variance accumulated in
+/// double. gamma and beta are rank 1 of the trailing length. When given,
+/// `xhat` and `inv_std` receive the normalized rows and each row's inv_std
+/// (the backward pass reuses both).
 Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                   float epsilon, Tensor* xhat = nullptr,
                   std::vector<float>* inv_std = nullptr);

@@ -2,16 +2,21 @@
 // GEMM and conv2d kernels must match the preserved naive `*_reference`
 // implementations across odd shapes — non-multiple-of-tile sizes, single
 // channels, 1x1 and 5x5 kernels — and the parallelized backward kernels
-// must agree with both the serial references and finite differences.
+// must agree with both the serial references and finite differences. The
+// row reductions (max |x|, softmax, layer norm) must equal their scalar
+// oracles bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/gemm.hpp"
+#include "kernels/reduce.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace tvbf::kernels {
@@ -252,6 +257,190 @@ TEST(ConvGradients, BackwardKernelsMatchFiniteDifferences) {
     EXPECT_NEAR(gx.raw()[i], (up - down) / (2.0 * eps), 2e-2)
         << "input grad " << i;
   }
+}
+
+// ---- row reductions --------------------------------------------------------
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+/// Same bits, where any NaN matches any NaN (which operand's NaN an
+/// arithmetic op propagates is the compiler's choice of operand order).
+bool same_value(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0 ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+/// First index where the buffers differ by same_value, or -1.
+std::int64_t first_mismatch(const float* a, const float* b, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i)
+    if (!same_value(a[i], b[i])) return i;
+  return -1;
+}
+
+/// A row of one of the kinds the oracle tests cover.
+enum class RowKind { kNormal, kWide, kEqual, kSpecials };
+
+std::vector<float> make_rows(RowKind kind, std::int64_t n, Rng& rng) {
+  std::vector<float> v(static_cast<std::size_t>(n));
+  const float equal = static_cast<float>(rng.normal());
+  for (float& x : v) {
+    switch (kind) {
+      case RowKind::kNormal:
+        x = static_cast<float>(rng.normal());
+        break;
+      case RowKind::kWide:  // exp's whole range, through underflow
+        x = static_cast<float>(rng.uniform(-150.0, 40.0));
+        break;
+      case RowKind::kEqual:
+        x = equal;
+        break;
+      case RowKind::kSpecials: {
+        const float specials[] = {kInf, -kInf, kNaN, -0.0f, 1e-40f};
+        const std::uint64_t pick = rng.uniform_index(12);
+        x = pick < 5 ? specials[pick] : static_cast<float>(rng.normal());
+        break;
+      }
+    }
+  }
+  return v;
+}
+
+TEST(ReduceKernels, MaxAbsEqualsStdMaxLoop) {
+  const float specials[] = {kNaN,   -kNaN,   kInf,    -kInf,  -0.0f, 0.0f,
+                            1e-45f, -1e-45f, 3e-39f, -3e-39f, 1.5f, -2.5f};
+  Rng rng(31);
+  for (int trial = 0; trial < 24; ++trial) {
+    std::vector<float> buf(81);
+    for (float& x : buf)
+      x = rng.uniform() < 0.3 ? specials[rng.uniform_index(12)]
+                              : static_cast<float>(rng.normal(0.0, 4.0));
+    for (std::int64_t offset = 0; offset <= 40; ++offset) {
+      for (std::int64_t n = 0; n <= 40; ++n) {
+        const float* p = buf.data() + offset;
+        float m = 0.0f;
+        for (std::int64_t i = 0; i < n; ++i) m = std::max(m, std::fabs(p[i]));
+        const float got = max_abs(p, n);
+        ASSERT_EQ(std::memcmp(&got, &m, sizeof(float)), 0)
+            << "trial " << trial << ", offset " << offset << ", n " << n;
+        const float scalar = max_abs_scalar(p, n);
+        ASSERT_EQ(std::memcmp(&scalar, &m, sizeof(float)), 0);
+      }
+    }
+  }
+}
+
+TEST(ReduceKernels, SoftmaxEqualsScalarOracleBitForBit) {
+  Rng rng(32);
+  constexpr std::int64_t kRows = 9;
+  for (std::int64_t w = 1; w <= 40; ++w) {
+    for (const RowKind kind : {RowKind::kNormal, RowKind::kWide,
+                               RowKind::kEqual, RowKind::kSpecials}) {
+      std::vector<float> x = make_rows(kind, kRows * w, rng);
+      if (kind == RowKind::kSpecials) {  // plus one row of only -inf
+        std::fill(x.begin(), x.begin() + w, -kInf);
+      }
+      std::vector<float> got(x.size()), want(x.size());
+      softmax_rows(x.data(), got.data(), kRows, w);
+      softmax_rows_scalar(x.data(), want.data(), kRows, w);
+      EXPECT_EQ(first_mismatch(got.data(), want.data(), kRows * w), -1)
+          << "width " << w << ", kind " << static_cast<int>(kind);
+      std::vector<float> in_place = x;
+      softmax_rows(in_place.data(), in_place.data(), kRows, w);
+      EXPECT_EQ(first_mismatch(in_place.data(), want.data(), kRows * w), -1)
+          << "in place, width " << w;
+    }
+  }
+}
+
+TEST(ReduceKernels, SoftmaxRowsWithMinusInfinityZeroItsEntries) {
+  for (const std::int64_t w : {5, 16, 32, 37}) {
+    std::vector<float> x(static_cast<std::size_t>(w));
+    for (std::int64_t j = 0; j < w; ++j)
+      x[static_cast<std::size_t>(j)] = j % 3 == 1 ? -kInf : 0.1f * j;
+    std::vector<float> y(x.size());
+    softmax_rows(x.data(), y.data(), 1, w);
+    double total = 0.0;
+    for (std::int64_t j = 0; j < w; ++j) {
+      const float v = y[static_cast<std::size_t>(j)];
+      if (j % 3 == 1) {
+        EXPECT_EQ(v, 0.0f);
+      }
+      EXPECT_FALSE(std::isnan(v));
+      total += v;
+    }
+    EXPECT_NEAR(total, 1.0, 1e-6) << "width " << w;
+  }
+}
+
+TEST(ReduceKernels, LayerNormEqualsScalarOracleBitForBit) {
+  // Rows run eight at a time across lanes plus a scalar tail, so row
+  // counts cover a partial group, whole groups and both together.
+  Rng rng(33);
+  for (std::int64_t w = 1; w <= 40; ++w) {
+    std::vector<float> gamma(static_cast<std::size_t>(w)),
+        beta(static_cast<std::size_t>(w));
+    for (float& g : gamma) g = static_cast<float>(rng.normal(1.0, 0.5));
+    for (float& b : beta) b = static_cast<float>(rng.normal());
+    for (const std::int64_t rows : {1, 7, 8, 16, 19}) {
+      for (const RowKind kind : {RowKind::kNormal, RowKind::kWide,
+                                 RowKind::kEqual, RowKind::kSpecials}) {
+        const std::vector<float> x = make_rows(kind, rows * w, rng);
+        const auto n = static_cast<std::size_t>(rows * w);
+        std::vector<float> y(n), xhat(n), istd(static_cast<std::size_t>(rows));
+        std::vector<float> y0(n), xhat0(n), istd0(istd.size());
+        layer_norm_rows(x.data(), y.data(), rows, w, gamma.data(),
+                        beta.data(), 1e-5f, xhat.data(), istd.data());
+        layer_norm_rows_scalar(x.data(), y0.data(), rows, w, gamma.data(),
+                               beta.data(), 1e-5f, xhat0.data(),
+                               istd0.data());
+        const std::string where = "width " + std::to_string(w) + ", rows " +
+                                  std::to_string(rows) + ", kind " +
+                                  std::to_string(static_cast<int>(kind));
+        EXPECT_EQ(first_mismatch(y.data(), y0.data(), rows * w), -1) << where;
+        EXPECT_EQ(first_mismatch(xhat.data(), xhat0.data(), rows * w), -1)
+            << where;
+        EXPECT_EQ(first_mismatch(istd.data(), istd0.data(), rows), -1)
+            << where;
+        std::vector<float> in_place = x;
+        layer_norm_rows(in_place.data(), in_place.data(), rows, w,
+                        gamma.data(), beta.data(), 1e-5f, nullptr, nullptr);
+        EXPECT_EQ(first_mismatch(in_place.data(), y0.data(), rows * w), -1)
+            << "in place, " << where;
+      }
+    }
+  }
+}
+
+TEST(ReduceKernels, ExpWithinStatedErrorOfStdExp) {
+  // Relative error against exp in double over [-104, 0]; where exp(x) is
+  // below FLT_MIN the result is a denormal, off by at most one 2^-149 step
+  // more.
+  constexpr double kRelBound = 1.5e-7;
+  constexpr double kDenormStep = 0x1p-149;
+  double worst = 0.0;
+  for (float x = 0.0f; x >= -104.0f; x -= 1.3e-5f) {
+    const double want = std::exp(static_cast<double>(x));
+    const double got = exp_nonpositive(x);
+    const double err = std::fabs(got - want);
+    const double slack = want < std::numeric_limits<float>::min() ? kDenormStep : 0.0;
+    ASSERT_LE(err, kRelBound * want + slack) << "x " << x;
+    if (slack == 0.0) worst = std::max(worst, err / want);
+  }
+  EXPECT_GT(worst, 0.0);
+  EXPECT_EQ(exp_nonpositive(0.0f), 1.0f);
+  EXPECT_EQ(exp_nonpositive(-0.0f), 1.0f);
+}
+
+TEST(ReduceKernels, ExpUnderflowsToZeroAndPassesNaN) {
+  EXPECT_EQ(exp_nonpositive(-kInf), 0.0f);
+  EXPECT_EQ(exp_nonpositive(-104.01f), 0.0f);
+  EXPECT_EQ(exp_nonpositive(-1e30f), 0.0f);
+  EXPECT_EQ(exp_nonpositive(-std::numeric_limits<float>::max()), 0.0f);
+  const float denormal = exp_nonpositive(-100.0f);  // 3.7e-44
+  EXPECT_GT(denormal, 0.0f);
+  EXPECT_LT(denormal, std::numeric_limits<float>::min());
+  EXPECT_TRUE(std::isnan(exp_nonpositive(kNaN)));
 }
 
 }  // namespace

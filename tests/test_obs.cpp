@@ -284,9 +284,10 @@ TEST(OpsServerUnit, RendersPrometheusExposition) {
 // ---------------------------------------------------------------------------
 // Ops endpoint over a raw socket
 
-std::string http_get(int port, const std::string& path) {
+/// A socket connected to 127.0.0.1:port, or -1.
+int connect_local(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -294,8 +295,14 @@ std::string http_get(int port, const std::string& path) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     ::close(fd);
-    return {};
+    return -1;
   }
+  return fd;
+}
+
+std::string http_get(int port, const std::string& path) {
+  const int fd = connect_local(port);
+  if (fd < 0) return {};
   const std::string req =
       "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   std::size_t sent = 0;
@@ -355,6 +362,38 @@ TEST(OpsServerUnit, ServesRoutesOnEphemeralPort) {
   EXPECT_FALSE(server.running());
   EXPECT_EQ(server.port(), -1);
   ServiceState::instance().reset();
+}
+
+TEST(OpsServerUnit, TricklingClientHoldsTheEndpointOneDeadlineAtMost) {
+  // The accept thread serves one connection at a time. A client that sends
+  // its request a byte every 400 ms for 4 s must lose its connection at the
+  // one-second deadline, so a second client's /healthz, queued behind it,
+  // is answered within the deadline plus a margin.
+  ServiceState::instance().reset();
+  OpsServer server(OpsServer::Options{0});
+  ASSERT_TRUE(server.start());
+  const int port = server.port();
+  const int slow = connect_local(port);
+  ASSERT_GE(slow, 0);
+  std::atomic<bool> done{false};
+  std::thread trickle([&] {
+    const std::string req = "GET /healthz";
+    for (std::size_t i = 0; i < 10 && !done.load(); ++i) {
+      if (::send(slow, req.data() + i, 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto t0 = steady_clock::now();
+  const std::string healthz = http_get(port, "/healthz");
+  const double waited_s =
+      std::chrono::duration<double>(steady_clock::now() - t0).count();
+  done.store(true);
+  trickle.join();
+  ::close(slow);
+  EXPECT_NE(healthz.find("200 OK"), std::string::npos);
+  EXPECT_LT(waited_s, 1.0 + 1.0);
+  server.stop();
 }
 
 TEST(OpsServerUnit, ClientHangingUpMidResponseLeavesServerUp) {

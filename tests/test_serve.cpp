@@ -232,7 +232,9 @@ TEST_F(ServeTest, SinkExceptionStopsAllSessionsAndPropagates) {
 }
 
 TEST_F(ServeTest, RejectsBadConfigurationAndReuse) {
-  EXPECT_THROW(Server(ServerConfig{.max_in_flight = 0}), InvalidArgument);
+  ServerConfig no_slots;
+  no_slots.max_in_flight = 0;
+  EXPECT_THROW(Server{no_slots}, InvalidArgument);
   Server empty;
   EXPECT_THROW(empty.run(), InvalidArgument);
 
