@@ -279,7 +279,7 @@ std::int64_t first_mismatch(const float* a, const float* b, std::int64_t n) {
 }
 
 /// A row of one of the kinds the oracle tests cover.
-enum class RowKind { kNormal, kWide, kEqual, kSpecials };
+enum class RowKind { kNormal, kWide, kOffset, kEqual, kSpecials };
 
 std::vector<float> make_rows(RowKind kind, std::int64_t n, Rng& rng) {
   std::vector<float> v(static_cast<std::size_t>(n));
@@ -291,6 +291,9 @@ std::vector<float> make_rows(RowKind kind, std::int64_t n, Rng& rng) {
         break;
       case RowKind::kWide:  // exp's whole range, through underflow
         x = static_cast<float>(rng.uniform(-150.0, 40.0));
+        break;
+      case RowKind::kOffset:  // a spread small next to the mean's rounding
+        x = static_cast<float>(1000.0 + rng.normal(0.0, 1e-3));
         break;
       case RowKind::kEqual:
         x = equal;
@@ -307,26 +310,38 @@ std::vector<float> make_rows(RowKind kind, std::int64_t n, Rng& rng) {
 }
 
 TEST(ReduceKernels, MaxAbsEqualsStdMaxLoop) {
+  // Lengths 0-40 from every offset, then longer runs through the unrolled
+  // loop, at NaN densities from sparse to almost all.
   const float specials[] = {kNaN,   -kNaN,   kInf,    -kInf,  -0.0f, 0.0f,
                             1e-45f, -1e-45f, 3e-39f, -3e-39f, 1.5f, -2.5f};
   Rng rng(31);
-  for (int trial = 0; trial < 24; ++trial) {
-    std::vector<float> buf(81);
-    for (float& x : buf)
-      x = rng.uniform() < 0.3 ? specials[rng.uniform_index(12)]
-                              : static_cast<float>(rng.normal(0.0, 4.0));
-    for (std::int64_t offset = 0; offset <= 40; ++offset) {
-      for (std::int64_t n = 0; n <= 40; ++n) {
-        const float* p = buf.data() + offset;
-        float m = 0.0f;
-        for (std::int64_t i = 0; i < n; ++i) m = std::max(m, std::fabs(p[i]));
-        const float got = max_abs(p, n);
-        ASSERT_EQ(std::memcmp(&got, &m, sizeof(float)), 0)
-            << "trial " << trial << ", offset " << offset << ", n " << n;
-        const float scalar = max_abs_scalar(p, n);
-        ASSERT_EQ(std::memcmp(&scalar, &m, sizeof(float)), 0);
-      }
+  const auto std_max_loop = [](const float* p, std::int64_t n) {
+    float m = 0.0f;
+    for (std::int64_t i = 0; i < n; ++i) m = std::max(m, std::fabs(p[i]));
+    return m;
+  };
+  for (int trial = 0; trial < 32; ++trial) {
+    const double nan_share = 0.05 + 0.3 * (trial % 4);
+    std::vector<float> buf(400);
+    for (float& x : buf) {
+      const double u = rng.uniform();
+      x = u < nan_share       ? kNaN
+          : u < nan_share + 0.2 ? specials[rng.uniform_index(12)]
+                                : static_cast<float>(rng.normal(0.0, 4.0));
     }
+    const auto check = [&](std::int64_t offset, std::int64_t n) {
+      const float* p = buf.data() + offset;
+      const float want = std_max_loop(p, n);
+      const float got = max_abs(p, n);
+      const float scalar = max_abs_scalar(p, n);
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << "trial " << trial << ", offset " << offset << ", n " << n;
+      ASSERT_EQ(std::memcmp(&scalar, &want, sizeof(float)), 0);
+    };
+    for (std::int64_t offset = 0; offset <= 40; ++offset)
+      for (std::int64_t n = 0; n <= 40; ++n) check(offset, n);
+    for (std::int64_t offset = 0; offset < 8; ++offset)
+      for (std::int64_t n = 41; n <= 392; n += 7) check(offset, n);
   }
 }
 
@@ -335,7 +350,8 @@ TEST(ReduceKernels, SoftmaxEqualsScalarOracleBitForBit) {
   constexpr std::int64_t kRows = 9;
   for (std::int64_t w = 1; w <= 40; ++w) {
     for (const RowKind kind : {RowKind::kNormal, RowKind::kWide,
-                               RowKind::kEqual, RowKind::kSpecials}) {
+                               RowKind::kOffset, RowKind::kEqual,
+                               RowKind::kSpecials}) {
       std::vector<float> x = make_rows(kind, kRows * w, rng);
       if (kind == RowKind::kSpecials) {  // plus one row of only -inf
         std::fill(x.begin(), x.begin() + w, -kInf);
@@ -351,6 +367,25 @@ TEST(ReduceKernels, SoftmaxEqualsScalarOracleBitForBit) {
           << "in place, width " << w;
     }
   }
+}
+
+TEST(ReduceKernels, SoftmaxExpEqualsScalarAcrossItsRange) {
+  // Rows [0, x1, ..., x8] sweep x over [-104.5, 0] at 1e-5 spacing; the
+  // vector and scalar exp must agree on every value (below about -17 each
+  // output is the exp itself, as the denominator rounds to 1).
+  constexpr std::int64_t kWidth = 9;
+  std::vector<float> x;
+  float v = 0.0f;
+  while (v > -104.5f) {
+    x.push_back(0.0f);
+    for (std::int64_t j = 1; j < kWidth; ++j, v -= 1e-5f) x.push_back(v);
+  }
+  const auto rows = static_cast<std::int64_t>(x.size()) / kWidth;
+  std::vector<float> got(x.size()), want(x.size());
+  softmax_rows(x.data(), got.data(), rows, kWidth);
+  softmax_rows_scalar(x.data(), want.data(), rows, kWidth);
+  const std::int64_t at = first_mismatch(got.data(), want.data(), rows * kWidth);
+  EXPECT_EQ(at, -1) << "x " << x[static_cast<std::size_t>(std::max<std::int64_t>(at, 0))];
 }
 
 TEST(ReduceKernels, SoftmaxRowsWithMinusInfinityZeroItsEntries) {
@@ -384,7 +419,8 @@ TEST(ReduceKernels, LayerNormEqualsScalarOracleBitForBit) {
     for (float& b : beta) b = static_cast<float>(rng.normal());
     for (const std::int64_t rows : {1, 7, 8, 16, 19}) {
       for (const RowKind kind : {RowKind::kNormal, RowKind::kWide,
-                                 RowKind::kEqual, RowKind::kSpecials}) {
+                                 RowKind::kOffset, RowKind::kEqual,
+                                 RowKind::kSpecials}) {
         const std::vector<float> x = make_rows(kind, rows * w, rng);
         const auto n = static_cast<std::size_t>(rows * w);
         std::vector<float> y(n), xhat(n), istd(static_cast<std::size_t>(rows));
