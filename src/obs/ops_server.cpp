@@ -31,19 +31,14 @@ using Clock = std::chrono::steady_clock;
 /// packet, and a localhost reader takes the largest /dump in milliseconds.
 constexpr std::chrono::milliseconds kConnectionDeadline{1000};
 
-/// poll() timeout until `deadline`; 0 once it has passed.
-int ms_left(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
-  return static_cast<int>(std::max<std::int64_t>(left.count(), 0));
-}
-
-/// Waits until fd is ready for `events` or the deadline passes.
+/// Waits until fd is ready for `events`; false once the deadline passes.
 bool wait_ready(int fd, short events, Clock::time_point deadline) {
-  const int timeout = ms_left(deadline);
-  if (timeout == 0) return false;
+  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        deadline - Clock::now())
+                        .count();
+  if (left <= 0) return false;
   struct pollfd pfd = {fd, events, 0};
-  return ::poll(&pfd, 1, timeout) > 0;
+  return ::poll(&pfd, 1, static_cast<int>(left)) > 0;
 }
 
 /// tvbf_ prefix, dots (and anything else Prometheus rejects) to

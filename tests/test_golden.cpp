@@ -54,10 +54,6 @@ struct DiffStats {
   std::int64_t changed = 0;
 };
 
-std::string golden_path(const char* file) {
-  return std::string(TVBF_GOLDEN_DIR) + "/" + file;
-}
-
 /// The stored values, or an empty vector when the file is missing.
 std::vector<float> read_f32(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -93,7 +89,7 @@ std::string describe(const DiffStats& s, std::int64_t n) {
 }
 
 void check_golden(const Golden& g, const Tensor& out) {
-  const std::string path = golden_path(g.file);
+  const std::string path = std::string(TVBF_GOLDEN_DIR) + "/" + g.file;
   const std::vector<float> golden = read_f32(path);
   if (g_regenerate) {
     if (static_cast<std::int64_t>(golden.size()) == out.size())
@@ -165,8 +161,8 @@ TEST_F(Golden96x64, DasIq) {
 TEST_F(Golden96x64, TinyVbfFloatIq) {
   const Tensor iq = models::TinyVbfBeamformer(model_).beamform(*cube_);
   ASSERT_EQ(iq.shape(), (Shape{96, 64, 2}));
-  // Peak |x| 4.2. Measured against the stored values, which the exact
-  // std::exp softmax wrote:
+  // Peak |x| 4.2. Measured against the stored values, written while the
+  // softmax still called std::exp:
   //  - the polynomial softmax exp (kernels::exp_nonpositive), gcc Release:
   //    9,894 of 12,288 values, max |diff| 1.01e-6, RMS 2.1e-7;
   //  - builds without fused GEMM products (SIMD off, -O0): max |diff|
