@@ -24,11 +24,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One connection's whole budget, reading the request and writing the
-/// response together. The accept thread serves connections one at a time,
-/// so a client that trickles its request or stops reading the response
-/// holds every other scrape up to this long. A scraper's GET arrives in one
-/// packet, and a localhost reader takes the largest /dump in milliseconds.
+/// One connection's budget for reading the request and writing the response
+/// together; the time the server spends rendering the response does not
+/// count. The accept thread serves connections one at a time, so a client
+/// that trickles its request or stops reading the response holds every
+/// other scrape up to this long. A scraper's GET arrives in one packet, and
+/// a localhost reader takes the largest /dump in milliseconds.
 constexpr std::chrono::milliseconds kConnectionDeadline{1000};
 
 /// Waits until fd is ready for `events`; false once the deadline passes.
@@ -138,7 +139,7 @@ std::string OpsServer::Impl::route(const std::string& path, int& status,
 }
 
 void OpsServer::Impl::serve_one(int fd) {
-  const Clock::time_point deadline = Clock::now() + kConnectionDeadline;
+  Clock::time_point deadline = Clock::now() + kConnectionDeadline;
   // Read the request head; a scrape's GET fits one read.
   char req[1024];
   std::size_t have = 0;
@@ -151,6 +152,7 @@ void OpsServer::Impl::serve_one(int fd) {
   }
   req[have] = '\0';
 
+  const Clock::time_point render_start = Clock::now();
   std::string body;
   int status = 400;
   const char* content_type = "application/json";
@@ -164,6 +166,7 @@ void OpsServer::Impl::serve_one(int fd) {
   if (body.empty() && status == 400) body = "{\"error\": \"bad request\"}\n";
 
   const std::string response = http_response(status, content_type, body);
+  deadline += Clock::now() - render_start;
   std::size_t sent = 0;
   while (sent < response.size() && wait_ready(fd, POLLOUT, deadline)) {
     // MSG_NOSIGNAL: a client that hangs up mid-response gets EPIPE here
