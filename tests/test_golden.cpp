@@ -1,8 +1,9 @@
 // Golden outputs: the IQ images of DAS, float Tiny-VBF and Hybrid-2
 // Tiny-VBF on one small fixed-seed scene, compared with float32 values
-// stored in tests/golden/. The other output tests compare one code path with
-// another (engine vs autograd, served vs solo), so a change that moves both
-// sides passes them; these do not.
+// stored in tests/golden/, and a digest of one paper-scale ToF cube. The
+// other output tests compare one code path with another (engine vs
+// autograd, served vs solo), so a change that moves both sides passes them;
+// these do not.
 //
 // Each golden carries a max |diff| and an RMS bound. A bound is nonzero
 // where the arithmetic may legitimately differ: builds with and without the
@@ -10,9 +11,12 @@
 // products separately), and output changes a commit declared. CHANGES.md
 // records every bound and what it was measured against.
 //
+// A paper-scale cube (24 MB) is too large to store, so it is pinned by a
+// 64-bit FNV-1a digest of its bytes instead; its bound is exact.
+//
 // Regenerate with `test_golden --regenerate`. It rewrites the files and
-// prints each one's diff statistics against the values it replaces; report
-// them in CHANGES.md.
+// prints each one's diff statistics against the values it replaces (for a
+// digest, whether it changed); report them in CHANGES.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +33,7 @@
 
 #include "beamform/das.hpp"
 #include "common/rng.hpp"
+#include "us/probe.hpp"
 #include "models/neural_beamformer.hpp"
 #include "quant/quantized_tiny_vbf.hpp"
 #include "quant/scheme.hpp"
@@ -110,6 +115,40 @@ void check_golden(const Golden& g, const Tensor& out) {
   EXPECT_LE(s.rms, g.rms) << g.file;
 }
 
+/// FNV-1a (64-bit) over the bytes of t's values, in order.
+std::uint64_t fnv1a(const Tensor& t) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(t.raw());
+  for (std::size_t i = 0; i < static_cast<std::size_t>(t.size()) * sizeof(float);
+       ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Compares t's digest with the hex digest stored in `file`, or rewrites it.
+void check_digest(const char* file, const Tensor& t) {
+  const std::string path = std::string(TVBF_GOLDEN_DIR) + "/" + file;
+  std::ostringstream got;
+  got << std::hex << std::setw(16) << std::setfill('0') << fnv1a(t);
+  std::string stored;
+  std::ifstream(path) >> stored;
+  if (g_regenerate) {
+    if (!stored.empty())
+      std::cout << file << ": digest "
+                << (stored == got.str() ? "unchanged" : "changed from " + stored)
+                << "\n";
+    std::ofstream f(path);
+    ASSERT_TRUE(f) << "cannot write " << path;
+    f << got.str() << "\n";
+    return;
+  }
+  ASSERT_FALSE(stored.empty())
+      << path << " is missing; run test_golden --regenerate";
+  EXPECT_EQ(got.str(), stored) << file;
+}
+
 /// The fixture scene: the 32-element test probe over a 96 x 64 grid, two
 /// anechoic cysts in sparse speckle, one 0-degree plane wave.
 class Golden96x64 : public ::testing::Test {
@@ -181,6 +220,22 @@ TEST_F(Golden96x64, TinyVbfHybrid2Iq) {
   // and -O0 builds all reproduce the stored bits; the bound allows
   // one-step flips in up to 1/64 of values.
   check_golden({"tiny_vbf_hybrid2_iq.f32", 0x1p-7, 0x1p-10}, iq);
+}
+
+/// The RF ToF cube of one paper-scale frame: ImagingGrid::paper under the
+/// L11-5v probe at 0 degrees, a linear plan, over fixed-seed Gaussian RF
+/// (no simulation needed). 1,828 samples is the simulator's window for
+/// 45 mm, so the deepest outer pixels fall outside it and read 0.
+TEST(GoldenDigest, PaperScaleTofCube) {
+  us::Acquisition acq;
+  acq.probe = us::Probe::l11_5v();
+  acq.rf = Tensor({1828, acq.probe.num_elements});
+  Rng rng(23);
+  for (auto& v : acq.rf.data()) v = static_cast<float>(rng.normal());
+  const us::TofCube cube =
+      us::tof_correct(acq, us::ImagingGrid::paper(acq.probe), {});
+  ASSERT_EQ(cube.real.shape(), (Shape{368, 128, 128}));
+  check_digest("tof_paper_rf.fnv1a", cube.real);
 }
 
 }  // namespace
