@@ -39,9 +39,6 @@ std::int64_t AccelDevice::command_cycles(const device::Command& cmd) const {
       const auto& s = c.shape;
       return sim.matmul_cycles(1, s.H * s.W, s.kh * s.kw * s.Co, s.Ci);
     }
-    std::int64_t operator()(const device::TofGatherCmd& c) const {
-      return sim.elementwise_cycles(command_macs(device::Command{c}));
-    }
     std::int64_t operator()(const device::DasApplyCmd& c) const {
       // Per-pixel weighted channel reduction == (nz*nx, nch) . (nch, planes).
       return sim.matmul_cycles(1, c.nz * c.nx, c.nch,

@@ -1,24 +1,22 @@
 // Typed command set of the device layer.
 //
-// Every hot-path operation of the repo — the GEMM family behind the
-// tensor/nn/quant matmuls, the SAME-conv2d forward/backward kernels, the
-// ToF-plan gather and the DAS apply — is expressed as a plain-struct
-// command over raw pointers and dimensions. A CommandEncoder records
+// The GEMM family behind the tensor/nn/quant matmuls, the SAME-conv2d
+// forward/backward kernels and the DAS apply are expressed as plain-struct
+// commands over raw pointers and dimensions. A CommandEncoder records
 // commands into a CommandList; a device::Device consumes the list, either
 // executing it (CpuDevice, AccelDevice) or pricing it (estimate_seconds,
 // which reads only the dimensions — commands encoded with null pointers
 // are legal as estimate-only cost probes and must never be submitted).
 //
 // The command structs sit below every compute module: they depend only on
-// kernels/ (Conv2dShape) and common/ (Interp), so tensor, dsp, nn,
-// beamform, runtime and serve can all encode against them without cycles.
+// kernels/ (Conv2dShape), so tensor, dsp, nn, beamform, runtime and serve
+// can all encode against them without cycles.
 #pragma once
 
 #include <cstdint>
 #include <variant>
 #include <vector>
 
-#include "common/interp.hpp"
 #include "kernels/conv.hpp"
 
 namespace tvbf::device {
@@ -88,29 +86,6 @@ struct Conv2dBackwardInputCmd {
 
 // ---- Beamforming -----------------------------------------------------------
 
-/// Gathers a ToF plan over channel-major RF lines into a (nz, nx, nch)
-/// cube. idx/frac are the plan tables (nz * nx * nch entries, pixel-major);
-/// lines_re/lines_im are (nch, nsamples) contiguous channel lines (im may
-/// be null for RF cubes, then out_im must be null too). Entry encoding
-/// follows the plan builder's contract exactly:
-///   idx == kOutOfRange              -> the sample is 0
-///   idx >= 0, interp == kCubic      -> interior Catmull-Rom at idx
-///   idx >= 0, interp == kLinear     -> linear at idx
-///   idx <= kLinearBias              -> linear fallback at (kLinearBias - idx)
-struct TofGatherCmd {
-  static constexpr std::int32_t kOutOfRange = -1;
-  static constexpr std::int32_t kLinearBias = -2;
-
-  const std::int32_t* idx = nullptr;
-  const float* frac = nullptr;
-  const float* lines_re = nullptr;
-  const float* lines_im = nullptr;
-  float* out_re = nullptr;
-  float* out_im = nullptr;
-  std::int64_t nz = 0, nx = 0, nch = 0, nsamples = 0;
-  Interp interp = Interp::kLinear;
-};
-
 /// Weighted channel sum of a ToF cube (DAS apply). re/im are (nz, nx, nch)
 /// cube planes (im null for RF); out is (nz, nx) beamformed RF when im is
 /// null, interleaved (nz, nx, 2) IQ otherwise. Apodization weights stay
@@ -132,7 +107,7 @@ struct DasApplyCmd {
 using Command =
     std::variant<GemmCmd, BatchedGemmCmd, GemmTnCmd, Conv2dForwardCmd,
                  Conv2dBackwardBiasCmd, Conv2dBackwardKernelCmd,
-                 Conv2dBackwardInputCmd, TofGatherCmd, DasApplyCmd>;
+                 Conv2dBackwardInputCmd, DasApplyCmd>;
 
 using CommandList = std::vector<Command>;
 

@@ -11,27 +11,6 @@ namespace tvbf::device {
 
 namespace {
 
-// Gathers one plan entry from a contiguous channel line (moved verbatim
-// from the pre-refactor us::TofPlan::apply; the encoding contract lives on
-// TofGatherCmd).
-inline float gather(const float* line, std::int32_t idx, float frac,
-                    Interp interp) {
-  if (idx == TofGatherCmd::kOutOfRange) return 0.0f;
-  if (idx >= 0 && interp == Interp::kCubic) {
-    const double u = frac;
-    const double p0 = line[idx - 1], p1 = line[idx], p2 = line[idx + 1],
-                 p3 = line[idx + 2];
-    const double a = -0.5 * p0 + 1.5 * p1 - 1.5 * p2 + 0.5 * p3;
-    const double b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3;
-    const double c = -0.5 * p0 + 0.5 * p2;
-    return static_cast<float>(((a * u + b) * u + c) * u + p1);
-  }
-  const std::int32_t base =
-      idx >= 0 ? idx : TofGatherCmd::kLinearBias - idx;
-  const double f = frac;
-  return static_cast<float>((1.0 - f) * line[base] + f * line[base + 1]);
-}
-
 void run(const GemmCmd& cmd) {
   TVBF_REQUIRE(cmd.a != nullptr && cmd.b != nullptr && cmd.c != nullptr,
                "gemm command has null operands (estimate-only probe?)");
@@ -100,40 +79,6 @@ void run(const Conv2dBackwardInputCmd& cmd) {
                    cmd.gx != nullptr,
                "conv2d backward-input command has null operands");
   kernels::conv2d_same_backward_input(cmd.kernel, cmd.dy, cmd.gx, cmd.shape);
-}
-
-void run(const TofGatherCmd& cmd) {
-  TVBF_REQUIRE(cmd.idx != nullptr && cmd.frac != nullptr &&
-                   cmd.lines_re != nullptr && cmd.out_re != nullptr,
-               "tof gather command has null operands");
-  TVBF_REQUIRE((cmd.lines_im != nullptr) == (cmd.out_im != nullptr),
-               "tof gather imag planes must be both set or both null");
-  const std::int64_t nx = cmd.nx, nch = cmd.nch, n = cmd.nsamples;
-  const Interp interp = cmd.interp;
-  parallel_for_each(0, static_cast<std::size_t>(cmd.nz), [&](std::size_t zi) {
-    const auto iz = static_cast<std::int64_t>(zi);
-    for (std::int64_t ix = 0; ix < nx; ++ix) {
-      const std::size_t row =
-          static_cast<std::size_t>((iz * nx + ix) * nch);
-      float* out_re = cmd.out_re + static_cast<std::int64_t>(row);
-      float* out_im = cmd.out_im != nullptr
-                          ? cmd.out_im + static_cast<std::int64_t>(row)
-                          : nullptr;
-      for (std::int64_t e = 0; e < nch; ++e) {
-        const std::size_t i = row + static_cast<std::size_t>(e);
-        const float* line =
-            cmd.lines_re + static_cast<std::size_t>(e) *
-                               static_cast<std::size_t>(n);
-        out_re[e] = gather(line, cmd.idx[i], cmd.frac[i], interp);
-        if (out_im != nullptr) {
-          const float* line_im =
-              cmd.lines_im + static_cast<std::size_t>(e) *
-                                 static_cast<std::size_t>(n);
-          out_im[e] = gather(line_im, cmd.idx[i], cmd.frac[i], interp);
-        }
-      }
-    }
-  }, /*min_grain=*/1);
 }
 
 void run(const DasApplyCmd& cmd) {

@@ -45,7 +45,7 @@ const char* command_kind_name(std::size_t kind) {
   static constexpr const char* kNames[kNumCommandKinds] = {
       "gemm",        "batched_gemm",     "gemm_tn",
       "conv2d_fwd",  "conv2d_bwd_bias",  "conv2d_bwd_kernel",
-      "conv2d_bwd_input", "tof_gather",  "das_apply"};
+      "conv2d_bwd_input", "das_apply"};
   return kind < kNumCommandKinds ? kNames[kind] : "unknown";
 }
 
@@ -106,12 +106,6 @@ std::int64_t command_macs(const Command& cmd) {
     std::int64_t operator()(const Conv2dBackwardInputCmd& c) const {
       const auto& s = c.shape;
       return s.H * s.W * s.kh * s.kw * s.Ci * s.Co;
-    }
-    std::int64_t operator()(const TofGatherCmd& c) const {
-      // Up to 4 taps (Catmull-Rom) per gathered sample, both planes.
-      const std::int64_t taps = c.interp == Interp::kCubic ? 4 : 2;
-      const std::int64_t planes = c.lines_im != nullptr ? 2 : 1;
-      return c.nz * c.nx * c.nch * taps * planes;
     }
     std::int64_t operator()(const DasApplyCmd& c) const {
       const std::int64_t planes = c.im != nullptr ? 2 : 1;

@@ -9,9 +9,9 @@
 // the accel/ cycle model, which the serving layer uses for cost-aware
 // batch sizing.
 //
-// Routing: compute entry points (tensor_ops, nn ops, DAS, ToF apply) are
-// free functions, so the active backend is a thread-local — current()
-// returns the innermost ScopedDevice on this thread, falling back to the
+// Routing: compute entry points (tensor_ops, nn ops, DAS) are free
+// functions, so the active backend is a thread-local — current() returns
+// the innermost ScopedDevice on this thread, falling back to the
 // process-wide CpuDevice (cpu()). The runtime/serving layers install a
 // ScopedDevice around each stage they drive, which is how a per-session
 // PipelineConfig::device reaches the kernels under it.
@@ -66,7 +66,7 @@ class Device {
 };
 
 /// Multiply-accumulate count of one command / list (shared by the backend
-/// cost models and tests). Elementwise gathers count one MAC per tap.
+/// cost models and tests).
 std::int64_t command_macs(const Command& cmd);
 std::int64_t list_macs(const CommandList& list);
 
@@ -75,7 +75,7 @@ std::int64_t list_macs(const CommandList& list);
 inline constexpr std::size_t kNumCommandKinds = std::variant_size_v<Command>;
 
 /// Short stable name for a Command alternative, by variant index (e.g.
-/// "gemm", "tof_gather"); "unknown" past the end.
+/// "gemm", "das_apply"); "unknown" past the end.
 const char* command_kind_name(std::size_t kind);
 
 /// The process-wide reference CpuDevice every thread falls back to.

@@ -30,6 +30,7 @@ struct ImagingGrid {
   std::int64_t row_of(double z) const;
 
   void validate() const;
+  bool operator==(const ImagingGrid&) const = default;
 
   /// Paper-scale grid: 368 x 128 pixels spanning the probe aperture,
   /// depths ~5-42 mm (matches the reported frame size).

@@ -1,25 +1,18 @@
 #include "us/tof_plan.hpp"
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <span>
 
 #include "common/parallel.hpp"
-#include "device/device.hpp"
 #include "dsp/hilbert.hpp"
+#include "kernels/tof_gather.hpp"
 
 namespace tvbf::us {
 
 namespace {
-
-using detail::kTofLinearBias;
-using detail::kTofOutOfRange;
-
-// The plan tables are consumed by device::TofGatherCmd; the encoding here
-// and the gather in the device backends share one sentinel contract.
-static_assert(kTofOutOfRange == device::TofGatherCmd::kOutOfRange);
-static_assert(kTofLinearBias == device::TofGatherCmd::kLinearBias);
 
 // Encodes the fractional sample position `t` into a plan entry, mirroring
 // the boundary conventions of dsp::interp_linear / dsp::interp_cubic
@@ -29,7 +22,7 @@ static_assert(kTofLinearBias == device::TofGatherCmd::kLinearBias);
 void encode_entry(double t, std::int64_t n, dsp::Interp interp,
                   std::int32_t& idx, float& frac) {
   if (!(t >= 0.0) || t > static_cast<double>(n - 1)) {
-    idx = kTofOutOfRange;
+    idx = kernels::kTofOutOfRange;
     frac = 0.0f;
     return;
   }
@@ -46,7 +39,7 @@ void encode_entry(double t, std::int64_t n, dsp::Interp interp,
   // Linear entry: in linear plans this is the only non-zero kind (idx >= 0
   // means linear there); cubic plans mark edge fallbacks with the bias.
   idx = interp == dsp::Interp::kCubic
-            ? kTofLinearBias - static_cast<std::int32_t>(base)
+            ? kernels::kTofLinearBias - static_cast<std::int32_t>(base)
             : static_cast<std::int32_t>(base);
   frac = f;
 }
@@ -62,17 +55,6 @@ std::size_t hash_double(double v) {
 }
 
 }  // namespace
-
-bool TofPlanKey::operator==(const TofPlanKey& o) const {
-  return num_elements == o.num_elements && pitch == o.pitch &&
-         sampling_frequency == o.sampling_frequency &&
-         sound_speed == o.sound_speed &&
-         steering_angle_rad == o.steering_angle_rad && t0 == o.t0 &&
-         n_samples == o.n_samples && interp == o.interp &&
-         grid.x0 == o.grid.x0 && grid.z0 == o.grid.z0 &&
-         grid.dx == o.grid.dx && grid.dz == o.grid.dz &&
-         grid.nx == o.grid.nx && grid.nz == o.grid.nz;
-}
 
 std::size_t hash_key(const TofPlanKey& key) {
   std::size_t h = std::hash<std::int64_t>{}(key.num_elements);
@@ -97,17 +79,13 @@ TofPlan TofPlan::build(const us::Probe& probe, const us::ImagingGrid& grid,
   probe.validate();
   grid.validate();
   TVBF_REQUIRE(n_samples > 1, "ToF plan needs more than one RF sample");
+  TVBF_REQUIRE(probe.num_elements * n_samples < (std::int64_t{1} << 31),
+               "ToF plan lines exceed 2^31 samples (32-bit gather offsets)");
 
   TofPlan plan;
-  plan.key_.num_elements = probe.num_elements;
-  plan.key_.pitch = probe.pitch;
-  plan.key_.sampling_frequency = probe.sampling_frequency;
-  plan.key_.sound_speed = probe.sound_speed;
-  plan.key_.steering_angle_rad = steering_angle_rad;
-  plan.key_.t0 = t0;
-  plan.key_.n_samples = n_samples;
-  plan.key_.grid = grid;
-  plan.key_.interp = interp;
+  plan.key_ = {probe.num_elements, probe.pitch, probe.sampling_frequency,
+               probe.sound_speed, steering_angle_rad, t0, n_samples, grid,
+               interp};
 
   const std::int64_t n_ch = probe.num_elements;
   const double fs = probe.sampling_frequency;
@@ -118,25 +96,59 @@ TofPlan TofPlan::build(const us::Probe& probe, const us::ImagingGrid& grid,
   const double tx_offset =
       sin_th >= 0.0 ? xs.front() * sin_th : xs.back() * sin_th;
 
-  plan.idx_.resize(static_cast<std::size_t>(grid.num_pixels() * n_ch));
-  plan.frac_.resize(plan.idx_.size());
-
-  parallel_for_each(0, static_cast<std::size_t>(grid.nz), [&](std::size_t zi) {
-    const auto iz = static_cast<std::int64_t>(zi);
-    const double z = grid.z_at(iz);
-    for (std::int64_t ix = 0; ix < grid.nx; ++ix) {
-      const double x = grid.x_at(ix);
-      const std::size_t row =
-          static_cast<std::size_t>((iz * grid.nx + ix) * n_ch);
+  const std::int64_t nx = grid.nx, width = nx + n_ch - 1;
+  // Calls put(ix, e, idx, frac) with each entry of row iz.
+  const auto encode_row = [&](std::int64_t iz, const auto& put) {
+    for (std::int64_t ix = 0; ix < nx; ++ix)
       for (std::int64_t e = 0; e < n_ch; ++e) {
         const double tau = us::two_way_delay(
-            x, z, xs[static_cast<std::size_t>(e)], sin_th, cos_th, tx_offset,
-            c);
-        encode_entry((tau - t0) * fs, n_samples, interp,
-                     plan.idx_[row + static_cast<std::size_t>(e)],
-                     plan.frac_[row + static_cast<std::size_t>(e)]);
+            grid.x_at(ix), grid.z_at(iz), xs[static_cast<std::size_t>(e)],
+            sin_th, cos_th, tx_offset, c);
+        std::int32_t idx = 0;
+        float frac = 0.0f;
+        encode_entry((tau - t0) * fs, n_samples, interp, idx, frac);
+        put(ix, e, idx, frac);
       }
-    }
+  };
+
+  // Compact pass: entry (ix, e) of row iz goes to diagonal ix - e. A slot
+  // stores its first entry (ix == 0 or e == 0); every later one must equal
+  // it (frac is never NaN or -0, so == compares bits), or the pass ends and
+  // the full table is built.
+  plan.idx_.resize(static_cast<std::size_t>(grid.nz * width));
+  plan.frac_.resize(plan.idx_.size());
+  std::atomic<bool> compact{true};
+  parallel_for_each(0, static_cast<std::size_t>(grid.nz), [&](std::size_t zi) {
+    if (!compact.load(std::memory_order_relaxed)) return;
+    const auto iz = static_cast<std::int64_t>(zi);
+    std::int32_t* idx = plan.idx_.data() + iz * width + nx - 1;
+    float* frac = plan.frac_.data() + iz * width + nx - 1;
+    bool same = true;
+    encode_row(iz, [&](std::int64_t ix, std::int64_t e, std::int32_t i,
+                       float f) {
+      if (ix == 0 || e == 0) {
+        idx[e - ix] = i;
+        frac[e - ix] = f;
+      } else {
+        same = same && idx[e - ix] == i && frac[e - ix] == f;
+      }
+    });
+    if (!same) compact.store(false, std::memory_order_relaxed);
+  }, /*min_grain=*/1);
+  plan.compact_ = compact.load(std::memory_order_relaxed);
+  if (plan.compact_) return plan;
+
+  plan.idx_ = std::vector<std::int32_t>(
+      static_cast<std::size_t>(grid.num_pixels() * n_ch));
+  plan.frac_ = std::vector<float>(plan.idx_.size());
+  parallel_for_each(0, static_cast<std::size_t>(grid.nz), [&](std::size_t zi) {
+    const auto iz = static_cast<std::int64_t>(zi);
+    encode_row(iz, [&](std::int64_t ix, std::int64_t e, std::int32_t i,
+                       float f) {
+      const auto k = static_cast<std::size_t>((iz * nx + ix) * n_ch + e);
+      plan.idx_[k] = i;
+      plan.frac_[k] = f;
+    });
   }, /*min_grain=*/1);
   return plan;
 }
@@ -201,21 +213,12 @@ void TofPlan::apply(const us::Acquisition& acq, bool analytic,
     out.imag = Tensor();
   }
 
-  device::current().submit(
-      device::CommandEncoder()
-          .encode(device::TofGatherCmd{
-              .idx = idx_.data(),
-              .frac = frac_.data(),
-              .lines_re = ws.re.data(),
-              .lines_im = analytic ? ws.im.data() : nullptr,
-              .out_re = out.real.raw(),
-              .out_im = analytic ? out.imag.raw() : nullptr,
-              .nz = grid.nz,
-              .nx = grid.nx,
-              .nch = n_ch,
-              .nsamples = n,
-              .interp = key_.interp})
-          .finish());
+  kernels::tof_gather({idx_.data(), frac_.data(),
+                       compact_ ? grid.nx + n_ch - 1 : grid.nx * n_ch,
+                       compact_ ? grid.nx - 1 : 0, compact_ ? -1 : n_ch,
+                       ws.re.data(), analytic ? ws.im.data() : nullptr,
+                       out.real.raw(), analytic ? out.imag.raw() : nullptr,
+                       grid.nz, grid.nx, n_ch, n, key_.interp});
 }
 
 us::TofCube TofPlan::apply(const us::Acquisition& acq, bool analytic) const {

@@ -6,9 +6,9 @@
 // fractional sample index, and (2) sample each channel there. In a streaming
 // scanner (1) depends only on (probe, grid, steering angle, t0, sample
 // count, interpolation flavor) — never on the RF — so a TofPlan bakes it
-// into a flat table of sample indices + interpolation fractions that
-// apply() gathers through. One plan serves every frame of a cine sequence,
-// every frame of a training corpus, and (per angle) every compounded frame.
+// into a table of sample indices + interpolation fractions that apply()
+// gathers through. One plan serves every frame of a cine sequence, every
+// frame of a training corpus, and (per angle) every compounded frame.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +19,6 @@
 #include "us/tof.hpp"
 
 namespace tvbf::us {
-
-namespace detail {
-/// Plan-entry sentinels shared by the encode (build) and gather (apply)
-/// sides — see the idx_ encoding comment on TofPlan.
-inline constexpr std::int32_t kTofOutOfRange = -1;
-inline constexpr std::int32_t kTofLinearBias = -2;
-}  // namespace detail
 
 /// Everything a plan's table depends on. Two acquisitions with equal keys
 /// can share one plan; the cache hashes and compares this struct directly.
@@ -40,7 +33,7 @@ struct TofPlanKey {
   us::ImagingGrid grid;
   dsp::Interp interp = dsp::Interp::kLinear;
 
-  bool operator==(const TofPlanKey& o) const;
+  bool operator==(const TofPlanKey&) const = default;
 };
 
 /// Hash for unordered containers keyed on TofPlanKey.
@@ -59,7 +52,8 @@ struct ChannelWorkspace {
 class TofPlan {
  public:
   /// Builds the plan from explicit geometry. `n_samples` is the RF length
-  /// the plan will be applied to (boundary handling depends on it).
+  /// the plan will be applied to (boundary handling depends on it);
+  /// num_elements * n_samples must be below 2^31.
   static TofPlan build(const us::Probe& probe, const us::ImagingGrid& grid,
                        double steering_angle_rad, double t0,
                        std::int64_t n_samples,
@@ -93,14 +87,16 @@ class TofPlan {
   TofPlan() = default;
 
   TofPlanKey key_;
-  // One entry per (pixel, channel), laid out (nz, nx, nch) to match the
-  // cube. idx_ encodes both the base sample and the interpolation mode:
-  //   idx == detail::kTofOutOfRange -> sample is 0 (outside the RF window)
-  //   idx >= 0                      -> plan-kind interpolation at base idx
-  //   idx <= detail::kTofLinearBias -> linear fallback at base
-  //                                    (kTofLinearBias - idx); used by
-  //                                    cubic plans near the edges
-  // frac_ holds the fractional offset in [0, 1].
+  // Entries (idx_, frac_) in kernels/tof_gather.hpp's encoding. The delay
+  // of (pixel, channel) is t = (tau - t0) * fs samples: t outside
+  // [0, n - 1] reads 0, else idx = floor(t) and frac = float(t - idx), but
+  // idx = n - 2 with frac = 1 at t = n - 1 (a cubic plan biases an entry
+  // without four samples around it). Pixel (iz, ix) reads its nch entries
+  // from iz * row_stride + col0 + ix * col_step on:
+  //   full    (nx * nch, 0, nch): one entry per (pixel, channel);
+  //   compact (nx + nch - 1, nx - 1, -1): one per (depth row, ix - e), kept
+  //           when every entry equals the one a column and a channel back.
+  bool compact_ = false;
   std::vector<std::int32_t> idx_;
   std::vector<float> frac_;
 };

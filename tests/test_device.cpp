@@ -5,7 +5,6 @@
 // the serving layer's cost-aware quorum sizing rests on.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -124,81 +123,6 @@ TEST(CpuDevice, ConvCommandsBitIdenticalToDirectKernels) {
   EXPECT_EQ(max_abs_diff(gk_dev, gk_direct), 0.0f);
   EXPECT_EQ(max_abs_diff(gx_dev, gx_direct), 0.0f);
 }
-
-/// Serial reference for one gather entry, re-deriving the plan encoding
-/// (kOutOfRange -> 0, idx >= 0 -> interior interp, biased -> linear edge).
-float reference_gather(const float* line, std::int32_t idx, float frac,
-                       dsp::Interp interp) {
-  if (idx == TofGatherCmd::kOutOfRange) return 0.0f;
-  if (idx >= 0 && interp == dsp::Interp::kCubic) {
-    const double u = frac;
-    const double p0 = line[idx - 1], p1 = line[idx], p2 = line[idx + 1],
-                 p3 = line[idx + 2];
-    const double a = -0.5 * p0 + 1.5 * p1 - 1.5 * p2 + 0.5 * p3;
-    const double b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3;
-    const double c = -0.5 * p0 + 0.5 * p2;
-    return static_cast<float>(((a * u + b) * u + c) * u + p1);
-  }
-  const std::int32_t base =
-      idx >= 0 ? idx : TofGatherCmd::kLinearBias - idx;
-  const double f = frac;
-  return static_cast<float>((1.0 - f) * line[base] + f * line[base + 1]);
-}
-
-class TofGatherTest : public ::testing::TestWithParam<dsp::Interp> {};
-
-TEST_P(TofGatherTest, MatchesSerialReferenceWithAllEncodings) {
-  const dsp::Interp interp = GetParam();
-  Rng rng(6);
-  const std::int64_t nz = 7, nx = 5, nch = 3, nsamples = 64;
-  const Tensor lines_re = random_tensor({nch, nsamples}, rng);
-  const Tensor lines_im = random_tensor({nch, nsamples}, rng);
-  const std::int64_t entries = nz * nx * nch;
-  std::vector<std::int32_t> idx(static_cast<std::size_t>(entries));
-  std::vector<float> frac(static_cast<std::size_t>(entries));
-  for (std::int64_t i = 0; i < entries; ++i) {
-    frac[static_cast<std::size_t>(i)] =
-        static_cast<float>(0.5 + 0.4 * std::sin(static_cast<double>(i)));
-    switch (i % 4) {
-      case 0:  // interior sample (cubic needs idx-1 .. idx+2 in range)
-        idx[static_cast<std::size_t>(i)] =
-            static_cast<std::int32_t>(1 + i % (nsamples - 3));
-        break;
-      case 1:  // out of range -> zero
-        idx[static_cast<std::size_t>(i)] = TofGatherCmd::kOutOfRange;
-        break;
-      default:  // biased linear fallback at the edges
-        idx[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
-            TofGatherCmd::kLinearBias - i % (nsamples - 1));
-        break;
-    }
-  }
-
-  Tensor out_re({nz, nx, nch}), out_im({nz, nx, nch});
-  cpu().submit(
-      CommandEncoder()
-          .encode(TofGatherCmd{idx.data(), frac.data(), lines_re.raw(),
-                               lines_im.raw(), out_re.raw(), out_im.raw(), nz,
-                               nx, nch, nsamples, interp})
-          .finish());
-
-  for (std::int64_t i = 0; i < entries; ++i) {
-    const std::int64_t e = i % nch;
-    const auto u = static_cast<std::size_t>(i);
-    EXPECT_EQ(out_re.raw()[i],
-              reference_gather(lines_re.raw() + e * nsamples, idx[u], frac[u],
-                               interp))
-        << "entry " << i;
-    EXPECT_EQ(out_im.raw()[i],
-              reference_gather(lines_im.raw() + e * nsamples, idx[u], frac[u],
-                               interp))
-        << "entry " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Interps, TofGatherTest,
-                         ::testing::Values(dsp::Interp::kLinear,
-                                           dsp::Interp::kCubic));
 
 /// Pixel-dependent test weights for DasApplyCmd (stands in for the
 /// apodization callback beamform/ binds).

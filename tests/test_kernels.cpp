@@ -3,11 +3,12 @@
 // implementations across odd shapes — non-multiple-of-tile sizes, single
 // channels, 1x1 and 5x5 kernels — and the parallelized backward kernels
 // must agree with both the serial references and finite differences. The
-// row reductions (max |x|, softmax, layer norm) must equal their scalar
-// oracles bit for bit.
+// row reductions (max |x|, softmax, layer norm) and the ToF gather must
+// equal their scalar oracles bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <tuple>
@@ -17,6 +18,7 @@
 #include "kernels/conv.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/reduce.hpp"
+#include "kernels/tof_gather.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace tvbf::kernels {
@@ -477,6 +479,228 @@ TEST(ReduceKernels, ExpUnderflowsToZeroAndPassesNaN) {
   EXPECT_GT(denormal, 0.0f);
   EXPECT_LT(denormal, std::numeric_limits<float>::min());
   EXPECT_TRUE(std::isnan(exp_nonpositive(kNaN)));
+}
+
+// ---- ToF gather ------------------------------------------------------------
+
+/// Serial reference for one gather entry, re-deriving the plan encoding
+/// (kTofOutOfRange -> 0, idx >= 0 -> interior interp, biased -> linear edge).
+float reference_gather(const float* line, std::int32_t idx, float frac,
+                       Interp interp) {
+  if (idx == kTofOutOfRange) return 0.0f;
+  if (idx >= 0 && interp == Interp::kCubic) {
+    const double u = frac;
+    const double p0 = line[idx - 1], p1 = line[idx], p2 = line[idx + 1],
+                 p3 = line[idx + 2];
+    const double a = -0.5 * p0 + 1.5 * p1 - 1.5 * p2 + 0.5 * p3;
+    const double b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3;
+    const double c = -0.5 * p0 + 0.5 * p2;
+    return static_cast<float>(((a * u + b) * u + c) * u + p1);
+  }
+  const std::int32_t base = idx >= 0 ? idx : kTofLinearBias - idx;
+  const double f = frac;
+  return static_cast<float>((1.0 - f) * line[base] + f * line[base + 1]);
+}
+
+/// Pixel (iz, ix)'s first entry in g's table, from g's layout.
+std::int64_t first_entry(const TofGather& g, std::int64_t iz,
+                         std::int64_t ix) {
+  return iz * g.row_stride + g.col0 + ix * g.col_step;
+}
+
+/// One out plane of g computed entry by entry with reference_gather.
+std::vector<float> reference_plane(const TofGather& g, const float* lines) {
+  std::vector<float> out(static_cast<std::size_t>(g.nz * g.nx * g.nch));
+  for (std::int64_t iz = 0; iz < g.nz; ++iz)
+    for (std::int64_t ix = 0; ix < g.nx; ++ix)
+      for (std::int64_t e = 0; e < g.nch; ++e) {
+        const std::int64_t p = first_entry(g, iz, ix) + e;
+        out[static_cast<std::size_t>((iz * g.nx + ix) * g.nch + e)] =
+            reference_gather(lines + e * g.nsamples, g.idx[p], g.frac[p],
+                             g.interp);
+      }
+  return out;
+}
+
+class TofGatherTest : public ::testing::TestWithParam<Interp> {};
+
+TEST_P(TofGatherTest, MatchesSerialReferenceWithAllEncodings) {
+  const Interp interp = GetParam();
+  Rng rng(6);
+  const std::int64_t nz = 7, nx = 5, nch = 3, nsamples = 64;
+  const Tensor lines_re = random_tensor({nch, nsamples}, rng);
+  const Tensor lines_im = random_tensor({nch, nsamples}, rng);
+  const std::int64_t entries = nz * nx * nch;
+  std::vector<std::int32_t> idx(static_cast<std::size_t>(entries));
+  std::vector<float> frac(static_cast<std::size_t>(entries));
+  for (std::int64_t i = 0; i < entries; ++i) {
+    frac[static_cast<std::size_t>(i)] =
+        static_cast<float>(0.5 + 0.4 * std::sin(static_cast<double>(i)));
+    switch (i % 4) {
+      case 0:  // interior sample (cubic needs idx-1 .. idx+2 in range)
+        idx[static_cast<std::size_t>(i)] =
+            static_cast<std::int32_t>(1 + i % (nsamples - 3));
+        break;
+      case 1:  // out of range -> zero
+        idx[static_cast<std::size_t>(i)] = kTofOutOfRange;
+        break;
+      default:  // biased linear fallback at the edges
+        idx[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
+            kTofLinearBias - i % (nsamples - 1));
+        break;
+    }
+  }
+
+  Tensor out_re({nz, nx, nch}), out_im({nz, nx, nch});
+  tof_gather({.idx = idx.data(),
+              .frac = frac.data(),
+              .row_stride = nx * nch,
+              .col0 = 0,
+              .col_step = nch,
+              .lines_re = lines_re.raw(),
+              .lines_im = lines_im.raw(),
+              .out_re = out_re.raw(),
+              .out_im = out_im.raw(),
+              .nz = nz,
+              .nx = nx,
+              .nch = nch,
+              .nsamples = nsamples,
+              .interp = interp});
+
+  for (std::int64_t i = 0; i < entries; ++i) {
+    const std::int64_t e = i % nch;
+    const auto u = static_cast<std::size_t>(i);
+    EXPECT_EQ(out_re.raw()[i],
+              reference_gather(lines_re.raw() + e * nsamples, idx[u], frac[u],
+                               interp))
+        << "entry " << i;
+    EXPECT_EQ(out_im.raw()[i],
+              reference_gather(lines_im.raw() + e * nsamples, idx[u], frac[u],
+                               interp))
+        << "entry " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Interps, TofGatherTest,
+                         ::testing::Values(Interp::kLinear, Interp::kCubic));
+
+TEST(TofGatherKernel, Avx2EqualsScalarOracleBitForBit) {
+  // Both table layouts, channel counts around the 4-lane step, both planes;
+  // entries at the last sample pair, out of range and biased, fracs of
+  // exactly 0 and 1; samples holding NaN and +-inf.
+  Rng rng(41);
+  const std::int64_t nz = 3, nx = 7, n = 40;
+  const float specials[] = {kNaN, kInf, -kInf};
+  for (const bool compact : {false, true}) {
+    for (const std::int64_t nch : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 128}) {
+      std::vector<float> re(static_cast<std::size_t>(nch * n));
+      std::vector<float> im(re.size());
+      for (std::vector<float>* lines : {&re, &im})
+        for (float& x : *lines)
+          x = rng.uniform() < 0.03 ? specials[rng.uniform_index(3)]
+                                   : static_cast<float>(rng.normal());
+      const std::int64_t width = compact ? nx + nch - 1 : nx * nch;
+      std::vector<std::int32_t> idx(static_cast<std::size_t>(nz * width));
+      std::vector<float> frac(idx.size());
+      for (std::size_t i = 0; i < idx.size(); ++i) {
+        const auto base = static_cast<std::int32_t>(rng.uniform_index(n - 1));
+        const auto f = static_cast<float>(rng.uniform());
+        switch (rng.uniform_index(6)) {
+          case 0: idx[i] = base; frac[i] = f; break;
+          case 1: idx[i] = static_cast<std::int32_t>(n - 2); frac[i] = f; break;
+          case 2: idx[i] = kTofOutOfRange; frac[i] = 0.0f; break;
+          case 3: idx[i] = kTofLinearBias - base; frac[i] = f; break;
+          case 4: idx[i] = base; frac[i] = 0.0f; break;
+          default: idx[i] = base; frac[i] = 1.0f; break;
+        }
+      }
+      for (const bool analytic : {false, true}) {
+        const std::size_t cube = static_cast<std::size_t>(nz * nx * nch);
+        std::vector<float> got_re(cube), got_im(cube), want_re(cube),
+            want_im(cube);
+        TofGather g{.idx = idx.data(),
+                    .frac = frac.data(),
+                    .row_stride = width,
+                    .col0 = compact ? nx - 1 : 0,
+                    .col_step = compact ? -1 : nch,
+                    .lines_re = re.data(),
+                    .lines_im = analytic ? im.data() : nullptr,
+                    .out_re = got_re.data(),
+                    .out_im = analytic ? got_im.data() : nullptr,
+                    .nz = nz,
+                    .nx = nx,
+                    .nch = nch,
+                    .nsamples = n};
+        tof_gather(g);
+        g.out_re = want_re.data();
+        g.out_im = analytic ? want_im.data() : nullptr;
+        tof_gather_scalar(g);
+        const auto cube_n = static_cast<std::int64_t>(cube);
+        const std::vector<float> ref_re = reference_plane(g, re.data());
+        EXPECT_EQ(first_mismatch(got_re.data(), want_re.data(), cube_n), -1)
+            << "compact " << compact << ", nch " << nch;
+        EXPECT_EQ(first_mismatch(want_re.data(), ref_re.data(), cube_n), -1)
+            << "compact " << compact << ", nch " << nch;
+        if (analytic) {
+          const std::vector<float> ref_im = reference_plane(g, im.data());
+          EXPECT_EQ(first_mismatch(got_im.data(), want_im.data(), cube_n), -1)
+              << "compact " << compact << ", nch " << nch << ", imag";
+          EXPECT_EQ(first_mismatch(want_im.data(), ref_im.data(), cube_n), -1)
+              << "compact " << compact << ", nch " << nch << ", imag";
+        }
+      }
+    }
+  }
+}
+
+TEST(TofGatherKernel, LerpRoundsBothProductsBeforeTheAdd) {
+  // Sample pairs that nearly cancel at a tiny frac f: (1 - f) is inexact in
+  // double there, so a fused (1 - f) * a + f * b would round differently in
+  // some entries. Entry (ix, e) reads the pair at 2 * ix of line e.
+  Rng rng(43);
+  const std::int64_t nx = 64, nch = 8, n = 2 * nx;
+  std::vector<float> lines(static_cast<std::size_t>(nch * n));
+  std::vector<std::int32_t> idx(static_cast<std::size_t>(nx * nch));
+  std::vector<float> frac(idx.size());
+  std::int64_t sensitive = 0;
+  for (std::int64_t ix = 0; ix < nx; ++ix) {
+    for (std::int64_t e = 0; e < nch; ++e) {
+      const auto i = static_cast<std::size_t>(ix * nch + e);
+      const auto f = static_cast<float>(std::ldexp(
+          1.0 + rng.uniform(), -30 - static_cast<int>(rng.uniform_index(12))));
+      const auto a = static_cast<float>(rng.normal());
+      const auto b = static_cast<float>(-a * (1.0 - f) / f *
+                                        (1.0 + std::ldexp(rng.normal(), -22)));
+      float* pair = lines.data() + e * n + 2 * ix;
+      pair[0] = a;
+      pair[1] = b;
+      idx[i] = static_cast<std::int32_t>(2 * ix);
+      frac[i] = f;
+      const auto fused = static_cast<float>(
+          std::fma(1.0 - f, static_cast<double>(a), static_cast<double>(f) * b));
+      if (fused != reference_gather(pair, 0, f, Interp::kLinear)) ++sensitive;
+    }
+  }
+  ASSERT_GT(sensitive, 0) << "no entry tells a fused lerp apart";
+  std::vector<float> got(idx.size()), scalar(idx.size());
+  TofGather g{.idx = idx.data(),
+              .frac = frac.data(),
+              .row_stride = nx * nch,
+              .col0 = 0,
+              .col_step = nch,
+              .lines_re = lines.data(),
+              .out_re = got.data(),
+              .nz = 1,
+              .nx = nx,
+              .nch = nch,
+              .nsamples = n};
+  tof_gather(g);
+  g.out_re = scalar.data();
+  tof_gather_scalar(g);
+  const std::vector<float> want = reference_plane(g, lines.data());
+  const auto count = static_cast<std::int64_t>(want.size());
+  EXPECT_EQ(first_mismatch(got.data(), want.data(), count), -1);
+  EXPECT_EQ(first_mismatch(scalar.data(), want.data(), count), -1);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 // cache, frame sources and the source -> ToF -> beamform -> log pipeline.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <numbers>
 #include <stdexcept>
 #include <vector>
 
@@ -141,6 +144,100 @@ TEST_F(TofPlanTest, OnePixelGridIsSupported) {
   const us::TofCube cube = plan.apply(acq_, false);
   ASSERT_EQ(cube.real.shape(), (Shape{1, 1, probe_.num_elements}));
   EXPECT_EQ(max_abs_diff(cube.real, us::tof_correct(acq_, tiny, {}).real),
+            0.0f);
+}
+
+TEST_F(TofPlanTest, BuildRejectsLinesPast32BitOffsets) {
+  // The gather addresses all lines with 32-bit offsets: nch * n < 2^31.
+  us::ImagingGrid one = grid_;
+  one.nx = 1;
+  one.nz = 1;
+  const std::int64_t limit = (std::int64_t{1} << 31) / probe_.num_elements;
+  EXPECT_THROW(TofPlan::build(probe_, one, 0.0, 0.0, limit), InvalidArgument);
+  EXPECT_NO_THROW(TofPlan::build(probe_, one, 0.0, 0.0, limit - 1));
+}
+
+/// Fixed-seed Gaussian RF for `probe`, `n` samples per channel.
+us::Acquisition random_rf(const us::Probe& probe, std::int64_t n,
+                          double angle) {
+  us::Acquisition acq;
+  acq.probe = probe;
+  acq.steering_angle_rad = angle;
+  acq.rf = Tensor({n, probe.num_elements});
+  Rng rng(29);
+  for (auto& v : acq.rf.data()) v = static_cast<float>(rng.normal());
+  return acq;
+}
+
+/// The RF cube entry by entry: us::two_way_delay, the plan's entry encoding
+/// (tof_plan.hpp; a linear plan), then the lerp.
+Tensor reference_cube(const us::Acquisition& acq, const us::ImagingGrid& grid) {
+  const us::Probe& probe = acq.probe;
+  const std::int64_t n = acq.num_samples(), nch = probe.num_elements;
+  const auto xs = probe.element_positions();
+  const double sin_th = std::sin(acq.steering_angle_rad);
+  const double cos_th = std::cos(acq.steering_angle_rad);
+  const double tx_offset =
+      sin_th >= 0.0 ? xs.front() * sin_th : xs.back() * sin_th;
+  Tensor cube({grid.nz, grid.nx, nch});
+  float* out = cube.raw();
+  for (std::int64_t iz = 0; iz < grid.nz; ++iz)
+    for (std::int64_t ix = 0; ix < grid.nx; ++ix)
+      for (std::int64_t e = 0; e < nch; ++e, ++out) {
+        const double t =
+            (us::two_way_delay(grid.x_at(ix), grid.z_at(iz),
+                               xs[static_cast<std::size_t>(e)], sin_th, cos_th,
+                               tx_offset, probe.sound_speed) -
+             acq.t0) *
+            probe.sampling_frequency;
+        *out = 0.0f;  // outside [0, n - 1]
+        if (!(t >= 0.0) || t > static_cast<double>(n - 1)) continue;
+        const auto i0 = static_cast<std::int64_t>(t);
+        const bool last = i0 + 1 >= n;  // t == n - 1: the last pair, f = 1
+        const std::int64_t base = last ? n - 2 : i0;
+        const double f =
+            last ? 1.0f : static_cast<float>(t - static_cast<double>(i0));
+        const float* rf = acq.rf.raw() + base * nch + e;
+        *out = static_cast<float>((1.0 - f) * rf[0] + f * rf[nch]);
+      }
+  return cube;
+}
+
+constexpr std::size_t kEntryBytes = sizeof(std::int32_t) + sizeof(float);
+
+TEST_F(TofPlanTest, PaperGridAtZeroDegreesKeepsTheCompactTable) {
+  const us::Probe l11 = us::Probe::l11_5v();
+  const us::ImagingGrid paper = us::ImagingGrid::paper(l11);
+  const us::Acquisition acq = random_rf(l11, 1828, 0.0);
+  const TofPlan plan = TofPlan::build_for(acq, paper);
+  // One entry per (depth row, ix - e): 368 x 255.
+  EXPECT_EQ(plan.bytes(), 368u * 255u * kEntryBytes);
+  const us::TofCube cube = plan.apply(acq, false);
+  EXPECT_EQ(max_abs_diff(cube.real, reference_cube(acq, paper)), 0.0f);
+  EXPECT_GT(max_abs(cube.real), 0.0f);
+}
+
+TEST_F(TofPlanTest, OffElementGridKeepsTheFullTable) {
+  // 64 columns over 32 elements: columns do not sit on the elements.
+  const us::Probe p32 = us::Probe::test_probe(32);
+  const us::ImagingGrid grid = us::ImagingGrid::reduced(p32, 96, 64);
+  const us::Acquisition acq = random_rf(p32, 700, 0.0);
+  const TofPlan plan = TofPlan::build_for(acq, grid);
+  EXPECT_EQ(plan.bytes(), 96u * 64u * 32u * kEntryBytes);
+  EXPECT_EQ(max_abs_diff(plan.apply(acq, false).real, reference_cube(acq, grid)),
+            0.0f);
+}
+
+TEST_F(TofPlanTest, SteeredPlanKeepsTheFullTable) {
+  // The paper grid's first 16 rows, steered by 1.6 degrees: the transmit
+  // delay varies with ix, so no row depends on ix - e alone.
+  const us::Probe l11 = us::Probe::l11_5v();
+  us::ImagingGrid grid = us::ImagingGrid::paper(l11);
+  grid.nz = 16;
+  const us::Acquisition acq = random_rf(l11, 1828, 1.6 * std::numbers::pi / 180.0);
+  const TofPlan plan = TofPlan::build_for(acq, grid);
+  EXPECT_EQ(plan.bytes(), 16u * 128u * 128u * kEntryBytes);
+  EXPECT_EQ(max_abs_diff(plan.apply(acq, false).real, reference_cube(acq, grid)),
             0.0f);
 }
 
