@@ -80,10 +80,13 @@ void rows_avx2(const TofGather& g, std::int64_t z_begin, std::int64_t z_end) {
     return;
   }
   const std::int64_t body = g.nch - g.nch % 4;
-  const auto n = static_cast<std::int32_t>(g.nsamples);
-  const __m128i first_lines =
-      _mm_mullo_epi32(_mm_setr_epi32(0, 1, 2, 3), _mm_set1_epi32(n));
-  const __m128i next_lines = _mm_set1_epi32(4 * n);
+  // Lanes read lines e..e+3 at offsets (e + l) * n + base: below 2^31 when
+  // a lane is used (nch >= 4); the products wrap harmlessly otherwise.
+  const __m128i first_lines = _mm_mullo_epi32(
+      _mm_setr_epi32(0, 1, 2, 3),
+      _mm_set1_epi32(static_cast<std::int32_t>(g.nsamples)));
+  const __m128i next_lines =
+      _mm_set1_epi32(static_cast<std::int32_t>(4 * g.nsamples));
   const __m128i bias = _mm_set1_epi32(kTofLinearBias);
   const __m128i out_of_range = _mm_set1_epi32(kTofOutOfRange);
   const __m256d one = _mm256_set1_pd(1.0);
