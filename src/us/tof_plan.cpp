@@ -99,22 +99,24 @@ TofPlan TofPlan::build(const us::Probe& probe, const us::ImagingGrid& grid,
   const std::int64_t nx = grid.nx, width = nx + n_ch - 1;
   // Calls put(ix, e, idx, frac) with each entry of row iz.
   const auto encode_row = [&](std::int64_t iz, const auto& put) {
-    for (std::int64_t ix = 0; ix < nx; ++ix)
+    const double z = grid.z_at(iz);
+    for (std::int64_t ix = 0; ix < nx; ++ix) {
+      const double x = grid.x_at(ix);
       for (std::int64_t e = 0; e < n_ch; ++e) {
         const double tau = us::two_way_delay(
-            grid.x_at(ix), grid.z_at(iz), xs[static_cast<std::size_t>(e)],
-            sin_th, cos_th, tx_offset, c);
+            x, z, xs[static_cast<std::size_t>(e)], sin_th, cos_th, tx_offset,
+            c);
         std::int32_t idx = 0;
         float frac = 0.0f;
         encode_entry((tau - t0) * fs, n_samples, interp, idx, frac);
         put(ix, e, idx, frac);
       }
+    }
   };
 
-  // Compact pass: entry (ix, e) of row iz goes to diagonal ix - e. A slot
-  // stores its first entry (ix == 0 or e == 0); every later one must equal
-  // it (frac is never NaN or -0, so == compares bits), or the pass ends and
-  // the full table is built.
+  // Compact pass: entry (ix, e) of row iz goes to slot ix - e, which keeps
+  // its first entry (ix == 0 or e == 0); a later one that differs (frac is
+  // never NaN or -0, so == compares bits) ends the pass.
   plan.idx_.resize(static_cast<std::size_t>(grid.nz * width));
   plan.frac_.resize(plan.idx_.size());
   std::atomic<bool> compact{true};
@@ -143,11 +145,12 @@ TofPlan TofPlan::build(const us::Probe& probe, const us::ImagingGrid& grid,
   plan.frac_ = std::vector<float>(plan.idx_.size());
   parallel_for_each(0, static_cast<std::size_t>(grid.nz), [&](std::size_t zi) {
     const auto iz = static_cast<std::int64_t>(zi);
+    std::int32_t* idx = plan.idx_.data() + iz * nx * n_ch;
+    float* frac = plan.frac_.data() + iz * nx * n_ch;
     encode_row(iz, [&](std::int64_t ix, std::int64_t e, std::int32_t i,
                        float f) {
-      const auto k = static_cast<std::size_t>((iz * nx + ix) * n_ch + e);
-      plan.idx_[k] = i;
-      plan.frac_[k] = f;
+      idx[ix * n_ch + e] = i;
+      frac[ix * n_ch + e] = f;
     });
   }, /*min_grain=*/1);
   return plan;
