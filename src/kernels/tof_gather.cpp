@@ -53,7 +53,8 @@ void gather_pixel_scalar(const TofGather& g, std::int64_t iz, std::int64_t ix,
 void rows_scalar(const TofGather& g, std::int64_t z_begin,
                  std::int64_t z_end) {
   for (std::int64_t iz = z_begin; iz < z_end; ++iz)
-    for (std::int64_t ix = 0; ix < g.nx; ++ix) gather_pixel_scalar(g, iz, ix, 0);
+    for (std::int64_t ix = 0; ix < g.nx; ++ix)
+      gather_pixel_scalar(g, iz, ix, 0);
 }
 
 #ifdef __AVX2__

@@ -119,8 +119,8 @@ void check_golden(const Golden& g, const Tensor& out) {
 std::uint64_t fnv1a(const Tensor& t) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   const auto* p = reinterpret_cast<const unsigned char*>(t.raw());
-  for (std::size_t i = 0; i < static_cast<std::size_t>(t.size()) * sizeof(float);
-       ++i) {
+  const std::size_t bytes = static_cast<std::size_t>(t.size()) * sizeof(float);
+  for (std::size_t i = 0; i < bytes; ++i) {
     h ^= p[i];
     h *= 0x100000001b3ull;
   }
@@ -137,7 +137,8 @@ void check_digest(const char* file, const Tensor& t) {
   if (g_regenerate) {
     if (!stored.empty())
       std::cout << file << ": digest "
-                << (stored == got.str() ? "unchanged" : "changed from " + stored)
+                << (stored == got.str() ? "unchanged"
+                                        : "changed from " + stored)
                 << "\n";
     std::ofstream f(path);
     ASSERT_TRUE(f) << "cannot write " << path;

@@ -676,8 +676,8 @@ TEST(TofGatherKernel, LerpRoundsBothProductsBeforeTheAdd) {
       pair[1] = b;
       idx[i] = static_cast<std::int32_t>(2 * ix);
       frac[i] = f;
-      const auto fused = static_cast<float>(
-          std::fma(1.0 - f, static_cast<double>(a), static_cast<double>(f) * b));
+      const auto fused = static_cast<float>(std::fma(
+          1.0 - f, static_cast<double>(a), static_cast<double>(f) * b));
       if (fused != reference_gather(pair, 0, f, Interp::kLinear)) ++sensitive;
     }
   }

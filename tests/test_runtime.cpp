@@ -224,8 +224,9 @@ TEST_F(TofPlanTest, OffElementGridKeepsTheFullTable) {
   const us::Acquisition acq = random_rf(p32, 700, 0.0);
   const TofPlan plan = TofPlan::build_for(acq, grid);
   EXPECT_EQ(plan.bytes(), 96u * 64u * 32u * kEntryBytes);
-  EXPECT_EQ(max_abs_diff(plan.apply(acq, false).real, reference_cube(acq, grid)),
-            0.0f);
+  EXPECT_EQ(
+      max_abs_diff(plan.apply(acq, false).real, reference_cube(acq, grid)),
+      0.0f);
 }
 
 TEST_F(TofPlanTest, SteeredPlanKeepsTheFullTable) {
@@ -234,11 +235,13 @@ TEST_F(TofPlanTest, SteeredPlanKeepsTheFullTable) {
   const us::Probe l11 = us::Probe::l11_5v();
   us::ImagingGrid grid = us::ImagingGrid::paper(l11);
   grid.nz = 16;
-  const us::Acquisition acq = random_rf(l11, 1828, 1.6 * std::numbers::pi / 180.0);
+  const us::Acquisition acq =
+      random_rf(l11, 1828, 1.6 * std::numbers::pi / 180.0);
   const TofPlan plan = TofPlan::build_for(acq, grid);
   EXPECT_EQ(plan.bytes(), 16u * 128u * 128u * kEntryBytes);
-  EXPECT_EQ(max_abs_diff(plan.apply(acq, false).real, reference_cube(acq, grid)),
-            0.0f);
+  EXPECT_EQ(
+      max_abs_diff(plan.apply(acq, false).real, reference_cube(acq, grid)),
+      0.0f);
 }
 
 class PlanCacheTest : public TofPlanTest {
