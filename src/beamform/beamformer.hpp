@@ -7,12 +7,17 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "device/command.hpp"
 #include "tensor/tensor.hpp"
 #include "us/tof.hpp"
+
+namespace tvbf::us {
+class TofPlan;
+}  // namespace tvbf::us
 
 namespace tvbf::bf {
 
@@ -27,6 +32,17 @@ class Beamformer {
   /// Forms the IQ image, shape (nz, nx, 2). Implementations document which
   /// cube flavor (RF-only or analytic) they require.
   virtual Tensor beamform(const us::TofCube& cube) const = 0;
+
+  /// Forms the IQ image of `acq` through `plan` without its ToF cube, where
+  /// the method can: the image equals beamform(plan.apply(acq, false)) bit
+  /// for bit. Returns nullopt to decline; the caller then applies the plan
+  /// and calls beamform(). The default declines.
+  virtual std::optional<Tensor> beamform_through(
+      const us::TofPlan& plan, const us::Acquisition& acq) const {
+    (void)plan;
+    (void)acq;
+    return std::nullopt;
+  }
 };
 
 /// Capability interface for beamformers whose per-depth-row computation is

@@ -4,7 +4,10 @@
 #include <immintrin.h>
 #endif
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "common/parallel.hpp"
 
@@ -55,6 +58,51 @@ void rows_scalar(const TofGather& g, std::int64_t z_begin,
   for (std::int64_t iz = z_begin; iz < z_end; ++iz)
     for (std::int64_t ix = 0; ix < g.nx; ++ix)
       gather_pixel_scalar(g, iz, ix, 0);
+}
+
+/// Channel e of a compact-RF slot (idx, frac), the linear case of gather().
+inline float lerp_rf(const CompactRfGather& g, std::int32_t idx, float frac,
+                     std::int64_t e) {
+  if (idx == kTofOutOfRange) return 0.0f;
+  const std::int64_t base = idx >= 0 ? idx : kTofLinearBias - idx;
+  const float* a = g.rf + base * g.nch + e;
+  const double f = frac;
+  return static_cast<float>((1.0 - f) * a[0] + f * a[g.nch]);
+}
+
+std::int64_t slots_of(const CompactRfGather& g) { return g.nx + g.nch - 1; }
+
+/// Channels [e_begin, nch) of every pixel of depth row iz, times scale,
+/// into `row` (nx, nch).
+void compact_row_scalar(const CompactRfGather& g, std::int64_t iz,
+                        std::int64_t e_begin, float scale, float* row) {
+  const std::int32_t* idx = g.idx + iz * slots_of(g);
+  const float* frac = g.frac + iz * slots_of(g);
+  for (std::int64_t ix = 0; ix < g.nx; ++ix) {
+    const std::int64_t j0 = g.nx - 1 - ix;
+    for (std::int64_t e = e_begin; e < g.nch; ++e)
+      row[ix * g.nch + e] = lerp_rf(g, idx[j0 + e], frac[j0 + e], e) * scale;
+  }
+}
+
+/// Slot j feeds channels [first_channel, end_channel): those whose pixel
+/// ix = nx - 1 - j + e lies on the grid.
+std::int64_t first_channel(const CompactRfGather& g, std::int64_t j) {
+  return std::max<std::int64_t>(0, j - g.nx + 1);
+}
+std::int64_t end_channel(const CompactRfGather& g, std::int64_t j) {
+  return std::min(j, g.nch - 1) + 1;
+}
+
+/// max |v| over depth row iz, NaN skipped.
+float compact_peak_row_scalar(const CompactRfGather& g, std::int64_t iz) {
+  const std::int32_t* idx = g.idx + iz * slots_of(g);
+  const float* frac = g.frac + iz * slots_of(g);
+  float m = 0.0f;
+  for (std::int64_t j = 0; j < slots_of(g); ++j)
+    for (std::int64_t e = first_channel(g, j); e < end_channel(g, j); ++e)
+      m = std::max(m, std::fabs(lerp_rf(g, idx[j], frac[j], e)));
+  return m;
 }
 
 #ifdef __AVX2__
@@ -119,7 +167,145 @@ void rows_avx2(const TofGather& g, std::int64_t z_begin, std::int64_t z_end) {
   }
 }
 
+/// (1 - f) * a + f * b over four channels, in double, rounded to float.
+inline __m128 lerp_rf4(__m128 a, __m128 b, __m256d f, __m256d one_minus_f) {
+  return _mm256_cvtpd_ps(
+      _mm256_add_pd(_mm256_mul_pd(one_minus_f, _mm256_cvtps_pd(a)),
+                    _mm256_mul_pd(f, _mm256_cvtps_pd(b))));
+}
+
+/// The RF rows a compact slot reads from (its channel e at a[e] and b[e])
+/// and its frac as f and 1 - f; false for an out-of-range slot.
+struct SlotRows {
+  const float* a;
+  const float* b;
+  __m256d f, one_minus_f;
+};
+inline bool slot_rows(const CompactRfGather& g, std::int32_t idx, float frac,
+                      SlotRows& s) {
+  if (idx == kTofOutOfRange) return false;
+  const std::int64_t base = idx >= 0 ? idx : kTofLinearBias - idx;
+  s.a = g.rf + base * g.nch;
+  s.b = s.a + g.nch;
+  s.f = _mm256_set1_pd(frac);
+  s.one_minus_f = _mm256_set1_pd(1.0 - static_cast<double>(frac));
+  return true;
+}
+
+/// Channels e..e+3 of a slot.
+inline __m128 slot4(const SlotRows& s, std::int64_t e) {
+  return lerp_rf4(_mm_loadu_ps(s.a + e), _mm_loadu_ps(s.b + e), s.f,
+                  s.one_minus_f);
+}
+
+void compact_rows_avx2(const CompactRfGather& g, std::int64_t z0,
+                       std::int64_t z_begin, std::int64_t z_end, float scale,
+                       float* out) {
+  const std::int64_t nx = g.nx, nch = g.nch, groups = nch / 8;
+  if (groups == 0) {
+    for (std::int64_t iz = z_begin; iz < z_end; ++iz)
+      compact_row_scalar(g, iz, 0, scale, out + (iz - z0) * nx * nch);
+    return;
+  }
+  // Channel group q (channels 8q..8q+7) reads slots 8q .. 8q + nx + 6:
+  // pixel ix = nx - 1 - s takes lane l from slot 8q + s + l. A row first
+  // computes those slot values, slot by slot (contiguous RF loads), into
+  // `slots` (group q's from q * span on), then blends each pixel's lanes.
+  const std::int64_t span = nx + 7;
+  std::vector<float> slots(static_cast<std::size_t>(groups * span * 8));
+  const __m256 scale8 = _mm256_set1_ps(scale);
+  for (std::int64_t iz = z_begin; iz < z_end; ++iz) {
+    const std::int32_t* idx = g.idx + iz * slots_of(g);
+    const float* frac = g.frac + iz * slots_of(g);
+    for (std::int64_t j = 0; j < 8 * groups + nx - 1; ++j) {
+      const std::int64_t q_begin =
+          std::max<std::int64_t>(0, (j - span + 8) / 8);
+      const std::int64_t q_end = std::min(groups, j / 8 + 1);
+      float* to = slots.data() + (q_begin * span + j - 8 * q_begin) * 8;
+      const std::int64_t next_group = (span - 8) * 8;
+      SlotRows sr;
+      if (!slot_rows(g, idx[j], frac[j], sr)) {
+        for (std::int64_t q = q_begin; q < q_end; ++q, to += next_group)
+          _mm256_storeu_ps(to, _mm256_setzero_ps());
+        continue;
+      }
+      for (std::int64_t q = q_begin; q < q_end; ++q, to += next_group) {
+        _mm_storeu_ps(to, slot4(sr, 8 * q));
+        _mm_storeu_ps(to + 4, slot4(sr, 8 * q + 4));
+      }
+    }
+    float* row = out + (iz - z0) * nx * nch;
+    for (std::int64_t s = 0; s < nx; ++s) {
+      float* px = row + (nx - 1 - s) * nch;
+      for (std::int64_t q = 0; q < groups; ++q) {
+        const float* v = slots.data() + (q * span + s) * 8;
+        __m256 o = _mm256_blend_ps(_mm256_loadu_ps(v),
+                                   _mm256_loadu_ps(v + 8), 0x02);
+        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 16), 0x04);
+        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 24), 0x08);
+        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 32), 0x10);
+        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 40), 0x20);
+        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 48), 0x40);
+        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 56), 0x80);
+        _mm256_storeu_ps(px + 8 * q, _mm256_mul_ps(o, scale8));
+      }
+    }
+    if (8 * groups < nch) compact_row_scalar(g, iz, 8 * groups, scale, row);
+  }
+}
+
+float compact_peak_row_avx2(const CompactRfGather& g, std::int64_t iz) {
+  const std::int32_t* idx = g.idx + iz * slots_of(g);
+  const float* frac = g.frac + iz * slots_of(g);
+  // max_ps(v, m) returns m when v is NaN, as in max_abs.
+  const __m128 sign = _mm_set1_ps(-0.0f);
+  const __m128i lanes = _mm_setr_epi32(0, 1, 2, 3);
+  __m128 m0 = _mm_setzero_ps(), m1 = m0;
+  for (std::int64_t j = 0; j < slots_of(g); ++j) {
+    SlotRows sr;
+    if (!slot_rows(g, idx[j], frac[j], sr)) continue;  // its channels read 0
+    const std::int64_t end = end_channel(g, j);
+    std::int64_t e = first_channel(g, j);
+    for (; e + 8 <= end; e += 8) {
+      m0 = _mm_max_ps(_mm_andnot_ps(sign, slot4(sr, e)), m0);
+      m1 = _mm_max_ps(_mm_andnot_ps(sign, slot4(sr, e + 4)), m1);
+    }
+    for (; e < end; e += 4) {
+      // Lanes from `end` on load 0 and so add |0|.
+      const __m128i mask = _mm_cmpgt_epi32(
+          _mm_set1_epi32(static_cast<std::int32_t>(end - e)), lanes);
+      const __m128 v =
+          lerp_rf4(_mm_maskload_ps(sr.a + e, mask),
+                   _mm_maskload_ps(sr.b + e, mask), sr.f, sr.one_minus_f);
+      m0 = _mm_max_ps(_mm_andnot_ps(sign, v), m0);
+    }
+  }
+  __m128 m = _mm_max_ps(m0, m1);
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
+  return _mm_cvtss_f32(m);
+}
+
 #endif  // __AVX2__
+
+void compact_rows(const CompactRfGather& g, std::int64_t z0,
+                  std::int64_t z_begin, std::int64_t z_end, float scale,
+                  float* out) {
+#ifdef __AVX2__
+  compact_rows_avx2(g, z0, z_begin, z_end, scale, out);
+#else
+  for (std::int64_t iz = z_begin; iz < z_end; ++iz)
+    compact_row_scalar(g, iz, 0, scale, out + (iz - z0) * g.nx * g.nch);
+#endif
+}
+
+float compact_peak_row(const CompactRfGather& g, std::int64_t iz) {
+#ifdef __AVX2__
+  return compact_peak_row_avx2(g, iz);
+#else
+  return compact_peak_row_scalar(g, iz);
+#endif
+}
 
 }  // namespace
 
@@ -139,5 +325,43 @@ void tof_gather(const TofGather& g) {
 }
 
 void tof_gather_scalar(const TofGather& g) { rows_scalar(g, 0, g.nz); }
+
+void tof_rows_compact_rf(const CompactRfGather& g, std::int64_t z0,
+                         std::int64_t z1, float scale, float* out) {
+  parallel_for(
+      static_cast<std::size_t>(z0), static_cast<std::size_t>(z1),
+      [&](std::size_t z_begin, std::size_t z_end) {
+        compact_rows(g, z0, static_cast<std::int64_t>(z_begin),
+                     static_cast<std::int64_t>(z_end), scale, out);
+      },
+      /*min_grain=*/1);
+}
+
+void tof_rows_compact_rf_scalar(const CompactRfGather& g, std::int64_t z0,
+                                std::int64_t z1, float scale, float* out) {
+  for (std::int64_t iz = z0; iz < z1; ++iz)
+    compact_row_scalar(g, iz, 0, scale, out + (iz - z0) * g.nx * g.nch);
+}
+
+float tof_peak_compact_rf(const CompactRfGather& g) {
+  std::vector<float> row_peak(static_cast<std::size_t>(g.nz));
+  parallel_for(
+      0, row_peak.size(),
+      [&](std::size_t z_begin, std::size_t z_end) {
+        for (std::size_t iz = z_begin; iz < z_end; ++iz)
+          row_peak[iz] = compact_peak_row(g, static_cast<std::int64_t>(iz));
+      },
+      /*min_grain=*/1);
+  float m = 0.0f;
+  for (const float p : row_peak) m = std::max(m, p);
+  return m;
+}
+
+float tof_peak_compact_rf_scalar(const CompactRfGather& g) {
+  float m = 0.0f;
+  for (std::int64_t iz = 0; iz < g.nz; ++iz)
+    m = std::max(m, compact_peak_row_scalar(g, iz));
+  return m;
+}
 
 }  // namespace tvbf::kernels

@@ -10,6 +10,14 @@
 // build's path without AVX2. The two agree bit for bit (a NaN result is a
 // NaN in both; which NaN operand an op propagates is the compiler's choice).
 //
+// The compact-RF form reads a compact linear table straight from the RF as
+// acquired, sample-major (nsamples, nch): every channel of one slot shares
+// the slot's (idx, frac), so channels e0..e0+7 of a slot load as two
+// contiguous 8-float vectors, from RF rows idx and idx + 1. Its values are
+// the ones tof_gather writes for the same table over channel-major lines;
+// one entry point writes depth rows of that cube, times a scale, and the
+// other returns its peak max |v|, without the cube.
+//
 // This TU is compiled with -ffp-contract=off: the lerp and the cubic
 // polynomial are never fused into FMAs.
 #pragma once
@@ -51,5 +59,31 @@ struct TofGather {
 void tof_gather(const TofGather& g);
 /// The scalar form, serial.
 void tof_gather_scalar(const TofGather& g);
+
+/// A compact linear table over sample-major RF. Depth row iz holds
+/// nx + nch - 1 slots from iz * (nx + nch - 1) on; pixel (iz, ix) reads
+/// channel e through slot nx - 1 - ix + e, from rf[idx * nch + e] and
+/// rf[(idx + 1) * nch + e]. Entries are linear: idx >= 0, biased or
+/// kTofOutOfRange.
+struct CompactRfGather {
+  const std::int32_t* idx = nullptr;
+  const float* frac = nullptr;
+  const float* rf = nullptr;
+  std::int64_t nz = 0, nx = 0, nch = 0;
+};
+
+/// Depth rows [z0, z1) of the cube, every value times `scale`, into out as
+/// (z1 - z0, nx, nch), threaded over depth rows via the common pool.
+void tof_rows_compact_rf(const CompactRfGather& g, std::int64_t z0,
+                         std::int64_t z1, float scale, float* out);
+/// The scalar form of tof_rows_compact_rf, serial.
+void tof_rows_compact_rf_scalar(const CompactRfGather& g, std::int64_t z0,
+                                std::int64_t z1, float scale, float* out);
+
+/// max |v| over the whole cube, NaN skipped (max_abs of the cube), threaded
+/// over depth rows via the common pool.
+float tof_peak_compact_rf(const CompactRfGather& g);
+/// The scalar form of tof_peak_compact_rf, serial.
+float tof_peak_compact_rf_scalar(const CompactRfGather& g);
 
 }  // namespace tvbf::kernels

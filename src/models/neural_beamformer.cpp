@@ -5,10 +5,28 @@
 
 namespace tvbf::models {
 
+namespace {
+
+/// 1 / peak, or 1 for an all-zero input.
+float scale_for_peak(float peak) { return peak > 0.0f ? 1.0f / peak : 1.0f; }
+
+}  // namespace
+
 float input_scale(const us::TofCube& cube) {
   TVBF_REQUIRE(cube.real.rank() == 3, "cube holds no data");
-  const float m = max_abs(cube.real);
-  return m > 0.0f ? 1.0f / m : 1.0f;
+  return scale_for_peak(max_abs(cube.real));
+}
+
+std::optional<Tensor> infer_through(
+    const us::TofPlan& plan, const us::Acquisition& acq,
+    const std::function<Tensor(const Shape&, const RowLoader&)>& infer) {
+  if (!plan.reads_rf()) return std::nullopt;
+  const float scale = scale_for_peak(plan.peak(acq));
+  const us::TofPlanKey& key = plan.key();
+  return infer({key.grid.nz, key.grid.nx, key.num_elements},
+               [&](std::int64_t z0, std::int64_t rows, float* out) {
+                 plan.rows(acq, z0, rows, scale, out);
+               });
 }
 
 Tensor normalized_input(const us::TofCube& cube) {
@@ -64,6 +82,14 @@ TinyVbfBeamformer::TinyVbfBeamformer(std::shared_ptr<const TinyVbf> model)
 
 Tensor TinyVbfBeamformer::beamform(const us::TofCube& cube) const {
   return model_->infer(cube.real, input_scale(cube));
+}
+
+std::optional<Tensor> TinyVbfBeamformer::beamform_through(
+    const us::TofPlan& plan, const us::Acquisition& acq) const {
+  return infer_through(plan, acq,
+                       [this](const Shape& shape, const RowLoader& load) {
+                         return model_->infer(shape, load);
+                       });
 }
 
 std::vector<Tensor> TinyVbfBeamformer::beamform_batch(

@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,12 +13,15 @@
 #include "models/fcnn.hpp"
 #include "models/tiny_cnn.hpp"
 #include "models/tiny_vbf.hpp"
+#include "us/tof_plan.hpp"
 
 namespace tvbf::models {
 
 /// Tiny-VBF as a Beamformer: runs the network on the RF cube scaled to
-/// [-1, 1] (the engine scales each depth tile as it loads it); the network
-/// output is already an IQ image. Batch-capable: the per-depth-row
+/// [-1, 1] (the engine's loader scales each slice of rows as it loads it),
+/// or, through a plan that reads RF directly, on the same rows gathered
+/// from the acquired RF without the cube; the network output is already an
+/// IQ image. Batch-capable: the per-depth-row
 /// transformer lets several frames stack into one forward pass (cubes are
 /// normalized per frame first, so batched outputs are bit-identical to solo
 /// beamform() calls).
@@ -27,6 +31,9 @@ class TinyVbfBeamformer : public bf::BatchedBeamformer {
 
   std::string name() const override { return "Tiny-VBF"; }
   Tensor beamform(const us::TofCube& cube) const override;
+  /// Accepts plans that read RF directly (see infer_through).
+  std::optional<Tensor> beamform_through(
+      const us::TofPlan& plan, const us::Acquisition& acq) const override;
   std::vector<Tensor> beamform_batch(
       const std::vector<const us::TofCube*>& cubes) const override;
   bool encode_cost_probe(device::CommandEncoder& encoder,
@@ -64,6 +71,15 @@ class FcnnBeamformer : public bf::Beamformer {
 /// 1 / max|x| of the cube's RF data (1 for an all-zero cube): the factor
 /// that maps it to the networks' [-1, 1] input range.
 float input_scale(const us::TofCube& cube);
+
+/// Shared body of the Tiny-VBF adapters' beamform_through: for a plan that
+/// reads RF directly (us::TofPlan::reads_rf), runs `infer` over the frame's
+/// rows gathered straight from the acquired RF, scaled by 1 / plan.peak()
+/// under input_scale()'s rule, so the image is the cube path's bit for bit.
+/// Declines every other plan.
+std::optional<Tensor> infer_through(
+    const us::TofPlan& plan, const us::Acquisition& acq,
+    const std::function<Tensor(const Shape&, const RowLoader&)>& infer);
 
 /// Normalized copy of the cube's RF data, each value times input_scale()
 /// (shared by the adapters and the training-set builder so train/test

@@ -80,6 +80,10 @@ Tensor TinyVbf::infer(const Tensor& input, float input_scale) const {
   return run_tiny_vbf(config_, weights_of(*this), input, input_scale);
 }
 
+Tensor TinyVbf::infer(const Shape& shape, const RowLoader& load) const {
+  return run_tiny_vbf(config_, weights_of(*this), shape, load);
+}
+
 std::vector<Tensor> TinyVbf::infer_batch(
     const std::vector<const Tensor*>& inputs) const {
   // Frames stack along the depth axis: the network treats nz as a pure

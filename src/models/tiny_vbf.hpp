@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -21,6 +22,11 @@
 #include "nn/modules.hpp"
 
 namespace tvbf::models {
+
+/// Writes depth rows [z0, z0 + rows) of a Tiny-VBF input, every element
+/// already multiplied by the input scale, to out as (rows, nx, nch).
+using RowLoader =
+    std::function<void(std::int64_t z0, std::int64_t rows, float* out)>;
 
 /// Architecture hyper-parameters of Tiny-VBF.
 struct TinyVbfConfig {
@@ -58,6 +64,11 @@ class TinyVbf : public nn::Module {
   /// every element multiplied by `input_scale` (1 / max|x| normalizes a raw
   /// ToF cube without a copy).
   Tensor infer(const Tensor& input, float input_scale = 1.0f) const;
+
+  /// infer() over an input of `shape` (nz, nx, nch) that `load` fetches
+  /// row range by row range, already scaled: bit-identical to infer() on
+  /// the tensor the loader's rows make up.
+  Tensor infer(const Shape& shape, const RowLoader& load) const;
 
   /// Batch-of-frames inference: stacks the per-frame inputs (nz_i, nx, nch)
   /// along the depth axis, runs one infer() over the stack, and splits the

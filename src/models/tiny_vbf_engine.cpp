@@ -17,7 +17,8 @@ constexpr float kLayerNormEpsilon = 1e-5f;
 /// One tile's forward pass over the views, rounding through the hook, on
 /// buffers allocated once for up to `max_rows` depth rows and reused by
 /// every tile. With n = rows * np patch rows and d = d_model:
-///   in_           (n, patch * nch)  the scaled input tile
+///   in_           one slice of the tile's scaled input, (slice_rows * np,
+///                 patch * nch)
 ///   h_            (n, d)            the residual stream
 ///   x_            (n, d)            layer-norm output, then the concatenated
 ///                                   heads, then the MLP output
@@ -31,7 +32,12 @@ class TileForward {
       : config_(config), weights_(weights), hook_(hook) {
     const std::int64_t np = config.num_patches();
     const std::int64_t n = max_rows * np;
-    const std::int64_t in = n * config.patch_size * config.in_channels;
+    const std::int64_t row_bytes = config.num_lateral * config.in_channels *
+                                   static_cast<std::int64_t>(sizeof(float));
+    slice_rows_ = std::max<std::int64_t>(
+        1, std::min(max_rows, kVbfSliceBytes / row_bytes));
+    const std::int64_t in =
+        slice_rows_ * config.num_lateral * config.in_channels;
     const std::int64_t d = n * config.d_model;
     const std::int64_t wide =
         std::max({max_rows * np * np, n * config.mlp_hidden,
@@ -47,16 +53,22 @@ class TileForward {
     wide_ = v_ + d;
   }
 
-  /// The input tile, (rows, np, patch * nch), to load before operator().
-  float* input() { return in_; }
-
-  /// Runs the loaded tile of `rows` depth rows and writes its IQ rows,
-  /// (rows, np, patch * 2), to out.
-  void operator()(std::int64_t rows, float* out) {
+  /// Runs the tile of `rows` depth rows from z0, loading and embedding its
+  /// input slice by slice, and writes its IQ rows, (rows, np, patch * 2),
+  /// to out.
+  void operator()(std::int64_t z0, std::int64_t rows, const RowLoader& load,
+                  float* out) {
     const std::int64_t np = config_.num_patches();
     const std::int64_t d = config_.d_model;
     const std::int64_t n = rows * np;
-    dense(in_, n, weights_.embed, h_);
+    const std::int64_t row_in = config_.num_lateral * config_.in_channels;
+    for (std::int64_t r0 = 0; r0 < rows; r0 += slice_rows_) {
+      const std::int64_t slice = std::min(slice_rows_, rows - r0);
+      load(z0 + r0, slice, in_);
+      // Samples enter through the same path as the layer outputs.
+      round(RoundAt::kInter, in_, slice * row_in);
+      dense(in_, slice * np, weights_.embed, h_ + r0 * np * d);
+    }
     round(RoundAt::kInter, h_, n * d);
     // Positional embedding, added to every depth row.
     const float* pos = weights_.pos->raw();
@@ -176,6 +188,7 @@ class TileForward {
   const TinyVbfConfig& config_;
   const TinyVbfWeights& weights_;
   const RoundingHook& hook_;
+  std::int64_t slice_rows_ = 1;  ///< depth rows per input slice
   std::unique_ptr<float[]> buffer_;
   float* in_ = nullptr;
   float* h_ = nullptr;
@@ -211,34 +224,39 @@ TinyVbfWeights weights_of(const TinyVbf& model) {
 }
 
 Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
-                    const Tensor& input, float input_scale,
+                    const Shape& shape, const RowLoader& load,
                     const RoundingHook& rounding) {
-  const Shape& s = input.shape();
-  TVBF_REQUIRE(s.size() == 3 && s[1] == config.num_lateral &&
-                   s[2] == config.in_channels,
+  TVBF_REQUIRE(shape.size() == 3 && shape[1] == config.num_lateral &&
+                   shape[2] == config.in_channels,
                "Tiny-VBF configured for (nz, " +
                    std::to_string(config.num_lateral) + ", " +
                    std::to_string(config.in_channels) + ") input; got " +
-                   to_string(s));
+                   to_string(shape));
   TVBF_REQUIRE(static_cast<std::int64_t>(weights.blocks.size()) ==
                    config.num_blocks,
                "Tiny-VBF weights hold the wrong number of blocks");
-  const std::int64_t nz = s[0];
-  const std::int64_t row_in = config.num_lateral * config.in_channels;
+  const std::int64_t nz = shape[0];
   const std::int64_t row_out = config.num_lateral * 2;
   TileForward forward(config, weights, rounding, std::min(kVbfTileRows, nz));
   Tensor out({nz, config.num_lateral, 2});
-  for (std::int64_t z0 = 0; z0 < nz; z0 += kVbfTileRows) {
-    const std::int64_t rows = std::min(kVbfTileRows, nz - z0);
-    const float* src = input.raw() + z0 * row_in;
-    float* dst = forward.input();
-    for (std::int64_t i = 0; i < rows * row_in; ++i)
-      dst[i] = src[i] * input_scale;
-    // Samples enter through the same path as the layer outputs.
-    if (rounding) rounding(RoundAt::kInter, dst, rows * row_in);
-    forward(rows, out.raw() + z0 * row_out);
-  }
+  for (std::int64_t z0 = 0; z0 < nz; z0 += kVbfTileRows)
+    forward(z0, std::min(kVbfTileRows, nz - z0), load,
+            out.raw() + z0 * row_out);
   return out;
+}
+
+Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
+                    const Tensor& input, float input_scale,
+                    const RoundingHook& rounding) {
+  const std::int64_t row_in = config.num_lateral * config.in_channels;
+  return run_tiny_vbf(
+      config, weights, input.shape(),
+      [&](std::int64_t z0, std::int64_t rows, float* out) {
+        const float* src = input.raw() + z0 * row_in;
+        for (std::int64_t i = 0; i < rows * row_in; ++i)
+          out[i] = src[i] * input_scale;
+      },
+      rounding);
 }
 
 }  // namespace tvbf::models

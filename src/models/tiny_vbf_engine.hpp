@@ -19,8 +19,14 @@
 // row), so the output does not depend on the tiling; the tiling bounds the
 // working set. A call allocates one workspace for a tile's buffers and
 // reuses it for every tile, and every elementwise op runs in place in it.
-// Each tile is scaled (and, with a hook, rounded) as it is loaded from the
-// input, so a raw ToF cube needs no normalized copy.
+// The input enters through a row loader, which writes already scaled rows:
+// a tile is loaded and embedded in slices of at most kVbfSliceBytes of
+// input, so the embed GEMM reads each slice from cache right after the
+// loader writes it, and a frame's input is never held whole. The loader
+// may copy from a raw ToF cube (the tensor overload) or gather the rows
+// straight from the acquired RF (us::TofPlan::rows). The embed GEMM's rows
+// are independent and the rounding hook is elementwise, so the slicing
+// does not change the output either.
 #pragma once
 
 #include <cstdint>
@@ -69,14 +75,30 @@ TinyVbfWeights weights_of(const TinyVbf& model);
 /// tiles of 8-64 rows ran within 3% of each other (22 ms) and larger ones
 /// up to 17% slower (26 ms untiled); on four, tiles under 64 rows were
 /// slower (26-36 ms) while 64-184 rows ran in 24-27 ms. 64 is the smallest
-/// tile near the best on both, with a 4 MB input tile.
+/// tile near the best on both. A tile's input is loaded in slices (below).
 inline constexpr std::int64_t kVbfTileRows = 64;
 
-/// Tiny-VBF over (nz, nx, nch) input: every element is multiplied by
-/// `input_scale` as its tile is loaded (a raw ToF cube with 1 / max|x| is
-/// the network's [-1, 1] input; an already normalized input passes 1).
-/// With a hook, the loaded tile is rounded at RoundAt::kInter and every
-/// datapath result at its point. Returns the IQ image (nz, nx, 2).
+/// Most input bytes loaded per slice: a slice holds as many whole depth
+/// rows as fit, at least one and at most a tile. At paper scale (64 KB
+/// rows) that is 8 rows, a 512 KB input buffer that stays in L2 between
+/// the load and the embed GEMM. One paper frame on one thread, gathering
+/// the rows from the RF and embedding them (medians of five interleaved
+/// runs, 4-vCPU Xeon): 64-row slices 17.4 ms, 8-row 12.2 ms, 4-row
+/// 13.3 ms. Rows of 8 KB or less load a whole tile at once.
+inline constexpr std::int64_t kVbfSliceBytes = 512 * 1024;
+
+/// Tiny-VBF over an input of `shape` (nz, nx, nch) whose rows `load`
+/// writes, already scaled (a raw ToF cube times 1 / max|x| is the network's
+/// [-1, 1] input). With a hook, each loaded slice is rounded at
+/// RoundAt::kInter and every datapath result at its point. Returns the IQ
+/// image (nz, nx, 2).
+Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
+                    const Shape& shape, const RowLoader& load,
+                    const RoundingHook& rounding = {});
+
+/// run_tiny_vbf over a (nz, nx, nch) tensor: the loader copies its rows,
+/// every element multiplied by `input_scale` (an already normalized input
+/// passes 1).
 Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
                     const Tensor& input, float input_scale,
                     const RoundingHook& rounding = {});

@@ -73,18 +73,25 @@ models::TinyVbfWeights QuantizedTinyVbf::weights() const {
   return w;
 }
 
+models::RoundingHook QuantizedTinyVbf::rounding() const {
+  if (scheme_.is_float) return {};
+  return [this](models::RoundAt at, float* x, std::int64_t n) {
+    using models::RoundAt;
+    quantize_inplace(x, n,
+                     at == RoundAt::kOp      ? scheme_.op_format()
+                     : at == RoundAt::kInter ? scheme_.inter_format()
+                                             : scheme_.softmax_format());
+  };
+}
+
 Tensor QuantizedTinyVbf::infer(const Tensor& input, float input_scale) const {
-  models::RoundingHook rounding;
-  if (!scheme_.is_float)
-    rounding = [this](models::RoundAt at, float* x, std::int64_t n) {
-      using models::RoundAt;
-      quantize_inplace(x, n,
-                       at == RoundAt::kOp      ? scheme_.op_format()
-                       : at == RoundAt::kInter ? scheme_.inter_format()
-                                               : scheme_.softmax_format());
-    };
   return models::run_tiny_vbf(config_, weights(), input, input_scale,
-                              rounding);
+                              rounding());
+}
+
+Tensor QuantizedTinyVbf::infer(const Shape& shape,
+                               const models::RowLoader& load) const {
+  return models::run_tiny_vbf(config_, weights(), shape, load, rounding());
 }
 
 std::vector<Tensor> QuantizedTinyVbf::infer_batch(
@@ -107,6 +114,14 @@ std::string QuantizedVbfBeamformer::name() const {
 
 Tensor QuantizedVbfBeamformer::beamform(const us::TofCube& cube) const {
   return model_->infer(cube.real, models::input_scale(cube));
+}
+
+std::optional<Tensor> QuantizedVbfBeamformer::beamform_through(
+    const us::TofPlan& plan, const us::Acquisition& acq) const {
+  return models::infer_through(
+      plan, acq, [this](const Shape& shape, const models::RowLoader& load) {
+        return model_->infer(shape, load);
+      });
 }
 
 std::vector<Tensor> QuantizedVbfBeamformer::beamform_batch(

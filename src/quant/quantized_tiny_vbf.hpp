@@ -31,6 +31,10 @@ class QuantizedTinyVbf {
   /// models::run_tiny_vbf).
   Tensor infer(const Tensor& input, float input_scale = 1.0f) const;
 
+  /// infer() over an input of `shape` that `load` fetches row range by row
+  /// range, already scaled (see models::run_tiny_vbf).
+  Tensor infer(const Shape& shape, const models::RowLoader& load) const;
+
   /// Batch-of-frames fixed-point inference: stacks the per-frame inputs
   /// along the depth axis, runs one infer() over the stack and splits the
   /// IQ output per frame. Every stage (dense, layer norm, softmax, fake
@@ -59,6 +63,8 @@ class QuantizedTinyVbf {
 
   /// Views of the stored weights for the engine.
   models::TinyVbfWeights weights() const;
+  /// The engine hook that rounds to the scheme's formats (none for float).
+  models::RoundingHook rounding() const;
 
   models::TinyVbfConfig config_;
   QuantScheme scheme_;
@@ -79,6 +85,9 @@ class QuantizedVbfBeamformer : public bf::BatchedBeamformer {
 
   std::string name() const override;
   Tensor beamform(const us::TofCube& cube) const override;
+  /// Accepts plans that read RF directly (see models::infer_through).
+  std::optional<Tensor> beamform_through(
+      const us::TofPlan& plan, const us::Acquisition& acq) const override;
   std::vector<Tensor> beamform_batch(
       const std::vector<const us::TofCube*>& cubes) const override;
   /// Same matmul schedule as the float adapter: fake quantization rides

@@ -74,7 +74,7 @@ FrameProcessor::FrameProcessor(std::shared_ptr<const bf::Beamformer> beamformer,
                "dynamic range must be positive");
 }
 
-void FrameProcessor::prepare(const Frame& frame) {
+void FrameProcessor::prepare(const Frame& frame, bool beamforms) {
   num_angles_ = frame.num_acquisitions();
   times_ = StageTimes{};
   angle_tof_s_.assign(num_angles_, 0.0);
@@ -87,6 +87,10 @@ void FrameProcessor::prepare(const Frame& frame) {
       plans_[i] = us::PlanCache::instance().get_for(
           frame.acquisition(i), config_.grid, config_.tof.interp);
   }
+  deferred_ = beamforms && num_angles_ == 1 && config_.use_plan_cache &&
+                      !config_.tof.analytic && plans_[0]->reads_rf()
+                  ? &frame.acq
+                  : nullptr;
   slots_.clear();
   if (num_angles_ > 1) {
     // Per-angle destination cubes, recycled through the arena frame after
@@ -104,6 +108,7 @@ void FrameProcessor::prepare(const Frame& frame) {
 
 void FrameProcessor::apply_tof_angle(const Frame& frame, std::size_t angle) {
   TVBF_REQUIRE(angle < num_angles_, "angle index out of range");
+  if (deferred_ != nullptr) return;
   // The stage may run on any scheduler/executor thread: route its kernels
   // (the plan's gather command) through this stream's backend.
   const device::ScopedDevice scope(*device_);
@@ -119,7 +124,20 @@ void FrameProcessor::apply_tof_angle(const Frame& frame, std::size_t angle) {
   angle_tof_s_[angle] = t.seconds();
 }
 
-const us::TofCube& FrameProcessor::compound() {
+void FrameProcessor::apply_deferred() {
+  if (deferred_ == nullptr) return;
+  Timer t;
+  plans_[0]->apply(*deferred_, /*analytic=*/false, cube_, &workspaces_[0]);
+  deferred_ = nullptr;
+  times_.tof_s += t.seconds();
+}
+
+const us::TofCube& FrameProcessor::cube() {
+  apply_deferred();
+  return cube_;
+}
+
+void FrameProcessor::compound() {
   Timer t;
   times_.tof_s = 0.0;
   for (const double s : angle_tof_s_) times_.tof_s += s;
@@ -135,11 +153,20 @@ const us::TofCube& FrameProcessor::compound() {
     slots_.clear();
   }
   times_.compound_s = t.seconds();
-  return cube_;
 }
 
 void FrameProcessor::beamform() {
   const device::ScopedDevice scope(*device_);
+  if (deferred_ != nullptr) {
+    Timer t;
+    if (std::optional<Tensor> iq =
+            beamformer_->beamform_through(*plans_[0], *deferred_)) {
+      iq_ = std::move(*iq);
+      times_.beamform_s = t.seconds();
+      return;
+    }
+    apply_deferred();
+  }
   Timer t;
   iq_ = beamformer_->beamform(cube_);
   times_.beamform_s = t.seconds();
@@ -168,14 +195,19 @@ FrameOutput FrameProcessor::finish(const Frame& frame, Tensor iq) {
   return finish(frame);
 }
 
-const us::TofCube& FrameProcessor::apply_tof(const Frame& frame) {
-  prepare(frame);
+void FrameProcessor::tof_steps(const Frame& frame, bool beamforms) {
+  prepare(frame, beamforms);
   for (std::size_t i = 0; i < num_angles_; ++i) apply_tof_angle(frame, i);
-  return compound();
+  compound();
+}
+
+const us::TofCube& FrameProcessor::apply_tof(const Frame& frame) {
+  tof_steps(frame, /*beamforms=*/false);
+  return cube_;
 }
 
 FrameOutput FrameProcessor::process(const Frame& frame, StageTimes* times) {
-  apply_tof(frame);
+  tof_steps(frame, /*beamforms=*/true);
   beamform();
   const FrameOutput out = finish(frame);
   if (times) *times = times_;

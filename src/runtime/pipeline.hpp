@@ -1,12 +1,14 @@
 // Streaming image-formation pipeline.
 //
 // Chains source -> ToF apply (cached plan) -> Beamformer -> envelope /
-// log-compression -> sink over reusable frame buffers, with optional
-// producer/consumer overlap: the next frame is acquired (simulated or
-// replayed) while the current one is beamformed, both sides sharing the
-// process-wide thread pool. Per-stage latency statistics and plan-cache
-// counters come back in a PipelineReport, which is how bench_pipeline
-// quantifies the plan-caching win over per-frame us::tof_correct.
+// log-compression -> sink over reusable frame buffers (a single-angle RF
+// frame on a plan that reads RF directly skips the cube; see
+// FrameProcessor), with optional producer/consumer overlap: the next frame
+// is acquired (simulated or replayed) while the current one is beamformed,
+// both sides sharing the process-wide thread pool. Per-stage latency
+// statistics and plan-cache counters come back in a PipelineReport, which
+// is how bench_pipeline quantifies the plan-caching win over per-frame
+// us::tof_correct.
 #pragma once
 
 #include <functional>
@@ -84,7 +86,8 @@ struct PipelineReport {
   /// source, tof, compound, beamform, postprocess, sink — in flow order.
   /// With overlap the source stage runs concurrently, so stage totals can
   /// exceed wall_s. The tof stage records the summed per-angle time of
-  /// each frame; compound is zero-cost for single-angle streams.
+  /// each frame (0 for a frame formed without its cube, whose gather counts
+  /// in beamform); compound is zero-cost for single-angle streams.
   std::vector<StageStats> stages;
   std::uint64_t plan_cache_hits = 0;    ///< delta over this run
   std::uint64_t plan_cache_misses = 0;  ///< delta over this run
@@ -119,10 +122,20 @@ struct FrameOutput {
 /// indices, and compound() / beamform() / finish() complete the frame in
 /// order. Everything else is not thread-safe — one frame is stepped by one
 /// logical owner at a time.
+///
+/// A single-angle RF frame whose cached plan reads RF directly
+/// (us::TofPlan::reads_rf) defers its cube when this processor's beamform()
+/// forms the frame: the ToF step does nothing, and beamform() offers the
+/// plan and the acquisition to the beamformer (bf::Beamformer::
+/// beamform_through), which forms the image without the cube. If it
+/// declines, beamform() applies the plan first; cube() applies it on
+/// demand too. apply_tof() never defers.
 class FrameProcessor {
  public:
   /// Wall-clock seconds spent per stage by the last step. `tof_s` is the
-  /// sum over the frame's angles (the work done, not the critical path).
+  /// sum over the frame's angles (the work done, not the critical path); it
+  /// is 0 for a frame formed without its cube, whose gather counts in
+  /// `beamform_s`.
   struct StageTimes {
     double tof_s = 0.0;
     double compound_s = 0.0;
@@ -144,19 +157,24 @@ class FrameProcessor {
 
   /// Latches `frame`: fetches one cached plan per steering angle and
   /// acquires per-angle cube slots from the arena (multi-angle only).
-  void prepare(const Frame& frame);
+  /// `beamforms` says whether this processor's beamform() will form the
+  /// frame; only then may the frame defer its cube (see above). The frame
+  /// must stay alive until it is finished.
+  void prepare(const Frame& frame, bool beamforms = true);
 
   /// ToF-corrects acquisition `angle` of the prepared frame into its slot
-  /// (or straight into the processor cube for single-angle frames).
-  /// Thread-safe across distinct angles of one prepared frame.
+  /// (or straight into the processor cube for single-angle frames; nothing
+  /// for a deferred cube). Thread-safe across distinct angles of one
+  /// prepared frame.
   void apply_tof_angle(const Frame& frame, std::size_t angle);
 
   /// Folds the per-angle slots into the processor cube (coherent mean) and
   /// releases the slots back to the arena. Single-angle: no-op on the
-  /// data. Returns the compounded cube.
-  const us::TofCube& compound();
+  /// data.
+  void compound();
 
-  /// Runs the beamformer on the compounded cube (stores the IQ image).
+  /// Forms the IQ image (stores it): through the plan for a deferred cube
+  /// the beamformer accepts, else from the compounded cube.
   void beamform();
 
   /// Envelope/log-compression over the stored IQ image.
@@ -172,7 +190,9 @@ class FrameProcessor {
   /// finish() on an externally produced IQ image (batched inference).
   FrameOutput finish(const Frame& frame, Tensor iq);
 
-  const us::TofCube& cube() const { return cube_; }
+  /// The compounded cube of the frame being stepped, applying a deferred
+  /// plan first (while the frame is alive).
+  const us::TofCube& cube();
   /// Angle count latched by the last prepare().
   std::size_t num_angles() const { return num_angles_; }
   /// Per-stage times of the frame most recently stepped to finish().
@@ -189,6 +209,11 @@ class FrameProcessor {
   PipelineConfig config_;
   device::Device* device_ = nullptr;  ///< resolved once in the constructor
 
+  /// prepare + every apply_tof_angle + compound.
+  void tof_steps(const Frame& frame, bool beamforms);
+  /// Applies the deferred plan into cube_, timed as the tof stage.
+  void apply_deferred();
+
   // Frame state. The ToF cubes, channel workspaces and angle slots — the
   // large buffers — are reused across frames (slots recycle through the
   // arena); the beamformer/postprocess stages still return fresh
@@ -199,6 +224,9 @@ class FrameProcessor {
   std::vector<us::TofCube> slots_;  ///< per-angle cubes (multi-angle only)
   graph::BufferArena arena_;
   std::vector<double> angle_tof_s_;
+  /// The prepared frame's acquisition while its cube is deferred, else
+  /// null.
+  const us::Acquisition* deferred_ = nullptr;
   StageTimes times_;
   us::TofCube cube_;
   Tensor iq_, envelope_, db_;

@@ -239,7 +239,11 @@ struct Server::Impl {
   void build_graph(Session& s, std::size_t angles) {
     s.graph.clear();
     const graph::NodeId prep = s.graph.add(
-        "prepare", {}, tagged(s, [&s] { s.processor().prepare(s.frame); }));
+        "prepare", {}, tagged(s, [&s] {
+          // A batched session's cube feeds the stacked pass, so its tof
+          // nodes apply the plan.
+          s.processor().prepare(s.frame, s.batched() == nullptr);
+        }));
     std::vector<graph::NodeId> tof_ids;
     tof_ids.reserve(angles);
     for (std::size_t i = 0; i < angles; ++i) {

@@ -166,8 +166,7 @@ TofPlan TofPlan::build_for(const us::Acquisition& acq,
                acq.num_samples(), interp);
 }
 
-void TofPlan::apply(const us::Acquisition& acq, bool analytic,
-                    us::TofCube& out, ChannelWorkspace* workspace) const {
+void TofPlan::check(const us::Acquisition& acq) const {
   TVBF_REQUIRE(acq.rf.rank() == 2, "acquisition holds no RF data");
   TVBF_REQUIRE(acq.num_samples() == key_.n_samples &&
                    acq.num_channels() == key_.num_elements,
@@ -180,6 +179,31 @@ void TofPlan::apply(const us::Acquisition& acq, bool analytic,
   TVBF_REQUIRE(acq.steering_angle_rad == key_.steering_angle_rad &&
                    acq.t0 == key_.t0,
                "acquisition steering/t0 does not match the plan");
+}
+
+kernels::CompactRfGather TofPlan::rf_gather(
+    const us::Acquisition& acq) const {
+  TVBF_REQUIRE(reads_rf(), "ToF plan does not read RF directly");
+  check(acq);
+  return {idx_.data(), frac_.data(), acq.rf.raw(), key_.grid.nz,
+          key_.grid.nx, key_.num_elements};
+}
+
+float TofPlan::peak(const us::Acquisition& acq) const {
+  return kernels::tof_peak_compact_rf(rf_gather(acq));
+}
+
+void TofPlan::rows(const us::Acquisition& acq, std::int64_t z0,
+                   std::int64_t n_rows, float scale, float* out) const {
+  const kernels::CompactRfGather g = rf_gather(acq);
+  TVBF_REQUIRE(z0 >= 0 && n_rows >= 0 && z0 + n_rows <= g.nz,
+               "depth rows outside the plan's grid");
+  kernels::tof_rows_compact_rf(g, z0, z0 + n_rows, scale, out);
+}
+
+void TofPlan::apply(const us::Acquisition& acq, bool analytic,
+                    us::TofCube& out, ChannelWorkspace* workspace) const {
+  check(acq);
 
   const std::int64_t n = key_.n_samples;
   const std::int64_t n_ch = key_.num_elements;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "dsp/interpolate.hpp"
+#include "kernels/tof_gather.hpp"
 #include "us/simulator.hpp"
 #include "us/tof.hpp"
 
@@ -75,6 +76,25 @@ class TofPlan {
   /// Applies into a freshly allocated cube.
   us::TofCube apply(const us::Acquisition& acq, bool analytic) const;
 
+  /// True when the plan can feed a consumer straight from the acquired RF,
+  /// without the cube: its table is compact and linear. peak() and rows()
+  /// need it; the other plans only apply().
+  bool reads_rf() const {
+    return compact_ && key_.interp == dsp::Interp::kLinear;
+  }
+
+  /// max |v| over the RF cube apply(acq, false) writes, NaN skipped:
+  /// kernels::max_abs of that cube, bit for bit, without writing it.
+  /// Requires reads_rf(); validates `acq` as apply() does.
+  float peak(const us::Acquisition& acq) const;
+
+  /// Depth rows [z0, z0 + n_rows) of the RF cube apply(acq, false) writes,
+  /// every value times `scale`, into out as (n_rows, nx, nch): bit for bit
+  /// the cube's values times scale. Requires reads_rf(); validates `acq`
+  /// as apply() does.
+  void rows(const us::Acquisition& acq, std::int64_t z0,
+            std::int64_t n_rows, float scale, float* out) const;
+
   const TofPlanKey& key() const { return key_; }
 
   /// Table footprint in bytes (what the cache budget counts).
@@ -85,6 +105,12 @@ class TofPlan {
 
  private:
   TofPlan() = default;
+
+  /// Throws InvalidArgument unless `acq` matches the key (shape, probe,
+  /// angle, t0).
+  void check(const us::Acquisition& acq) const;
+  /// The compact table over `acq`'s RF, after check() and reads_rf().
+  kernels::CompactRfGather rf_gather(const us::Acquisition& acq) const;
 
   TofPlanKey key_;
   // Entries (idx_, frac_) in kernels/tof_gather.hpp's encoding. The delay

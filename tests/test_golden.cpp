@@ -14,9 +14,11 @@
 // A paper-scale cube (24 MB) is too large to store, so it is pinned by a
 // 64-bit FNV-1a digest of its bytes instead; its bound is exact.
 //
-// Regenerate with `test_golden --regenerate`. It rewrites the files and
-// prints each one's diff statistics against the values it replaces (for a
-// digest, whether it changed); report them in CHANGES.md.
+// Regenerate with `test_golden --regenerate=<file>[,<file>]`, naming each
+// file under tests/golden/ to rewrite; every other golden is still checked.
+// It prints each rewritten file's diff statistics against the values it
+// replaces (for a digest, whether it changed); report them in CHANGES.md.
+// A bare `--regenerate`, or a name that no test of the run writes, fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,12 +29,14 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "beamform/das.hpp"
 #include "common/rng.hpp"
+#include "kernels/reduce.hpp"
 #include "us/probe.hpp"
 #include "models/neural_beamformer.hpp"
 #include "quant/quantized_tiny_vbf.hpp"
@@ -40,11 +44,21 @@
 #include "us/phantom.hpp"
 #include "us/simulator.hpp"
 #include "us/tof.hpp"
+#include "us/tof_plan.hpp"
 
 namespace tvbf {
 namespace {
 
-bool g_regenerate = false;
+/// The files --regenerate names, and those the run rewrote.
+std::set<std::string> g_regenerate;
+std::set<std::string> g_rewritten;
+
+/// True when `file` is to be rewritten rather than checked.
+bool regenerating(const std::string& file) {
+  if (g_regenerate.count(file) == 0) return false;
+  g_rewritten.insert(file);
+  return true;
+}
 
 /// One stored output and the largest differences it accepts.
 struct Golden {
@@ -96,7 +110,7 @@ std::string describe(const DiffStats& s, std::int64_t n) {
 void check_golden(const Golden& g, const Tensor& out) {
   const std::string path = std::string(TVBF_GOLDEN_DIR) + "/" + g.file;
   const std::vector<float> golden = read_f32(path);
-  if (g_regenerate) {
+  if (regenerating(g.file)) {
     if (static_cast<std::int64_t>(golden.size()) == out.size())
       std::cout << g.file << ": " << describe(diff(out, golden), out.size())
                 << " against the replaced values\n";
@@ -108,7 +122,7 @@ void check_golden(const Golden& g, const Tensor& out) {
   }
   ASSERT_EQ(static_cast<std::int64_t>(golden.size()), out.size())
       << path << " is missing or has the wrong size; run "
-      << "test_golden --regenerate";
+      << "test_golden --regenerate=" << g.file;
   const DiffStats s = diff(out, golden);
   std::cout << g.file << ": " << describe(s, out.size()) << "\n";
   EXPECT_LE(s.max_abs, g.max_abs) << g.file;
@@ -134,7 +148,7 @@ void check_digest(const char* file, const Tensor& t) {
   got << std::hex << std::setw(16) << std::setfill('0') << fnv1a(t);
   std::string stored;
   std::ifstream(path) >> stored;
-  if (g_regenerate) {
+  if (regenerating(file)) {
     if (!stored.empty())
       std::cout << file << ": digest "
                 << (stored == got.str() ? "unchanged"
@@ -146,7 +160,7 @@ void check_digest(const char* file, const Tensor& t) {
     return;
   }
   ASSERT_FALSE(stored.empty())
-      << path << " is missing; run test_golden --regenerate";
+      << path << " is missing; run test_golden --regenerate=" << file;
   EXPECT_EQ(got.str(), stored) << file;
 }
 
@@ -226,17 +240,35 @@ TEST_F(Golden96x64, TinyVbfHybrid2Iq) {
 /// The RF ToF cube of one paper-scale frame: ImagingGrid::paper under the
 /// L11-5v probe at 0 degrees, a linear plan, over fixed-seed Gaussian RF
 /// (no simulation needed). 1,828 samples is the simulator's window for
-/// 45 mm, so the deepest outer pixels fall outside it and read 0.
+/// 45 mm, so the deepest outer pixels fall outside it and read 0. The same
+/// cube assembled from the plan's cube-free rows (the compact-RF kernel),
+/// in uneven row ranges at scale 1, must give the same digest, and the
+/// plan's peak must be max_abs of the cube.
 TEST(GoldenDigest, PaperScaleTofCube) {
   us::Acquisition acq;
   acq.probe = us::Probe::l11_5v();
   acq.rf = Tensor({1828, acq.probe.num_elements});
   Rng rng(23);
   for (auto& v : acq.rf.data()) v = static_cast<float>(rng.normal());
-  const us::TofCube cube =
-      us::tof_correct(acq, us::ImagingGrid::paper(acq.probe), {});
+  const us::ImagingGrid grid = us::ImagingGrid::paper(acq.probe);
+  const us::TofCube cube = us::tof_correct(acq, grid, {});
   ASSERT_EQ(cube.real.shape(), (Shape{368, 128, 128}));
   check_digest("tof_paper_rf.fnv1a", cube.real);
+
+  const us::TofPlan plan = us::TofPlan::build_for(acq, grid);
+  ASSERT_TRUE(plan.reads_rf());
+  Tensor rows(cube.real.shape());
+  const std::int64_t row = grid.nx * acq.probe.num_elements;
+  for (std::int64_t z0 = 0, step = 8; z0 < grid.nz; z0 += step, step ^= 13)
+    plan.rows(acq, z0, std::min(step, grid.nz - z0), 1.0f,
+              rows.raw() + z0 * row);  // 8 rows, then 5, then 8, ...
+  EXPECT_EQ(fnv1a(rows), fnv1a(cube.real));
+  if (!regenerating("tof_paper_rf.fnv1a"))
+    check_digest("tof_paper_rf.fnv1a", rows);
+  const float peak = plan.peak(acq);
+  const float max_abs = kernels::max_abs(cube.real.raw(), cube.real.size());
+  EXPECT_EQ(std::memcmp(&peak, &max_abs, sizeof(float)), 0)
+      << peak << " vs " << max_abs;
 }
 
 }  // namespace
@@ -244,7 +276,26 @@ TEST(GoldenDigest, PaperScaleTofCube) {
 
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--regenerate") tvbf::g_regenerate = true;
-  return RUN_ALL_TESTS();
+  const std::string flag = "--regenerate";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind(flag, 0) != 0) continue;
+    if (arg.size() <= flag.size() + 1 || arg[flag.size()] != '=') {
+      std::cerr << "test_golden: " << arg
+                << " names no file; pass --regenerate=<file>[,<file>] with "
+                   "the files under tests/golden/ to rewrite\n";
+      return 2;
+    }
+    std::istringstream names(arg.substr(flag.size() + 1));
+    for (std::string name; std::getline(names, name, ',');)
+      if (!name.empty()) tvbf::g_regenerate.insert(name);
+  }
+  const int status = RUN_ALL_TESTS();
+  for (const std::string& name : tvbf::g_regenerate)
+    if (tvbf::g_rewritten.count(name) == 0) {
+      std::cerr << "test_golden: no test of this run writes " << name
+                << "\n";
+      return 1;
+    }
+  return status;
 }

@@ -3,8 +3,8 @@
 // implementations across odd shapes — non-multiple-of-tile sizes, single
 // channels, 1x1 and 5x5 kernels — and the parallelized backward kernels
 // must agree with both the serial references and finite differences. The
-// row reductions (max |x|, softmax, layer norm) and the ToF gather must
-// equal their scalar oracles bit for bit.
+// row reductions (max |x|, softmax, layer norm) and the ToF gather, in both
+// its forms, must equal their scalar oracles bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -701,6 +701,201 @@ TEST(TofGatherKernel, LerpRoundsBothProductsBeforeTheAdd) {
   const auto count = static_cast<std::int64_t>(want.size());
   EXPECT_EQ(first_mismatch(got.data(), want.data(), count), -1);
   EXPECT_EQ(first_mismatch(scalar.data(), want.data(), count), -1);
+
+  // The compact-RF form: slot j reads sample rows 2j and 2j + 1, whose
+  // channels all hold such pairs for the slot's frac.
+  const std::int64_t cx = 8, cch = 16, slots = cx + cch - 1;
+  std::vector<float> rf(static_cast<std::size_t>(2 * slots * cch));
+  std::vector<std::int32_t> cidx(static_cast<std::size_t>(slots));
+  std::vector<float> cfrac(cidx.size());
+  std::vector<float> slot_values(rf.size() / 2);
+  sensitive = 0;
+  for (std::int64_t j = 0; j < slots; ++j) {
+    const auto f = static_cast<float>(std::ldexp(
+        1.0 + rng.uniform(), -30 - static_cast<int>(rng.uniform_index(12))));
+    cidx[static_cast<std::size_t>(j)] = static_cast<std::int32_t>(2 * j);
+    cfrac[static_cast<std::size_t>(j)] = f;
+    for (std::int64_t e = 0; e < cch; ++e) {
+      const auto a = static_cast<float>(rng.normal());
+      const auto b = static_cast<float>(-a * (1.0 - f) / f *
+                                        (1.0 + std::ldexp(rng.normal(), -22)));
+      rf[static_cast<std::size_t>(2 * j * cch + e)] = a;
+      rf[static_cast<std::size_t>((2 * j + 1) * cch + e)] = b;
+      const float pair[] = {a, b};
+      const float v = reference_gather(pair, 0, f, Interp::kLinear);
+      slot_values[static_cast<std::size_t>(j * cch + e)] = v;
+      const auto fused = static_cast<float>(std::fma(
+          1.0 - f, static_cast<double>(a), static_cast<double>(f) * b));
+      if (fused != v) ++sensitive;
+    }
+  }
+  ASSERT_GT(sensitive, 0) << "no compact entry tells a fused lerp apart";
+  std::vector<float> cube(static_cast<std::size_t>(cx * cch));
+  float peak = 0.0f;
+  for (std::int64_t ix = 0; ix < cx; ++ix)
+    for (std::int64_t e = 0; e < cch; ++e) {
+      const float v =
+          slot_values[static_cast<std::size_t>((cx - 1 - ix + e) * cch + e)];
+      cube[static_cast<std::size_t>(ix * cch + e)] = v;
+      peak = std::max(peak, std::fabs(v));
+    }
+  const CompactRfGather cg{cidx.data(), cfrac.data(), rf.data(), 1, cx, cch};
+  std::vector<float> rows(cube.size()), scalar_rows(cube.size());
+  tof_rows_compact_rf(cg, 0, 1, 1.0f, rows.data());
+  tof_rows_compact_rf_scalar(cg, 0, 1, 1.0f, scalar_rows.data());
+  const auto cube_n = static_cast<std::int64_t>(cube.size());
+  EXPECT_EQ(first_mismatch(rows.data(), cube.data(), cube_n), -1);
+  EXPECT_EQ(first_mismatch(scalar_rows.data(), cube.data(), cube_n), -1);
+  EXPECT_EQ(tof_peak_compact_rf(cg), peak);
+  EXPECT_EQ(tof_peak_compact_rf_scalar(cg), peak);
+}
+
+/// A compact linear table for the compact-RF form: nz rows of nx + nch - 1
+/// slots, entries at the last sample pair, out of range, biased, and with
+/// fracs of exactly 0 and 1.
+/// Sample pairs start at `min_base` or later.
+void random_compact_table(Rng& rng, std::int64_t nz, std::int64_t nx,
+                          std::int64_t nch, std::int64_t n,
+                          std::vector<std::int32_t>& idx,
+                          std::vector<float>& frac,
+                          std::int64_t min_base = 0) {
+  idx.resize(static_cast<std::size_t>(nz * (nx + nch - 1)));
+  frac.resize(idx.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    const auto base = static_cast<std::int32_t>(
+        min_base + rng.uniform_index(n - 1 - min_base));
+    const auto f = static_cast<float>(rng.uniform());
+    switch (rng.uniform_index(6)) {
+      case 0: idx[i] = base; frac[i] = f; break;
+      case 1: idx[i] = static_cast<std::int32_t>(n - 2); frac[i] = f; break;
+      case 2: idx[i] = kTofOutOfRange; frac[i] = 0.0f; break;
+      case 3: idx[i] = kTofLinearBias - base; frac[i] = f; break;
+      case 4: idx[i] = base; frac[i] = 0.0f; break;
+      default: idx[i] = base; frac[i] = 1.0f; break;
+    }
+  }
+}
+
+TEST(TofGatherKernel, CompactRfRowsEqualScalarAndTheCubeTimesScale) {
+  // The compact-RF rows over sample-major RF against tof_gather over the
+  // same table and the transposed (channel-major) lines: the cube apply()
+  // writes. Channel counts around the 8-lane step; samples holding NaN and
+  // +-inf; scales 1 and 0.37; the whole cube and uneven row ranges.
+  Rng rng(47);
+  const std::int64_t nz = 5, nx = 7, n = 40;
+  const float specials[] = {kNaN, kInf, -kInf};
+  for (const std::int64_t nch : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 128}) {
+    std::vector<float> rf(static_cast<std::size_t>(n * nch));
+    for (float& x : rf)
+      x = rng.uniform() < 0.03 ? specials[rng.uniform_index(3)]
+                               : static_cast<float>(rng.normal());
+    std::vector<float> lines(rf.size());
+    for (std::int64_t i = 0; i < n; ++i)
+      for (std::int64_t e = 0; e < nch; ++e)
+        lines[static_cast<std::size_t>(e * n + i)] =
+            rf[static_cast<std::size_t>(i * nch + e)];
+    std::vector<std::int32_t> idx;
+    std::vector<float> frac;
+    random_compact_table(rng, nz, nx, nch, n, idx, frac);
+    const std::int64_t plane = nx * nch, count = nz * plane;
+    std::vector<float> cube(static_cast<std::size_t>(count));
+    tof_gather({.idx = idx.data(),
+                .frac = frac.data(),
+                .row_stride = nx + nch - 1,
+                .col0 = nx - 1,
+                .col_step = -1,
+                .lines_re = lines.data(),
+                .out_re = cube.data(),
+                .nz = nz,
+                .nx = nx,
+                .nch = nch,
+                .nsamples = n});
+    const CompactRfGather g{idx.data(), frac.data(), rf.data(), nz, nx, nch};
+    for (const float scale : {1.0f, 0.37f}) {
+      std::vector<float> want(cube.size());
+      for (std::size_t i = 0; i < cube.size(); ++i) want[i] = cube[i] * scale;
+      std::vector<float> got(cube.size()), scalar(cube.size());
+      tof_rows_compact_rf(g, 0, nz, scale, got.data());
+      tof_rows_compact_rf_scalar(g, 0, nz, scale, scalar.data());
+      EXPECT_EQ(first_mismatch(got.data(), want.data(), count), -1)
+          << "nch " << nch << ", scale " << scale;
+      EXPECT_EQ(first_mismatch(scalar.data(), want.data(), count), -1)
+          << "nch " << nch << ", scale " << scale;
+      // Rows [1, 3) and [3, 5): each range starts at its own buffer.
+      for (const std::int64_t z0 : {1, 3}) {
+        std::vector<float> part(static_cast<std::size_t>(2 * plane));
+        tof_rows_compact_rf(g, z0, z0 + 2, scale, part.data());
+        EXPECT_EQ(first_mismatch(part.data(), want.data() + z0 * plane,
+                                 2 * plane),
+                  -1)
+            << "nch " << nch << ", rows from " << z0;
+      }
+    }
+  }
+}
+
+TEST(TofGatherKernel, CompactRfPeakEqualsMaxAbsOfTheCube) {
+  // Slot j feeds only the channels whose pixel lies on the grid. The first
+  // slot of each row (channel 0 only) reads sample rows 0 and 1, the last
+  // (channel nch - 1 only) rows 2 and 3, and no other slot reads those
+  // rows; their other channels hold 1e30, which the peak must not see.
+  // NaN samples are skipped, +-inf ones win.
+  Rng rng(53);
+  const std::int64_t nz = 4, nx = 6, n = 30;
+  for (const std::int64_t nch : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 128}) {
+    for (const float special : {0.0f, kNaN, kInf}) {
+      std::vector<float> rf(static_cast<std::size_t>(n * nch));
+      for (float& x : rf)
+        x = special != 0.0f && rng.uniform() < 0.03
+                ? (rng.uniform() < 0.5 ? special : -special)
+                : static_cast<float>(rng.normal());
+      for (std::int64_t e = 0; e < nch; ++e) {
+        float* at = rf.data() + e;
+        if (e != 0) at[0] = at[nch] = 1e30f;
+        if (e != nch - 1) at[2 * nch] = at[3 * nch] = 1e30f;
+      }
+      std::vector<float> lines(rf.size());
+      for (std::int64_t i = 0; i < n; ++i)
+        for (std::int64_t e = 0; e < nch; ++e)
+          lines[static_cast<std::size_t>(e * n + i)] =
+              rf[static_cast<std::size_t>(i * nch + e)];
+      std::vector<std::int32_t> idx;
+      std::vector<float> frac;
+      random_compact_table(rng, nz, nx, nch, n, idx, frac, /*min_base=*/4);
+      const std::int64_t width = nx + nch - 1;
+      for (std::int64_t iz = 0; iz < nz; ++iz) {
+        idx[static_cast<std::size_t>(iz * width)] = 0;
+        idx[static_cast<std::size_t>(iz * width + width - 1)] = 2;
+      }
+      std::vector<float> cube(static_cast<std::size_t>(nz * nx * nch));
+      tof_gather({.idx = idx.data(),
+                  .frac = frac.data(),
+                  .row_stride = nx + nch - 1,
+                  .col0 = nx - 1,
+                  .col_step = -1,
+                  .lines_re = lines.data(),
+                  .out_re = cube.data(),
+                  .nz = nz,
+                  .nx = nx,
+                  .nch = nch,
+                  .nsamples = n});
+      const float want =
+          max_abs(cube.data(), static_cast<std::int64_t>(cube.size()));
+      if (special != kInf) {
+        ASSERT_LT(want, 1e29f) << "the cube read a 1e30";
+      }
+      const CompactRfGather g{idx.data(), frac.data(), rf.data(),
+                              nz,         nx,          nch};
+      const float got = tof_peak_compact_rf(g);
+      const float scalar = tof_peak_compact_rf_scalar(g);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << "nch " << nch << ", special " << special << ": " << got
+          << " vs " << want;
+      EXPECT_EQ(std::memcmp(&scalar, &want, sizeof(float)), 0)
+          << "nch " << nch << ", special " << special << ": " << scalar
+          << " vs " << want;
+    }
+  }
 }
 
 }  // namespace

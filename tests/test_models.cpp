@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "models/complexity.hpp"
@@ -103,16 +106,16 @@ TEST(TinyVbf, AttentionGivesGlobalReceptiveField) {
 }
 
 TEST(TinyVbfEngine, InferIsBitIdenticalToAutogradForward) {
-  // infer() runs the tape-free engine in depth tiles of kVbfTileRows; at
-  // row counts below, at, just past and across tiles its output must be
-  // the autograd forward's bit for bit, at paper scale and the reduced
-  // serving scale.
+  // infer() runs the tape-free engine in depth tiles of kVbfTileRows, each
+  // loaded in slices (8 rows at paper scale, the whole tile at the reduced
+  // serving scale); at row counts below, at, just past and across slices
+  // and tiles its output must be the autograd forward's bit for bit.
   ASSERT_EQ(kVbfTileRows, 64);
   for (const TinyVbfConfig& config :
        {TinyVbfConfig::paper(), TinyVbfConfig::test(32, 64)}) {
     Rng rng(11);
     const TinyVbf model(config, rng);
-    for (const std::int64_t nz : {1, 63, 64, 65, 130}) {
+    for (const std::int64_t nz : {1, 7, 8, 9, 63, 64, 65, 71, 130}) {
       Rng drng(static_cast<std::uint64_t>(100 + nz));
       const Tensor x =
           random_input(nz, config.num_lateral, config.in_channels, drng);
@@ -132,6 +135,60 @@ TEST(TinyVbfEngine, ScalesEachTileAsItLoads) {
   const Tensor x = random_input(70, 16, 8, drng);
   const float s = 1.0f / 3.0f;
   EXPECT_TRUE(same_bits(model.infer(x, s), model.infer(scale(x, s))));
+}
+
+TEST(TinyVbfEngine, RowLoaderEqualsTensorOverload) {
+  // A loader that copies the rows, scaled, gives the tensor overload's bits,
+  // with and without a rounding hook. The engine asks for each row once, in
+  // order, in slices of as many whole rows as fit kVbfSliceBytes: 8 rows at
+  // paper scale (64 KB rows), 48 for 52 x 52 rows, a whole tile for 8 KB.
+  ASSERT_EQ(kVbfSliceBytes, 512 * 1024);
+  struct Case {
+    TinyVbfConfig config;
+    std::int64_t nz, slice;
+  };
+  const RoundingHook snap = [](RoundAt, float* v, std::int64_t n) {
+    for (std::int64_t i = 0; i < n; ++i)
+      v[i] = std::nearbyint(v[i] * 1024.0f) / 1024.0f;
+  };
+  for (const Case& c : {Case{TinyVbfConfig::paper(), 19, 8},
+                        Case{TinyVbfConfig::test(52, 52), 71, 48},
+                        Case{TinyVbfConfig::test(32, 64), 71, 64}}) {
+    Rng rng(14);
+    const TinyVbf model(c.config, rng);
+    const TinyVbfWeights weights = weights_of(model);
+    Rng drng(15);
+    const Tensor x = random_input(c.nz, c.config.num_lateral,
+                                  c.config.in_channels, drng);
+    const float s = 0.3f;
+    const std::int64_t row = c.config.num_lateral * c.config.in_channels;
+    std::vector<std::pair<std::int64_t, std::int64_t>> calls;
+    const RowLoader load = [&](std::int64_t z0, std::int64_t rows,
+                               float* out) {
+      calls.emplace_back(z0, rows);
+      for (std::int64_t i = 0; i < rows * row; ++i)
+        out[i] = x.raw()[z0 * row + i] * s;
+    };
+    const std::string where = "nx " + std::to_string(c.config.num_lateral);
+    for (const RoundingHook& hook : {RoundingHook{}, snap}) {
+      calls.clear();
+      EXPECT_TRUE(same_bits(run_tiny_vbf(c.config, weights, x.shape(), load,
+                                         hook),
+                            run_tiny_vbf(c.config, weights, x, s, hook)))
+          << where << (hook ? ", hook" : "");
+      std::int64_t next = 0;
+      for (const auto& [z0, rows] : calls) {
+        EXPECT_EQ(z0, next) << where;
+        EXPECT_GE(rows, 1) << where;
+        EXPECT_LE(rows, c.slice) << where;
+        next = z0 + rows;
+      }
+      EXPECT_EQ(next, c.nz) << where;
+      EXPECT_EQ(calls.front().second, c.slice) << where;
+    }
+    EXPECT_TRUE(same_bits(model.infer(x.shape(), load), model.infer(x, s)))
+        << where;
+  }
 }
 
 TEST(TinyCnn, ForwardShapeAndOps) {

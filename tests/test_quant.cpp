@@ -298,6 +298,30 @@ TEST(QuantizedTiles, Hybrid2FrameEqualsItsSlicesRunOneByOne) {
   }
 }
 
+TEST(QuantizedTiles, Hybrid2RowLoaderEqualsTensorOverload) {
+  // At paper width the engine loads 8-row slices, rounding each at the
+  // intermediate width as it arrives: the loader overload equals the tensor
+  // overload bit for bit over 71 rows (tiles of 64 and 7).
+  Rng rng(47);
+  const models::TinyVbf model(models::TinyVbfConfig::paper(), rng);
+  const QuantizedTinyVbf q(model, QuantScheme::hybrid2());
+  Rng drng(48);
+  Tensor x({71, 128, 128});
+  for (auto& v : x.data()) v = static_cast<float>(drng.uniform(-2.0, 2.0));
+  const float s = 0.45f;
+  const std::int64_t row = 128 * 128;
+  const Tensor got =
+      q.infer(x.shape(), [&](std::int64_t z0, std::int64_t rows, float* out) {
+        for (std::int64_t i = 0; i < rows * row; ++i)
+          out[i] = x.raw()[z0 * row + i] * s;
+      });
+  const Tensor want = q.infer(x, s);
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.raw(), want.raw(),
+                        static_cast<std::size_t>(got.size()) * sizeof(float)),
+            0);
+}
+
 TEST_F(QuantizedModel, ErrorShrinksWithWiderDatapath) {
   // The mechanism behind Tables IV/V: 24/20-bit ~ float, 16-bit degraded.
   double prev_err = 1e9;

@@ -2,17 +2,26 @@
 // cache, frame sources and the source -> ToF -> beamform -> log pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <numbers>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "beamform/compounding.hpp"
 #include "beamform/das.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dsp/hilbert.hpp"
+#include "models/neural_beamformer.hpp"
+#include "quant/quantized_tiny_vbf.hpp"
 #include "runtime/frame_source.hpp"
 #include "runtime/pipeline.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -43,6 +52,87 @@ class TofPlanTest : public ::testing::Test {
       probe_, us::make_single_point(20e-3), 0.0, clean_);
 };
 
+/// Fixed-seed Gaussian RF for `probe`, `n` samples per channel.
+us::Acquisition random_rf(const us::Probe& probe, std::int64_t n,
+                          double angle, std::uint64_t seed = 29) {
+  us::Acquisition acq;
+  acq.probe = probe;
+  acq.steering_angle_rad = angle;
+  acq.rf = Tensor({n, probe.num_elements});
+  Rng rng(seed);
+  for (auto& v : acq.rf.data()) v = static_cast<float>(rng.normal());
+  return acq;
+}
+
+/// What a reference cube samples in each channel: the RF, or the real or
+/// imaginary part of the channel's analytic signal.
+enum class Plane { kRf, kAnalyticRe, kAnalyticIm };
+
+/// One plane of the ToF cube, entry by entry: us::two_way_delay, the plan's
+/// entry encoding (tof_plan.hpp), then the lerp or, at the interior entries
+/// of a cubic plan, the Catmull-Rom weights.
+Tensor reference_cube(const us::Acquisition& acq, const us::ImagingGrid& grid,
+                      dsp::Interp interp = dsp::Interp::kLinear,
+                      Plane plane = Plane::kRf) {
+  const us::Probe& probe = acq.probe;
+  const std::int64_t n = acq.num_samples(), nch = probe.num_elements;
+  std::vector<std::vector<float>> lines(static_cast<std::size_t>(nch));
+  for (std::int64_t e = 0; e < nch; ++e) {
+    std::vector<float>& line = lines[static_cast<std::size_t>(e)];
+    for (std::int64_t i = 0; i < n; ++i)
+      line.push_back(acq.rf.raw()[i * nch + e]);
+    if (plane == Plane::kRf) continue;
+    const auto a = dsp::analytic_signal(line);
+    for (std::size_t i = 0; i < line.size(); ++i)
+      line[i] = static_cast<float>(plane == Plane::kAnalyticRe ? a[i].real()
+                                                               : a[i].imag());
+  }
+  const auto xs = probe.element_positions();
+  const double sin_th = std::sin(acq.steering_angle_rad);
+  const double cos_th = std::cos(acq.steering_angle_rad);
+  const double tx_offset =
+      sin_th >= 0.0 ? xs.front() * sin_th : xs.back() * sin_th;
+  Tensor cube({grid.nz, grid.nx, nch});
+  float* out = cube.raw();
+  for (std::int64_t iz = 0; iz < grid.nz; ++iz)
+    for (std::int64_t ix = 0; ix < grid.nx; ++ix)
+      for (std::int64_t e = 0; e < nch; ++e, ++out) {
+        const double t =
+            (us::two_way_delay(grid.x_at(ix), grid.z_at(iz),
+                               xs[static_cast<std::size_t>(e)], sin_th, cos_th,
+                               tx_offset, probe.sound_speed) -
+             acq.t0) *
+            probe.sampling_frequency;
+        *out = 0.0f;  // outside [0, n - 1]
+        if (!(t >= 0.0) || t > static_cast<double>(n - 1)) continue;
+        const auto i0 = static_cast<std::int64_t>(t);
+        const bool last = i0 + 1 >= n;  // t == n - 1: the last pair, f = 1
+        const std::int64_t base = last ? n - 2 : i0;
+        const double f =
+            last ? 1.0f : static_cast<float>(t - static_cast<double>(i0));
+        const float* x = lines[static_cast<std::size_t>(e)].data();
+        if (interp == dsp::Interp::kCubic && !last && i0 != 0 && i0 + 2 < n) {
+          const double p0 = x[i0 - 1], p1 = x[i0], p2 = x[i0 + 1],
+                       p3 = x[i0 + 2];
+          const double a = -0.5 * p0 + 1.5 * p1 - 1.5 * p2 + 0.5 * p3;
+          const double b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3;
+          const double c = -0.5 * p0 + 0.5 * p2;
+          *out = static_cast<float>(((a * f + b) * f + c) * f + p1);
+        } else {
+          *out = static_cast<float>((1.0 - f) * x[base] + f * x[base + 1]);
+        }
+      }
+  return cube;
+}
+
+/// True when a and b hold the same bytes.
+bool same_bits(const float* a, const float* b, std::int64_t n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && same_bits(a.raw(), b.raw(), a.size());
+}
+
 TEST_F(TofPlanTest, ApplyIdenticalToTofCorrectRf) {
   const TofPlan plan = TofPlan::build_for(acq_, grid_);
   const us::TofCube via_plan = plan.apply(acq_, /*analytic=*/false);
@@ -61,6 +151,12 @@ TEST_F(TofPlanTest, ApplyIdenticalToTofCorrectAnalytic) {
   ASSERT_TRUE(via_plan.is_analytic());
   EXPECT_EQ(max_abs_diff(via_plan.real, one_shot.real), 0.0f);
   EXPECT_EQ(max_abs_diff(via_plan.imag, one_shot.imag), 0.0f);
+  EXPECT_TRUE(same_bits(via_plan.real,
+                        reference_cube(acq_, grid_, dsp::Interp::kLinear,
+                                       Plane::kAnalyticRe)));
+  EXPECT_TRUE(same_bits(via_plan.imag,
+                        reference_cube(acq_, grid_, dsp::Interp::kLinear,
+                                       Plane::kAnalyticIm)));
 }
 
 TEST_F(TofPlanTest, ApplyIdenticalToTofCorrectCubic) {
@@ -70,15 +166,26 @@ TEST_F(TofPlanTest, ApplyIdenticalToTofCorrectCubic) {
       acq_, grid_, {.interp = dsp::Interp::kCubic, .analytic = true});
   EXPECT_EQ(max_abs_diff(via_plan.real, one_shot.real), 0.0f);
   EXPECT_EQ(max_abs_diff(via_plan.imag, one_shot.imag), 0.0f);
+  EXPECT_TRUE(same_bits(via_plan.real,
+                        reference_cube(acq_, grid_, dsp::Interp::kCubic,
+                                       Plane::kAnalyticRe)));
+  EXPECT_TRUE(same_bits(via_plan.imag,
+                        reference_cube(acq_, grid_, dsp::Interp::kCubic,
+                                       Plane::kAnalyticIm)));
+  // The RF flavor of the same cubic plan.
+  EXPECT_TRUE(same_bits(plan.apply(acq_, false).real,
+                        reference_cube(acq_, grid_, dsp::Interp::kCubic)));
 }
 
 TEST_F(TofPlanTest, SteeredPlanIdenticalToTofCorrect) {
   const us::Acquisition steered = us::simulate_plane_wave(
       probe_, us::make_single_point(20e-3, 3e-3), 0.1, clean_);
   const TofPlan plan = TofPlan::build_for(steered, grid_);
-  EXPECT_EQ(max_abs_diff(plan.apply(steered, false).real,
-                         us::tof_correct(steered, grid_, {}).real),
+  const Tensor cube = plan.apply(steered, false).real;
+  EXPECT_EQ(max_abs_diff(cube, us::tof_correct(steered, grid_, {}).real),
             0.0f);
+  EXPECT_TRUE(same_bits(cube, reference_cube(steered, grid_)));
+  EXPECT_GT(max_abs(cube), 0.0f);
 }
 
 TEST_F(TofPlanTest, ApplyReusesBuffersAcrossFrames) {
@@ -105,24 +212,38 @@ TEST_F(TofPlanTest, ApplyClearsImagWhenSwitchingToRf) {
 TEST_F(TofPlanTest, ApplyRejectsMismatchedAcquisitions) {
   const TofPlan plan = TofPlan::build_for(acq_, grid_);
   us::TofCube cube;
-  // Wrong steering angle.
+  // A plan that reads RF directly shares the checks in peak() and rows().
+  const us::ImagingGrid on_elements = us::ImagingGrid::reduced(
+      probe_, 96, probe_.num_elements, 10e-3, 28e-3);
+  const TofPlan direct = TofPlan::build_for(acq_, on_elements);
+  ASSERT_TRUE(direct.reads_rf());
+  std::vector<float> rows(
+      static_cast<std::size_t>(2 * on_elements.nx * probe_.num_elements));
+  EXPECT_NO_THROW(direct.peak(acq_));
+  EXPECT_NO_THROW(direct.rows(acq_, 94, 2, 1.0f, rows.data()));
+  const auto rejects = [&](const us::Acquisition& bad, const char* what) {
+    EXPECT_THROW(plan.apply(bad, false, cube), InvalidArgument) << what;
+    EXPECT_THROW(direct.peak(bad), InvalidArgument) << what;
+    EXPECT_THROW(direct.rows(bad, 0, 2, 1.0f, rows.data()), InvalidArgument)
+        << what;
+  };
   us::Acquisition steered = acq_;
   steered.steering_angle_rad = 0.05;
-  EXPECT_THROW(plan.apply(steered, false, cube), InvalidArgument);
-  // Wrong start time.
+  rejects(steered, "steering angle");
   us::Acquisition shifted = acq_;
   shifted.t0 = 1e-6;
-  EXPECT_THROW(plan.apply(shifted, false, cube), InvalidArgument);
-  // Wrong RF length.
+  rejects(shifted, "start time");
   us::SimParams deep = clean_;
   deep.max_depth = 40e-3;
-  const us::Acquisition longer = us::simulate_plane_wave(
-      probe_, us::make_single_point(20e-3), 0.0, deep);
-  EXPECT_THROW(plan.apply(longer, false, cube), InvalidArgument);
-  // Wrong probe geometry.
+  rejects(us::simulate_plane_wave(probe_, us::make_single_point(20e-3), 0.0,
+                                  deep),
+          "RF length");
   us::Acquisition other_probe = acq_;
   other_probe.probe.pitch *= 2.0;
-  EXPECT_THROW(plan.apply(other_probe, false, cube), InvalidArgument);
+  rejects(other_probe, "probe geometry");
+  // Rows outside the grid.
+  EXPECT_THROW(direct.rows(acq_, 95, 2, 1.0f, rows.data()), InvalidArgument);
+  EXPECT_THROW(direct.rows(acq_, -1, 1, 1.0f, rows.data()), InvalidArgument);
 }
 
 TEST_F(TofPlanTest, BuildRejectsDegenerateInputs) {
@@ -155,52 +276,6 @@ TEST_F(TofPlanTest, BuildRejectsLinesPast32BitOffsets) {
   const std::int64_t limit = (std::int64_t{1} << 31) / probe_.num_elements;
   EXPECT_THROW(TofPlan::build(probe_, one, 0.0, 0.0, limit), InvalidArgument);
   EXPECT_NO_THROW(TofPlan::build(probe_, one, 0.0, 0.0, limit - 1));
-}
-
-/// Fixed-seed Gaussian RF for `probe`, `n` samples per channel.
-us::Acquisition random_rf(const us::Probe& probe, std::int64_t n,
-                          double angle) {
-  us::Acquisition acq;
-  acq.probe = probe;
-  acq.steering_angle_rad = angle;
-  acq.rf = Tensor({n, probe.num_elements});
-  Rng rng(29);
-  for (auto& v : acq.rf.data()) v = static_cast<float>(rng.normal());
-  return acq;
-}
-
-/// The RF cube entry by entry: us::two_way_delay, the plan's entry encoding
-/// (tof_plan.hpp; a linear plan), then the lerp.
-Tensor reference_cube(const us::Acquisition& acq, const us::ImagingGrid& grid) {
-  const us::Probe& probe = acq.probe;
-  const std::int64_t n = acq.num_samples(), nch = probe.num_elements;
-  const auto xs = probe.element_positions();
-  const double sin_th = std::sin(acq.steering_angle_rad);
-  const double cos_th = std::cos(acq.steering_angle_rad);
-  const double tx_offset =
-      sin_th >= 0.0 ? xs.front() * sin_th : xs.back() * sin_th;
-  Tensor cube({grid.nz, grid.nx, nch});
-  float* out = cube.raw();
-  for (std::int64_t iz = 0; iz < grid.nz; ++iz)
-    for (std::int64_t ix = 0; ix < grid.nx; ++ix)
-      for (std::int64_t e = 0; e < nch; ++e, ++out) {
-        const double t =
-            (us::two_way_delay(grid.x_at(ix), grid.z_at(iz),
-                               xs[static_cast<std::size_t>(e)], sin_th, cos_th,
-                               tx_offset, probe.sound_speed) -
-             acq.t0) *
-            probe.sampling_frequency;
-        *out = 0.0f;  // outside [0, n - 1]
-        if (!(t >= 0.0) || t > static_cast<double>(n - 1)) continue;
-        const auto i0 = static_cast<std::int64_t>(t);
-        const bool last = i0 + 1 >= n;  // t == n - 1: the last pair, f = 1
-        const std::int64_t base = last ? n - 2 : i0;
-        const double f =
-            last ? 1.0f : static_cast<float>(t - static_cast<double>(i0));
-        const float* rf = acq.rf.raw() + base * nch + e;
-        *out = static_cast<float>((1.0 - f) * rf[0] + f * rf[nch]);
-      }
-  return cube;
 }
 
 constexpr std::size_t kEntryBytes = sizeof(std::int32_t) + sizeof(float);
@@ -242,6 +317,54 @@ TEST_F(TofPlanTest, SteeredPlanKeepsTheFullTable) {
   EXPECT_EQ(
       max_abs_diff(plan.apply(acq, false).real, reference_cube(acq, grid)),
       0.0f);
+}
+
+TEST_F(TofPlanTest, RowsAndPeakEqualTheAppliedCube) {
+  // Columns on the elements at 0 degrees keep the compact table. Channel
+  // counts below, at and off the 8-lane step; rows in uneven ranges.
+  for (const std::int64_t nch : {3, 12, 16}) {
+    const us::Probe probe = us::Probe::test_probe(nch);
+    const us::ImagingGrid grid =
+        us::ImagingGrid::reduced(probe, 23, nch, 10e-3, 28e-3);
+    const us::Acquisition acq = random_rf(probe, 900, 0.0);
+    const TofPlan plan = TofPlan::build_for(acq, grid);
+    ASSERT_TRUE(plan.reads_rf()) << "nch " << nch;
+    const Tensor cube = plan.apply(acq, false).real;
+    ASSERT_TRUE(same_bits(cube, reference_cube(acq, grid))) << "nch " << nch;
+    const float peak = plan.peak(acq);
+    const float want = max_abs(cube);
+    EXPECT_TRUE(same_bits(&peak, &want, 1)) << "nch " << nch;
+    const std::int64_t row = grid.nx * nch;
+    for (const float scale : {1.0f, 1.0f / peak}) {
+      Tensor want_rows = cube;
+      for (float& v : want_rows.data()) v *= scale;
+      Tensor rows(cube.shape());
+      for (std::int64_t z0 = 0, step = 5; z0 < grid.nz; z0 += step, step ^= 6)
+        plan.rows(acq, z0, std::min(step, grid.nz - z0), scale,
+                  rows.raw() + z0 * row);
+      EXPECT_TRUE(same_bits(rows, want_rows))
+          << "nch " << nch << ", scale " << scale;
+    }
+  }
+}
+
+TEST_F(TofPlanTest, OnlyCompactLinearPlansReadRf) {
+  const us::ImagingGrid on_elements = us::ImagingGrid::reduced(
+      probe_, 12, probe_.num_elements, 10e-3, 28e-3);
+  us::Acquisition steered = acq_;
+  steered.steering_angle_rad = 0.1;
+  std::vector<float> rows(
+      static_cast<std::size_t>(on_elements.nx * probe_.num_elements));
+  for (const TofPlan& plan :
+       {TofPlan::build_for(acq_, grid_),  // off the elements: full table
+        TofPlan::build_for(acq_, on_elements, dsp::Interp::kCubic),
+        TofPlan::build_for(steered, on_elements)}) {
+    const us::Acquisition& acq =
+        plan.key().steering_angle_rad != 0.0 ? steered : acq_;
+    EXPECT_FALSE(plan.reads_rf());
+    EXPECT_THROW(plan.peak(acq), InvalidArgument);
+    EXPECT_THROW(plan.rows(acq, 0, 1, 1.0f, rows.data()), InvalidArgument);
+  }
 }
 
 class PlanCacheTest : public TofPlanTest {
@@ -493,6 +616,204 @@ TEST_F(PipelineTest, CinePipelineEndToEnd) {
   EXPECT_EQ(report.plan_cache_hits, 2u);
   // Frames are real images and actually differ (the phantom moved).
   EXPECT_GT(max_abs_diff(frames[0], frames[2]), 0.0f);
+}
+
+/// Forwards to a beamformer and counts how the pipeline asked it to form
+/// frames: through the plan (and how often it accepted) or from the cube.
+/// Frames are formed one at a time, so plain counters suffice.
+class PathCounter : public bf::Beamformer {
+ public:
+  explicit PathCounter(std::shared_ptr<const bf::Beamformer> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  Tensor beamform(const us::TofCube& cube) const override {
+    ++cube_calls;
+    return inner_->beamform(cube);
+  }
+  std::optional<Tensor> beamform_through(
+      const us::TofPlan& plan, const us::Acquisition& acq) const override {
+    ++offers;
+    std::optional<Tensor> iq = inner_->beamform_through(plan, acq);
+    if (iq) ++accepted;
+    return iq;
+  }
+
+  mutable int cube_calls = 0, offers = 0, accepted = 0;
+
+ private:
+  std::shared_ptr<const bf::Beamformer> inner_;
+};
+
+class FusedFrameTest : public ::testing::Test {
+ protected:
+  void SetUp() override { PlanCache::instance().clear(); }
+
+  static std::shared_ptr<const bf::Beamformer> float_vbf(
+      const std::shared_ptr<const models::TinyVbf>& model) {
+    return std::make_shared<models::TinyVbfBeamformer>(model);
+  }
+  static std::shared_ptr<const bf::Beamformer> hybrid2(
+      const std::shared_ptr<const models::TinyVbf>& model) {
+    return std::make_shared<quant::QuantizedVbfBeamformer>(
+        std::make_shared<quant::QuantizedTinyVbf>(
+            *model, quant::QuantScheme::hybrid2()));
+  }
+  static Tensor bmode(const Tensor& iq) {
+    return dsp::log_compress(dsp::envelope_iq(iq), 60.0);
+  }
+
+  /// Runs `frames` frames of `source` through `beamformer` wrapped in a
+  /// PathCounter; returns each frame's B-mode.
+  std::vector<Tensor> run(std::shared_ptr<FrameSource> source,
+                          std::shared_ptr<const bf::Beamformer> beamformer,
+                          const PipelineConfig& config) {
+    counter_ = std::make_shared<PathCounter>(std::move(beamformer));
+    Pipeline pipeline(std::move(source), counter_, config);
+    std::vector<Tensor> out;
+    report_ = pipeline.run([&](const FrameOutput& f) { out.push_back(f.db); });
+    return out;
+  }
+
+  std::shared_ptr<PathCounter> counter_;
+  PipelineReport report_;
+};
+
+TEST_F(FusedFrameTest, TinyVbfFramesEqualTheCubePath) {
+  // Columns on the elements at 0 degrees: the plan reads RF directly and
+  // each frame is formed without its cube, bit for bit the cube path.
+  // 12 channels: a 4-channel tail, one slice per tile. 52 channels: a
+  // 4-channel tail, 10.6 KB rows in 48-row slices, 71 rows (64 + 7). 128
+  // channels: paper-width 8-row slices over 9 rows.
+  struct Case {
+    std::int64_t nch, nz;
+  };
+  for (const Case c : {Case{12, 21}, Case{52, 71}, Case{128, 9}}) {
+    const us::Probe probe = us::Probe::test_probe(c.nch);
+    PipelineConfig config;
+    config.grid = us::ImagingGrid::reduced(probe, c.nz, c.nch, 10e-3, 28e-3);
+    const std::vector<us::Acquisition> acqs = {random_rf(probe, 900, 0.0, 1),
+                                               random_rf(probe, 900, 0.0, 2)};
+    Rng rng(static_cast<std::uint64_t>(c.nch));
+    const auto model = std::make_shared<const models::TinyVbf>(
+        models::TinyVbfConfig::test(c.nch, c.nch), rng);
+    for (const auto& beamformer : {float_vbf(model), hybrid2(model)}) {
+      std::vector<Tensor> want;
+      for (const us::Acquisition& acq : acqs)
+        want.push_back(
+            bmode(beamformer->beamform(us::tof_correct(acq, config.grid, {}))));
+      for (const StageScheduling scheduling :
+           {StageScheduling::kGraph, StageScheduling::kLinear}) {
+        config.scheduling = scheduling;
+        const std::vector<Tensor> got = run(
+            std::make_shared<ReplaySource>(acqs, 4), beamformer, config);
+        const std::string where = beamformer->name() + ", nch " +
+                                  std::to_string(c.nch) + ", scheduling " +
+                                  std::to_string(static_cast<int>(scheduling));
+        ASSERT_EQ(got.size(), 4u) << where;
+        for (std::size_t k = 0; k < got.size(); ++k)
+          EXPECT_TRUE(same_bits(got[k], want[k % 2])) << where << ", frame " << k;
+        EXPECT_EQ(counter_->accepted, 4) << where;
+        EXPECT_EQ(counter_->cube_calls, 0) << where;
+        // The tof stage reads 0; the gather counts in beamform.
+        EXPECT_EQ(report_.stage("tof").total_s, 0.0) << where;
+        EXPECT_GT(report_.stage("beamform").total_s, 0.0) << where;
+      }
+    }
+  }
+}
+
+TEST_F(FusedFrameTest, OtherFramesTakeTheCubePath) {
+  const us::Probe probe = us::Probe::test_probe(12);
+  const us::ImagingGrid on =
+      us::ImagingGrid::reduced(probe, 21, 12, 10e-3, 28e-3);
+  const us::ImagingGrid off =
+      us::ImagingGrid::reduced(probe, 21, 24, 10e-3, 28e-3);
+  Rng rng(3);
+  const auto model12 = std::make_shared<const models::TinyVbf>(
+      models::TinyVbfConfig::test(12, 12), rng);
+  const auto model24 = std::make_shared<const models::TinyVbf>(
+      models::TinyVbfConfig::test(12, 24), rng);
+  const us::Acquisition zero = random_rf(probe, 900, 0.0, 4);
+  const us::Acquisition steered = random_rf(probe, 900, 0.1, 5);
+  const us::Acquisition zero2 = random_rf(probe, 900, 0.0, 6);
+  struct Case {
+    const char* what;
+    us::ImagingGrid grid;
+    us::TofParams tof;
+    std::vector<us::Acquisition> angles;  // one frame's acquisitions
+    std::shared_ptr<const models::TinyVbf> model;
+  };
+  const std::vector<Case> cases = {
+      {"steered", on, {}, {steered}, model12},
+      {"off-element", off, {}, {zero}, model24},
+      {"analytic", on, {.analytic = true}, {zero}, model12},
+      {"cubic", on, {.interp = dsp::Interp::kCubic}, {zero}, model12},
+      {"multi-angle", on, {}, {zero, zero2}, model12},
+  };
+  for (const Case& c : cases) {
+    std::vector<us::TofCube> cubes;
+    std::vector<const us::TofCube*> views;
+    for (const us::Acquisition& acq : c.angles)
+      cubes.push_back(us::tof_correct(acq, c.grid, c.tof));
+    for (const us::TofCube& cube : cubes) views.push_back(&cube);
+    us::TofCube compounded;
+    bf::compound_cubes(views, compounded);
+    const auto beamformer = float_vbf(c.model);
+    const Tensor want = bmode(beamformer->beamform(compounded));
+    PipelineConfig config;
+    config.grid = c.grid;
+    config.tof = c.tof;
+    const std::vector<Tensor> got = run(
+        std::make_shared<ReplaySource>(c.angles, 2, 30.0, c.angles.size()),
+        beamformer, config);
+    ASSERT_EQ(got.size(), 2u) << c.what;
+    for (const Tensor& db : got) EXPECT_TRUE(same_bits(db, want)) << c.what;
+    EXPECT_EQ(counter_->offers, 0) << c.what;
+    EXPECT_EQ(counter_->cube_calls, 2) << c.what;
+    EXPECT_GT(report_.stage("tof").total_s, 0.0) << c.what;
+  }
+  // DAS declines the plan: beamform() applies it first, timed as tof.
+  PipelineConfig config;
+  config.grid = on;
+  const auto das = std::make_shared<bf::DasBeamformer>(probe);
+  const Tensor want = bmode(das->beamform(us::tof_correct(zero, on, {})));
+  const std::vector<Tensor> got = run(
+      std::make_shared<ReplaySource>(std::vector<us::Acquisition>{zero}, 2),
+      das, config);
+  ASSERT_EQ(got.size(), 2u);
+  for (const Tensor& db : got) EXPECT_TRUE(same_bits(db, want));
+  EXPECT_EQ(counter_->offers, 2);
+  EXPECT_EQ(counter_->accepted, 0);
+  EXPECT_EQ(counter_->cube_calls, 2);
+  EXPECT_GT(report_.stage("tof").total_s, 0.0);
+}
+
+TEST_F(FusedFrameTest, MismatchedT0ThrowsOutOfRun) {
+  // A replayed acquisition with a NaN t0 (a corrupt recording): NaN equals
+  // no plan key's t0, its own cached plan's included, so the plan's
+  // acquisition check rejects the frame on the fused path. run() must
+  // rethrow it after joining the producer, which is still feeding frames.
+  const us::Probe probe = us::Probe::test_probe(12);
+  PipelineConfig config;
+  config.grid = us::ImagingGrid::reduced(probe, 21, 12, 10e-3, 28e-3);
+  us::Acquisition acq = random_rf(probe, 900, 0.0, 7);
+  acq.t0 = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(8);
+  const auto model = std::make_shared<const models::TinyVbf>(
+      models::TinyVbfConfig::test(12, 12), rng);
+  for (const StageScheduling scheduling :
+       {StageScheduling::kGraph, StageScheduling::kLinear}) {
+    config.scheduling = scheduling;
+    EXPECT_THROW(
+        run(std::make_shared<ReplaySource>(std::vector<us::Acquisition>{acq},
+                                           16),
+            float_vbf(model), config),
+        InvalidArgument)
+        << "scheduling " << static_cast<int>(scheduling);
+    EXPECT_EQ(counter_->offers, 1);
+    EXPECT_EQ(counter_->accepted, 0);
+  }
 }
 
 }  // namespace
