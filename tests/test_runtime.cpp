@@ -684,7 +684,8 @@ TEST_F(FusedFrameTest, TinyVbfFramesEqualTheCubePath) {
   // each frame is formed without its cube, bit for bit the cube path.
   // 12 channels: a 4-channel tail, one slice per tile. 52 channels: a
   // 4-channel tail, 10.6 KB rows in 48-row slices, 71 rows (64 + 7). 128
-  // channels: paper-width 8-row slices over 9 rows.
+  // channels: paper-width 8-row slices over 9 rows. Two noise frames and a
+  // silent one, whose scale is 1 under input_scale's rule.
   struct Case {
     std::int64_t nch, nz;
   };
@@ -692,8 +693,10 @@ TEST_F(FusedFrameTest, TinyVbfFramesEqualTheCubePath) {
     const us::Probe probe = us::Probe::test_probe(c.nch);
     PipelineConfig config;
     config.grid = us::ImagingGrid::reduced(probe, c.nz, c.nch, 10e-3, 28e-3);
-    const std::vector<us::Acquisition> acqs = {random_rf(probe, 900, 0.0, 1),
-                                               random_rf(probe, 900, 0.0, 2)};
+    us::Acquisition silent = random_rf(probe, 900, 0.0, 3);
+    for (float& v : silent.rf.data()) v = 0.0f;
+    const std::vector<us::Acquisition> acqs = {
+        random_rf(probe, 900, 0.0, 1), random_rf(probe, 900, 0.0, 2), silent};
     Rng rng(static_cast<std::uint64_t>(c.nch));
     const auto model = std::make_shared<const models::TinyVbf>(
         models::TinyVbfConfig::test(c.nch, c.nch), rng);
@@ -706,14 +709,15 @@ TEST_F(FusedFrameTest, TinyVbfFramesEqualTheCubePath) {
            {StageScheduling::kGraph, StageScheduling::kLinear}) {
         config.scheduling = scheduling;
         const std::vector<Tensor> got = run(
-            std::make_shared<ReplaySource>(acqs, 4), beamformer, config);
+            std::make_shared<ReplaySource>(acqs, 6), beamformer, config);
         const std::string where = beamformer->name() + ", nch " +
                                   std::to_string(c.nch) + ", scheduling " +
                                   std::to_string(static_cast<int>(scheduling));
-        ASSERT_EQ(got.size(), 4u) << where;
+        ASSERT_EQ(got.size(), 6u) << where;
         for (std::size_t k = 0; k < got.size(); ++k)
-          EXPECT_TRUE(same_bits(got[k], want[k % 2])) << where << ", frame " << k;
-        EXPECT_EQ(counter_->accepted, 4) << where;
+          EXPECT_TRUE(same_bits(got[k], want[k % 3]))
+              << where << ", frame " << k;
+        EXPECT_EQ(counter_->accepted, 6) << where;
         EXPECT_EQ(counter_->cube_calls, 0) << where;
         // The tof stage reads 0; the gather counts in beamform.
         EXPECT_EQ(report_.stage("tof").total_s, 0.0) << where;
