@@ -33,6 +33,7 @@
 #include "tensor/tensor_ops.hpp"
 #include "us/phantom.hpp"
 #include "us/tof.hpp"
+#include "us/tof_plan.hpp"
 
 namespace tvbf::serve {
 namespace {
@@ -389,6 +390,41 @@ TEST_F(ServeModelTest, UnbatchedServerMatchesBatchedServer) {
   ASSERT_EQ(batched.size(), unbatched.size());
   for (std::size_t k = 0; k < batched.size(); ++k)
     EXPECT_EQ(max_abs_diff(batched[k], unbatched[k]), 0.0f);
+}
+
+TEST_F(ServeModelTest, CompactGridFusesOnlyUnbatchedSessions) {
+  // Columns on the elements: the plan reads RF directly. An unbatched
+  // session forms its frames without the cube (its tof stage reads 0); a
+  // batched one keeps applying the plan in its tof nodes, because its cube
+  // feeds the stacked pass. Both equal the solo pipeline bit for bit.
+  rt::PipelineConfig cfg = pipeline_config();
+  cfg.grid = us::ImagingGrid::reduced(probe_, 40, probe_.num_elements, 12e-3,
+                                      24e-3);
+  ASSERT_TRUE(us::TofPlan::build_for(acq_, cfg.grid).reads_rf());
+  Rng rng(12);
+  const auto beamformer = std::make_shared<models::TinyVbfBeamformer>(
+      std::make_shared<models::TinyVbf>(models::TinyVbfConfig::test(16, 16),
+                                        rng));
+  const std::vector<Tensor> expected = solo_frames(cine(3), beamformer, cfg);
+  for (const bool batch : {false, true}) {
+    ServerConfig server_cfg;
+    server_cfg.batch_inference = batch;
+    Server server(server_cfg);
+    std::vector<Tensor> got;
+    server.add_session({cine(3), beamformer, cfg, capture(got)});
+    const ServerReport report = server.run();
+    ASSERT_EQ(got.size(), expected.size()) << "batch " << batch;
+    for (std::size_t k = 0; k < got.size(); ++k)
+      EXPECT_EQ(max_abs_diff(got[k], expected[k]), 0.0f)
+          << "batch " << batch << ", frame " << k;
+    EXPECT_EQ(report.batches.frames, batch ? 3 : 0);
+    const double tof_s = report.sessions[0].stage("tof").total_s;
+    if (batch) {
+      EXPECT_GT(tof_s, 0.0);
+    } else {
+      EXPECT_EQ(tof_s, 0.0);
+    }
+  }
 }
 
 TEST_F(ServeModelTest, AccelBackendPrefersDeeperBatchesWithIdenticalOutput) {
