@@ -4,8 +4,8 @@
 // rebuilt every frame, the pre-runtime behavior) against us::TofPlan::apply
 // through the plan cache (geometry built once, every frame pays only the
 // gather). Part 2 runs the full source -> ToF -> DAS -> envelope/log
-// pipeline both ways and prints per-stage latency. Part 3 checks that the
-// streamed B-mode frame is numerically identical to the one-shot path.
+// pipeline and prints per-stage latency. Part 3 checks that the streamed
+// B-mode frame is numerically identical to the one-shot path.
 // Results are also written to bench_out/BENCH_pipeline.json so the perf
 // trajectory can be tracked across PRs.
 //
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   std::printf("  speedup %.2fx, max |diff| %.3g\n\n", per_frame_s / cached_s,
               static_cast<double>(tof_diff));
 
-  // ---- part 2: full streaming pipeline, both ToF paths --------------------
+  // ---- part 2: full streaming pipeline ------------------------------------
   auto das = std::make_shared<bf::DasBeamformer>(probe);
   auto make_source = [&] {
     return std::make_shared<rt::ReplaySource>(
@@ -142,29 +142,19 @@ int main(int argc, char** argv) {
   rt::PipelineConfig cfg;
   cfg.grid = grid;
 
-  cfg.use_plan_cache = false;
-  cfg.overlap = false;
-  rt::Pipeline baseline(make_source(), das, cfg);
-  const auto rep_base = baseline.run();
-
-  cfg.use_plan_cache = true;
-  cfg.overlap = true;
   rt::Pipeline streaming(make_source(), das, cfg);
   const auto rep_stream = streaming.run();
 
   std::printf("full pipeline (%lld frames, source -> ToF -> DAS -> "
               "envelope/log):\n",
               static_cast<long long>(pipeline_frames));
-  std::printf("  per-frame tof_correct  %6.1f frames/s\n", rep_base.fps());
-  print_stage_table(rep_base);
   std::printf("  plan-cached streaming  %6.1f frames/s  (cache: %llu hits, "
               "%llu misses)\n",
               rep_stream.fps(),
               static_cast<unsigned long long>(rep_stream.plan_cache_hits),
               static_cast<unsigned long long>(rep_stream.plan_cache_misses));
   print_stage_table(rep_stream);
-  std::printf("  end-to-end speedup %.2fx\n\n",
-              rep_stream.fps() / rep_base.fps());
+  std::printf("\n");
 
   // ---- part 3: streamed output == one-shot image --------------------------
   Tensor streamed_db;
@@ -181,9 +171,7 @@ int main(int argc, char** argv) {
   json.add("tof_stage", "per_frame_ms", per_frame_s * 1e3, "ms");
   json.add("tof_stage", "cached_plan_ms", cached_s * 1e3, "ms");
   json.add("tof_stage", "speedup", per_frame_s / cached_s, "x");
-  json.add("pipeline", "baseline_fps", rep_base.fps(), "fps");
   json.add("pipeline", "streaming_fps", rep_stream.fps(), "fps");
-  json.add("pipeline", "speedup", rep_stream.fps() / rep_base.fps(), "x");
   json.add("parity", "streamed_vs_oneshot_max_diff",
            static_cast<double>(db_diff), "dB");
   json.write("BENCH_pipeline.json");

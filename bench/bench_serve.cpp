@@ -1,6 +1,6 @@
 // Multi-session serving benchmark: quantifies the two serving-layer wins.
 //
-// Part 1 runs N concurrent DAS sessions through the Server (round-robin
+// Part 1 runs N concurrent DAS sessions through the Server (frame-graph
 // scheduling, per-session frame state, block backpressure) against the
 // baseline of running the same N sessions sequentially as solo Pipelines on
 // the same pool — the aggregate-throughput question a multi-client scanner
@@ -12,21 +12,18 @@
 // geometry. Part 3 checks
 // that served per-session output stays bit-identical to a solo
 // Pipeline::run of the same source, DAS and Tiny-VBF alike. Part 4 A/Bs
-// the two server schedulers on a mixed DAS + Tiny-VBF session load:
-// legacy per-session round-robin vs readiness-scheduled frame graphs
-// (Scheduling::kGraph), asserting both lanes deliver identical frames.
-// Part 5 A/Bs the device backends' batching decisions on the same mixed
-// load: the CPU cost model vs the accelerator cycle model feed the
+// the device backends' batching decisions on a mixed DAS + Tiny-VBF
+// session load: the CPU cost model vs the accelerator cycle model feed the
 // batcher's preferred-batch sizing, so the accel lane should justify
 // deeper quorums while both lanes stay bit-identical (AccelDevice
 // executes on the same CPU kernels; only the estimates differ).
-// Part 6 measures the telemetry layer itself: the mixed-session load runs
+// Part 5 measures the telemetry layer itself: the mixed-session load runs
 // with instruments enabled vs disabled (enabled must stay >= 0.97x of
 // disabled on >= 4-core hosts), and the enabled run's registry yields
 // per-session frame-latency quantiles plus the device's measured-vs-
-// estimated latency error per command kind. Part 7 measures the full ops
+// estimated latency error per command kind. Part 6 measures the full ops
 // plane the same way: frame-lineage trace capture armed, stall watchdog
-// polling and the localhost introspection endpoint bound, vs the part-6
+// polling and the localhost introspection endpoint bound, vs the part-5
 // enabled lane (>= 0.97x on >= 4-core hosts, bit-identical frames).
 //
 // Every part's scalar results are also written to
@@ -180,11 +177,7 @@ int main(int argc, char** argv) {
       static_cast<double>(num_sessions) * static_cast<double>(frames) /
       sequential_s;
 
-  serve::ServerConfig das_cfg;
-  // Pin throughput mode: this part measures the many-sessions regime where
-  // serialized per-worker frames are the designed configuration.
-  das_cfg.frame_parallelism = serve::FrameParallelism::kSerialPerWorker;
-  serve::Server server(das_cfg);
+  serve::Server server;
   for (int s = 0; s < num_sessions; ++s)
     server.add_session({make_source(), das, cfg, {}});
   const serve::ServerReport das_report = server.run();
@@ -197,7 +190,7 @@ int main(int argc, char** argv) {
               sequential_fps, sequential_s);
   std::printf("  concurrent server      %8.1f fps  (%.2f s)  -> %.2fx\n",
               das_report.aggregate_fps(), das_report.wall_s, das_ratio);
-  std::printf("  per-session fps spread %.1f .. %.1f (round-robin fairness)\n\n",
+  std::printf("  per-session fps spread %.1f .. %.1f (fairness)\n\n",
               spread.min_fps, spread.max_fps);
 
   // ---- part 2: cross-session batched Tiny-VBF inference --------------------
@@ -210,7 +203,7 @@ int main(int argc, char** argv) {
   // Both lanes run on the same inference engine; only the batch cap
   // differs, so the ratio isolates cross-session stacking itself. The
   // cost-aware quorum cap is disabled here for that reason — the device
-  // cost models get their own A/B in part 5.
+  // cost models get their own A/B in part 4.
   auto run_vbf = [&](std::size_t max_batch) {
     serve::ServerConfig scfg;
     scfg.max_batch = max_batch;
@@ -262,11 +255,8 @@ int main(int argc, char** argv) {
               static_cast<double>(das_diff), static_cast<double>(vbf_diff),
               match ? "MATCH" : "MISMATCH");
 
-  // ---- part 4: round-robin vs graph readiness scheduling -------------------
-  // Mixed load: alternating DAS and batch-capable Tiny-VBF sessions. Under
-  // round-robin a session parked behind the inference-batch quorum wastes
-  // its scheduler turn; readiness scheduling lets any runnable stage of any
-  // session fill that gap. Both lanes must produce identical frames.
+  // Mixed load for parts 4-6: alternating DAS and batch-capable Tiny-VBF
+  // sessions.
   auto run_mixed = [&](const serve::ServerConfig& scfg) {
     serve::Server mixed(scfg);
     std::vector<Tensor> last(static_cast<std::size_t>(num_sessions));
@@ -283,40 +273,8 @@ int main(int argc, char** argv) {
     const serve::ServerReport report = mixed.run();
     return std::make_pair(report, std::move(last));
   };
-  auto sched_cfg = [](serve::Scheduling scheduling) {
-    serve::ServerConfig scfg;
-    scfg.scheduling = scheduling;
-    return scfg;
-  };
-  const auto [rr_report, rr_frames] =
-      run_mixed(sched_cfg(serve::Scheduling::kRoundRobin));
-  const auto [graph_report, graph_frames] =
-      run_mixed(sched_cfg(serve::Scheduling::kGraph));
-  float sched_diff = 0.0f;
-  for (std::size_t s = 0; s < rr_frames.size(); ++s) {
-    const float d = max_abs_diff(rr_frames[s], graph_frames[s]);
-    if (d > sched_diff) sched_diff = d;
-    // Graph scheduling must also stay pinned to the solo reference.
-    const float solo_d =
-        max_abs_diff(graph_frames[s], s % 2 == 0 ? das_solo : vbf_solo);
-    if (solo_d > sched_diff) sched_diff = solo_d;
-  }
-  const double sched_ratio =
-      rr_report.aggregate_fps() > 0.0
-          ? graph_report.aggregate_fps() / rr_report.aggregate_fps()
-          : 0.0;
-  std::printf("mixed DAS + Tiny-VBF scheduling (%d sessions, aggregate "
-              "frames/s):\n",
-              num_sessions);
-  std::printf("  round-robin            %8.1f fps  (%.2f s)\n",
-              rr_report.aggregate_fps(), rr_report.wall_s);
-  std::printf("  graph readiness        %8.1f fps  (%.2f s)  -> %.2fx\n",
-              graph_report.aggregate_fps(), graph_report.wall_s, sched_ratio);
-  std::printf("  scheduler max |diff|: %.3g dB -> %s\n",
-              static_cast<double>(sched_diff),
-              sched_diff == 0.0f ? "MATCH" : "MISMATCH");
 
-  // ---- part 5: cpu vs accel cost models driving the batcher ----------------
+  // ---- part 4: cpu vs accel cost models driving the batcher ----------------
   // Same mixed load, two device backends. The accelerator cycle model prices
   // a 1 ms dispatch per command list, so the batcher should justify a deeper
   // quorum than under the CPU cost model — while frames stay bit-identical,
@@ -365,18 +323,16 @@ int main(int argc, char** argv) {
               static_cast<double>(backend_diff),
               backend_diff == 0.0f ? "MATCH" : "MISMATCH");
 
-  // ---- part 6: telemetry overhead on the mixed load ------------------------
+  // ---- part 5: telemetry overhead on the mixed load ------------------------
   // The same mixed-session load, instruments enabled (the default) vs
   // disabled (relaxed load + branch per record site). The registry is reset
   // before the enabled lane so its histograms hold exactly that run.
   telemetry::Registry::instance().reset();
-  const auto [tel_on_report, tel_on_frames] =
-      run_mixed(sched_cfg(serve::Scheduling::kGraph));
+  const auto [tel_on_report, tel_on_frames] = run_mixed({});
   const telemetry::Snapshot tel_snap =
       telemetry::Registry::instance().snapshot();
   telemetry::set_enabled(false);
-  const auto [tel_off_report, tel_off_frames] =
-      run_mixed(sched_cfg(serve::Scheduling::kGraph));
+  const auto [tel_off_report, tel_off_frames] = run_mixed({});
   telemetry::set_enabled(true);
   float tel_diff = 0.0f;
   for (std::size_t s = 0; s < tel_on_frames.size(); ++s) {
@@ -420,14 +376,14 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // ---- part 7: ops-plane overhead on the mixed load ------------------------
+  // ---- part 6: ops-plane overhead on the mixed load ------------------------
   // The same mixed load with the full ops plane live: frame-lineage trace
   // capture armed, the stall watchdog polling, and the localhost
   // introspection endpoint bound and scrape-ready. Observability that
   // perturbs the server — in throughput or, worse, in output — is not
-  // deployable; the part-6 enabled lane is the baseline (telemetry on,
+  // deployable; the part-5 enabled lane is the baseline (telemetry on,
   // ops plane off).
-  serve::ServerConfig ops_cfg = sched_cfg(serve::Scheduling::kGraph);
+  serve::ServerConfig ops_cfg;
   ops_cfg.ops_port = 0;            // ephemeral localhost endpoint
   ops_cfg.watchdog_stall_s = 1.0;  // armed; a live run never trips it
   telemetry::trace_start(1 << 16);
@@ -466,9 +422,6 @@ int main(int argc, char** argv) {
            "dB");
   json.add("served_vs_solo", "vbf_max_diff", static_cast<double>(vbf_diff),
            "dB");
-  json.add("scheduling", "round_robin_fps", rr_report.aggregate_fps(), "fps");
-  json.add("scheduling", "graph_fps", graph_report.aggregate_fps(), "fps");
-  json.add("scheduling", "graph_vs_rr", sched_ratio, "x");
   json.add("backends", "cpu_preferred_batch",
            static_cast<double>(cpu_report.batches.preferred_batch), "frames");
   json.add("backends", "accel_preferred_batch",
@@ -492,8 +445,8 @@ int main(int argc, char** argv) {
 
   // Gates. The concurrency ratio needs real cores; on single-core hosts the
   // server cannot beat sequential and the gate is informational only.
-  bool ok = match && sched_diff == 0.0f && backend_diff == 0.0f &&
-            tel_diff == 0.0f && ops_diff == 0.0f;
+  bool ok = match && backend_diff == 0.0f && tel_diff == 0.0f &&
+            ops_diff == 0.0f;
   if (accel_report.batches.preferred_batch <
       cpu_report.batches.preferred_batch) {
     // The dispatch overhead should never make shallower batching look
@@ -516,12 +469,6 @@ int main(int argc, char** argv) {
     // Stacking amortizes per-pass fixed cost; its pool fan-out share only
     // exists with real worker threads, so the gate needs cores too.
     std::printf("WARNING: batched inference did not beat one-at-a-time\n");
-    ok = false;
-  }
-  if (hardware_threads() >= 4 && sched_ratio < 0.8) {
-    // Readiness scheduling should at worst tie round-robin on a mixed
-    // load; a big regression means the executor is starving sessions.
-    std::printf("WARNING: graph scheduling well below round-robin\n");
     ok = false;
   }
   if (hardware_threads() >= 4) {

@@ -4,14 +4,13 @@
 // cysts drifting laterally while the tissue breathes axially.
 //
 //   ./realtime_demo [--frames N] [--angles N] [--out DIR] [--full]
-//                   [--no-overlap] [--serial-sink] [--backend cpu|accel]
-//                   [--metrics]
+//                   [--backend cpu|accel] [--metrics]
 //
 // The per-stage latency report at the end is the runtime's answer to the
 // paper's real-time question: after the first frame builds the ToF plan,
 // every later frame pays only sampling + beamforming. PGMs go through a
-// serve::AsyncSink writer thread by default, so the sink stage only pays
-// the frame copy; --serial-sink restores inline writing for the A/B.
+// serve::AsyncSink writer thread, so the sink stage only pays the frame
+// copy.
 // --metrics prints the process telemetry table at exit and writes
 // telemetry.json plus a Chrome trace.json into the output directory.
 #include <cstdio>
@@ -36,18 +35,14 @@ namespace {
 void print_usage(const char* argv0) {
   std::printf(
       "usage: %s [--frames N] [--angles N] [--out DIR] [--full]\n"
-      "       [--no-overlap] [--serial-sink] [--backend cpu|accel]\n"
-      "       [--metrics] [--help]\n"
+      "       [--backend cpu|accel] [--metrics] [--help]\n"
       "  --frames N    cine frames to stream (default 24)\n"
       "  --angles N    steered plane waves compounded per frame (default 1;\n"
-      "                N > 1 runs CPWC through parallel ToF graph nodes)\n"
+      "                N > 1 runs coherent plane-wave compounding)\n"
       "  --out DIR     output directory for frame PGMs (default\n"
       "                realtime_out)\n"
       "  --full        paper-scale frame (128 channels, 368 x 128 grid)\n"
       "                instead of the reduced demo scale\n"
-      "  --no-overlap  process frames strictly serially (for latency A/B)\n"
-      "  --serial-sink write PGMs inline on the frame clock instead of\n"
-      "                through the async writer thread (for latency A/B)\n"
       "  --backend B   device backend: cpu (reference) or accel (FPGA cycle\n"
       "                model; identical pixels, modeled latency estimates)\n"
       "  --metrics     print the telemetry table at exit and write\n"
@@ -65,8 +60,6 @@ int main(int argc, char** argv) {
   std::int64_t angles = 1;
   std::string out_dir = "realtime_out";
   bool full = false;
-  bool overlap = true;
-  bool async_sink = true;
   bool metrics = false;
   std::string backend = "cpu";
   for (int i = 1; i < argc; ++i) {
@@ -90,10 +83,6 @@ int main(int argc, char** argv) {
       out_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--full") == 0) {
       full = true;
-    } else if (std::strcmp(argv[i], "--no-overlap") == 0) {
-      overlap = false;
-    } else if (std::strcmp(argv[i], "--serial-sink") == 0) {
-      async_sink = false;
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       metrics = true;
     } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
@@ -141,7 +130,6 @@ int main(int argc, char** argv) {
 
   rt::PipelineConfig cfg;
   cfg.grid = grid;
-  cfg.overlap = overlap;
   if (backend == "accel")
     cfg.device = std::make_shared<accel::AccelDevice>();
   rt::Pipeline pipeline(source, std::make_shared<bf::DasBeamformer>(probe),
@@ -167,26 +155,18 @@ int main(int argc, char** argv) {
     telemetry::Registry::instance().reset();
     telemetry::trace_start();
   }
-  rt::PipelineReport report;
-  serve::AsyncSink::Stats sink_stats;
-  if (async_sink) {
-    // Double-buffered writer thread: the pipeline's sink stage pays only
-    // the frame copy; disk I/O overlaps the next frame's compute.
-    serve::AsyncSink sink(
-        [&](const serve::SinkFrame& f) { write_frame(f.index, f.db); });
-    report = pipeline.run(sink.sink());
-    sink.close();
-    sink_stats = sink.stats();
-  } else {
-    report = pipeline.run(
-        [&](const rt::FrameOutput& out) { write_frame(out.index, out.db); });
-  }
+  // Double-buffered writer thread: the pipeline's sink stage pays only the
+  // frame copy; disk I/O overlaps the next frame's compute.
+  serve::AsyncSink sink(
+      [&](const serve::SinkFrame& f) { write_frame(f.index, f.db); });
+  const rt::PipelineReport report = pipeline.run(sink.sink());
+  sink.close();
+  const serve::AsyncSink::Stats sink_stats = sink.stats();
   if (metrics) telemetry::trace_stop();
 
-  std::printf("\n%lld frames in %.2f s -> %.1f frames/s (%s, %s sink)\n",
+  std::printf("\n%lld frames in %.2f s -> %.1f frames/s\n",
               static_cast<long long>(report.frames), report.wall_s,
-              report.fps(), overlap ? "overlapped" : "serial",
-              async_sink ? "async" : "serial");
+              report.fps());
   std::printf("plan cache: %llu hits, %llu misses\n",
               static_cast<unsigned long long>(report.plan_cache_hits),
               static_cast<unsigned long long>(report.plan_cache_misses));
@@ -196,7 +176,7 @@ int main(int argc, char** argv) {
     std::printf("%-12s %9.2f %9.2f %9.2f\n", s.name.c_str(), s.mean_s() * 1e3,
                 s.min_s * 1e3, s.max_s * 1e3);
   }
-  if (async_sink && sink_stats.written > 0) {
+  if (sink_stats.written > 0) {
     std::printf("async writer: %lld frames, %.2f ms/write off the frame "
                 "clock (%.2f ms blocked total)\n",
                 static_cast<long long>(sink_stats.written),

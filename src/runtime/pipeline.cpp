@@ -9,14 +9,12 @@
 #include <utility>
 
 #include "beamform/compounding.hpp"
-#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "device/device.hpp"
 #include "dsp/hilbert.hpp"
-#include "graph/executor.hpp"
 #include "us/plan_cache.hpp"
 #include "telemetry/telemetry.hpp"
-#include "us/tof.hpp"
+#include "telemetry/trace.hpp"
 
 namespace tvbf::rt {
 
@@ -80,15 +78,13 @@ void FrameProcessor::prepare(const Frame& frame, bool beamforms) {
   angle_tof_s_.assign(num_angles_, 0.0);
   workspaces_.resize(num_angles_);
   plans_.assign(num_angles_, nullptr);
-  if (config_.use_plan_cache) {
-    // One cached plan per steering angle; holding the shared_ptrs keeps the
-    // stream's plans alive even if a larger working set evicts them.
-    for (std::size_t i = 0; i < num_angles_; ++i)
-      plans_[i] = us::PlanCache::instance().get_for(
-          frame.acquisition(i), config_.grid, config_.tof.interp);
-  }
-  deferred_ = beamforms && num_angles_ == 1 && config_.use_plan_cache &&
-                      !config_.tof.analytic && plans_[0]->reads_rf()
+  // One cached plan per steering angle; holding the shared_ptrs keeps the
+  // stream's plans alive even if a larger working set evicts them.
+  for (std::size_t i = 0; i < num_angles_; ++i)
+    plans_[i] = us::PlanCache::instance().get_for(
+        frame.acquisition(i), config_.grid, config_.tof.interp);
+  deferred_ = beamforms && num_angles_ == 1 && !config_.tof.analytic &&
+                      plans_[0]->reads_rf()
                   ? &frame.acq
                   : nullptr;
   slots_.clear();
@@ -114,13 +110,8 @@ void FrameProcessor::apply_tof_angle(const Frame& frame, std::size_t angle) {
   const device::ScopedDevice scope(*device_);
   Timer t;
   us::TofCube& target = num_angles_ > 1 ? slots_[angle] : cube_;
-  if (config_.use_plan_cache) {
-    plans_[angle]->apply(frame.acquisition(angle), config_.tof.analytic,
-                         target, &workspaces_[angle]);
-  } else {
-    target = us::tof_correct(frame.acquisition(angle), config_.grid,
-                             config_.tof);
-  }
+  plans_[angle]->apply(frame.acquisition(angle), config_.tof.analytic, target,
+                       &workspaces_[angle]);
   angle_tof_s_[angle] = t.seconds();
 }
 
@@ -195,23 +186,12 @@ FrameOutput FrameProcessor::finish(const Frame& frame, Tensor iq) {
   return finish(frame);
 }
 
-void FrameProcessor::tof_steps(const Frame& frame, bool beamforms) {
-  prepare(frame, beamforms);
+FrameOutput FrameProcessor::process(const Frame& frame) {
+  prepare(frame);
   for (std::size_t i = 0; i < num_angles_; ++i) apply_tof_angle(frame, i);
   compound();
-}
-
-const us::TofCube& FrameProcessor::apply_tof(const Frame& frame) {
-  tof_steps(frame, /*beamforms=*/false);
-  return cube_;
-}
-
-FrameOutput FrameProcessor::process(const Frame& frame, StageTimes* times) {
-  tof_steps(frame, /*beamforms=*/true);
   beamform();
-  const FrameOutput out = finish(frame);
-  if (times) *times = times_;
-  return out;
+  return finish(frame);
 }
 
 Pipeline::Pipeline(std::shared_ptr<FrameSource> source,
@@ -222,91 +202,21 @@ Pipeline::Pipeline(std::shared_ptr<FrameSource> source,
   TVBF_REQUIRE(source_ != nullptr, "pipeline needs a frame source");
 }
 
-Pipeline::~Pipeline() = default;
-
-void Pipeline::record_stage_times(PipelineReport& report) {
+void Pipeline::process_frame(const Frame& frame, const Sink& sink,
+                             PipelineReport& report) {
+  // Flow before span: the span's trace event (recorded at span
+  // destruction) must see the frame's lineage id.
+  const telemetry::ScopedFlow flow(frame.trace_id);
+  const telemetry::ScopedSpan span(nullptr, "pipeline.frame");
+  const FrameOutput out = processor_.process(frame);
   const FrameProcessor::StageTimes& times = processor_.last_times();
   report.stages[kTof].record(times.tof_s);
   report.stages[kCompound].record(times.compound_s);
   report.stages[kBeamform].record(times.beamform_s);
   report.stages[kPost].record(times.post_s);
-}
-
-void Pipeline::process_frame(Frame& frame, const Sink& sink,
-                             PipelineReport& report) {
-  FrameProcessor::StageTimes times;
-  const FrameOutput out = processor_.process(frame, &times);
-  record_stage_times(report);
 
   Timer t;
   if (sink) sink(out);
-  const double sink_s = t.seconds();
-  report.stages[kSink].record(sink_s);
-  if (sink_s > 0.0) stage_instruments().sink.record(sink_s);
-  ++report.frames;
-}
-
-void Pipeline::build_graph(std::size_t num_angles) {
-  // One ToF node per steering angle -> compound -> beamform -> postprocess.
-  // Node bodies read the current frame through graph_frame_ (stable slot
-  // rebound per launch) and leave the FrameOutput in graph_out_; the sink
-  // stays on the driving thread to preserve the run() contract.
-  graph_->clear();
-  std::vector<graph::NodeId> tof_ids;
-  tof_ids.reserve(num_angles);
-  for (std::size_t i = 0; i < num_angles; ++i) {
-    tof_ids.push_back(graph_->add(
-        "tof[" + std::to_string(i) + "]", {}, [this, i] {
-          processor_.apply_tof_angle(*graph_frame_, i);
-          return graph::Status::kDone;
-        }));
-  }
-  const graph::NodeId compound = graph_->add("compound", tof_ids, [this] {
-    processor_.compound();
-    return graph::Status::kDone;
-  });
-  const graph::NodeId beamform = graph_->add("beamform", {compound}, [this] {
-    processor_.beamform();
-    return graph::Status::kDone;
-  });
-  graph_->add("postprocess", {beamform}, [this] {
-    graph_out_.emplace(processor_.finish(*graph_frame_));
-    return graph::Status::kDone;
-  });
-}
-
-void Pipeline::process_frame_graph(Frame& frame, const Sink& sink,
-                                   PipelineReport& report) {
-  processor_.prepare(frame);
-  if (processor_.num_angles() != graph_angles_) {
-    build_graph(processor_.num_angles());
-    graph_angles_ = processor_.num_angles();
-  }
-  graph_frame_ = &frame;
-  graph_out_.reset();
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::exception_ptr error;
-  executor_->launch(
-      *graph_,
-      [&](std::exception_ptr e) {
-        const std::lock_guard<std::mutex> lock(mu);
-        error = e;
-        done = true;
-        cv.notify_all();
-      },
-      frame.trace_id);
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-  }
-  if (error) std::rethrow_exception(error);
-
-  record_stage_times(report);
-  Timer t;
-  if (sink) sink(*graph_out_);
   const double sink_s = t.seconds();
   report.stages[kSink].record(sink_s);
   if (sink_s > 0.0) stage_instruments().sink.record(sink_s);
@@ -319,108 +229,75 @@ PipelineReport Pipeline::run(const Sink& sink) {
        {"source", "tof", "compound", "beamform", "postprocess", "sink"})
     report.stages.push_back(StageStats{.name = name});
 
-  const bool graph_mode =
-      processor_.config().scheduling == StageScheduling::kGraph;
-  if (graph_mode && !executor_) {
-    // A solo stream wants latency, not throughput: node bodies keep their
-    // pool fan-out (serialize_nodes=false) and the executor only needs
-    // enough workers to cover concurrent ToF-angle nodes.
-    graph::Executor::Options opts;
-    opts.num_workers = hardware_threads();
-    opts.serialize_nodes = false;
-    executor_ = std::make_unique<graph::Executor>(opts);
-    graph_ = std::make_unique<graph::FrameGraph>();
-    graph_angles_ = 0;
-  }
-  const auto step = [&](Frame& frame) {
-    if (graph_mode)
-      process_frame_graph(frame, sink, report);
-    else
-      process_frame(frame, sink, report);
-  };
-
   const auto cache_before = us::PlanCache::instance().stats();
   source_->reset();
   Timer wall;
 
-  if (!processor_.config().overlap) {
-    Frame frame;
-    while (true) {
-      Timer t;
-      const bool have = source_->next(frame);
-      if (!have) break;
-      const double source_s = t.seconds();
-      report.stages[kSource].record(source_s);
-      if (source_s > 0.0) stage_instruments().source.record(source_s);
-      step(frame);
-    }
-  } else {
-    // Producer/consumer with a depth-2 queue: the source acquires frame
-    // k+1 while this thread processes frame k. Both sides may issue
-    // parallel_for jobs; the pool serializes top-level jobs, so overlap
-    // shrinks wall time whenever either side has serial work (RF copy,
-    // FFT setup, sink I/O) and never changes results.
-    constexpr std::size_t kQueueDepth = 2;
-    std::mutex mu;
-    std::condition_variable cv_space, cv_data;
-    std::deque<Frame> queue;
-    bool done = false;
-    bool stop = false;
-    std::exception_ptr source_error;
-    StageStats source_stats{.name = "source"};
+  // Producer/consumer with a depth-2 queue: the source acquires frame k+1
+  // while this thread processes frame k. Both sides may issue parallel_for
+  // jobs; the pool serializes top-level jobs, so the overlap shrinks wall
+  // time whenever either side has serial work (RF copy, FFT setup, sink
+  // I/O) and never changes results.
+  constexpr std::size_t kQueueDepth = 2;
+  std::mutex mu;
+  std::condition_variable cv_space, cv_data;
+  std::deque<Frame> queue;
+  bool done = false;
+  bool stop = false;
+  std::exception_ptr source_error;
+  StageStats source_stats{.name = "source"};
 
-    std::thread producer([&] {
-      try {
-        while (true) {
-          Frame frame;
-          Timer t;
-          const bool have = source_->next(frame);
-          if (!have) break;
-          const double source_s = t.seconds();
-          source_stats.record(source_s);
-          if (source_s > 0.0) stage_instruments().source.record(source_s);
-          std::unique_lock<std::mutex> lock(mu);
-          cv_space.wait(lock,
-                        [&] { return queue.size() < kQueueDepth || stop; });
-          if (stop) break;
-          queue.push_back(std::move(frame));
-          cv_data.notify_one();
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mu);
-        source_error = std::current_exception();
-      }
-      const std::lock_guard<std::mutex> lock(mu);
-      done = true;
-      cv_data.notify_all();
-    });
-
+  std::thread producer([&] {
     try {
       while (true) {
         Frame frame;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          cv_data.wait(lock, [&] { return !queue.empty() || done; });
-          if (queue.empty()) break;
-          frame = std::move(queue.front());
-          queue.pop_front();
-          cv_space.notify_one();
-        }
-        step(frame);
+        Timer t;
+        const bool have = source_->next(frame);
+        if (!have) break;
+        const double source_s = t.seconds();
+        source_stats.record(source_s);
+        if (source_s > 0.0) stage_instruments().source.record(source_s);
+        std::unique_lock<std::mutex> lock(mu);
+        cv_space.wait(lock,
+                      [&] { return queue.size() < kQueueDepth || stop; });
+        if (stop) break;
+        queue.push_back(std::move(frame));
+        cv_data.notify_one();
       }
     } catch (...) {
+      const std::lock_guard<std::mutex> lock(mu);
+      source_error = std::current_exception();
+    }
+    const std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv_data.notify_all();
+  });
+
+  try {
+    while (true) {
+      Frame frame;
       {
-        const std::lock_guard<std::mutex> lock(mu);
-        stop = true;
-        cv_space.notify_all();
+        std::unique_lock<std::mutex> lock(mu);
+        cv_data.wait(lock, [&] { return !queue.empty() || done; });
+        if (queue.empty()) break;
+        frame = std::move(queue.front());
+        queue.pop_front();
+        cv_space.notify_one();
       }
-      producer.join();
-      throw;
+      process_frame(frame, sink, report);
+    }
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      stop = true;
+      cv_space.notify_all();
     }
     producer.join();
-    if (source_error) std::rethrow_exception(source_error);
-    report.stages[kSource] = source_stats;
+    throw;
   }
+  producer.join();
+  if (source_error) std::rethrow_exception(source_error);
+  report.stages[kSource] = source_stats;
 
   report.wall_s = wall.seconds();
   const auto cache_after = us::PlanCache::instance().stats();

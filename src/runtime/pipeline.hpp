@@ -3,18 +3,15 @@
 // Chains source -> ToF apply (cached plan) -> Beamformer -> envelope /
 // log-compression -> sink over reusable frame buffers (a single-angle RF
 // frame on a plan that reads RF directly skips the cube; see
-// FrameProcessor), with optional producer/consumer overlap: the next frame
-// is acquired (simulated or replayed) while the current one is beamformed,
-// both sides sharing the process-wide thread pool. Per-stage latency
-// statistics and plan-cache counters come back in a PipelineReport, which
-// is how bench_pipeline quantifies the plan-caching win over per-frame
-// us::tof_correct.
+// FrameProcessor). A producer thread acquires the next frame (simulated or
+// replayed) while the driving thread processes the current one, both sides
+// sharing the process-wide thread pool. Per-stage latency statistics and
+// plan-cache counters come back in a PipelineReport.
 #pragma once
 
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,37 +24,13 @@ namespace tvbf::device {
 class Device;
 }  // namespace tvbf::device
 
-namespace tvbf::graph {
-class Executor;
-class FrameGraph;
-}  // namespace tvbf::graph
-
 namespace tvbf::rt {
-
-/// How the per-frame stages are executed.
-enum class StageScheduling {
-  /// Build a graph::FrameGraph per frame shape and run it on a readiness
-  /// executor: one ToF node per steering angle (parallel for compounded
-  /// frames) feeding compound -> beamform -> postprocess. The default.
-  kGraph,
-  /// Run the stages inline on the driving thread in a fixed chain (the
-  /// pre-graph path, kept for A/B benchmarking). Output is bit-identical
-  /// to kGraph.
-  kLinear,
-};
 
 /// Pipeline controls.
 struct PipelineConfig {
   us::ImagingGrid grid;
   us::TofParams tof;  ///< interp flavor + cube kind the beamformer needs
   double dynamic_range_db = 60.0;
-  /// When true, ToF correction runs through the global PlanCache; when
-  /// false every frame pays the full us::tof_correct geometry pass (the
-  /// pre-streaming baseline, kept for A/B benchmarking).
-  bool use_plan_cache = true;
-  /// Acquire frame k+1 on a producer thread while frame k is processed.
-  bool overlap = true;
-  StageScheduling scheduling = StageScheduling::kGraph;
   /// Backend executing this stream's kernels (ToF gather, beamform, the
   /// model matmuls): the FrameProcessor installs it as the thread's
   /// device::ScopedDevice around each compute stage. Null selects the
@@ -84,10 +57,11 @@ struct PipelineReport {
   std::int64_t frames = 0;
   double wall_s = 0.0;
   /// source, tof, compound, beamform, postprocess, sink — in flow order.
-  /// With overlap the source stage runs concurrently, so stage totals can
-  /// exceed wall_s. The tof stage records the summed per-angle time of
-  /// each frame (0 for a frame formed without its cube, whose gather counts
-  /// in beamform); compound is zero-cost for single-angle streams.
+  /// The source stage runs on the producer thread, concurrently with the
+  /// others, so stage totals can exceed wall_s. The tof stage records the
+  /// summed per-angle time of each frame (0 for a frame formed without its
+  /// cube, whose gather counts in beamform); compound is zero-cost for
+  /// single-angle streams.
   std::vector<StageStats> stages;
   std::uint64_t plan_cache_hits = 0;    ///< delta over this run
   std::uint64_t plan_cache_misses = 0;  ///< delta over this run
@@ -113,8 +87,8 @@ struct FrameOutput {
 /// Reusable per-frame processing state for one stream: the cached per-angle
 /// ToF plan handles, per-angle cube slots (arena-recycled), the compounded
 /// cube + channel workspaces and the output image tensors. Pipeline drives
-/// one FrameProcessor internally; the serving layer (src/serve) owns one
-/// per session and steps it from its scheduler.
+/// one FrameProcessor internally through process(); the serving layer
+/// (src/serve) owns one per session and steps it from its frame graph.
 ///
 /// Stepping is exposed at graph-node granularity so a frame graph can run
 /// the stages by readiness: prepare() latches one frame's plans and slots,
@@ -129,7 +103,7 @@ struct FrameOutput {
 /// plan and the acquisition to the beamformer (bf::Beamformer::
 /// beamform_through), which forms the image without the cube. If it
 /// declines, beamform() applies the plan first; cube() applies it on
-/// demand too. apply_tof() never defers.
+/// demand too.
 class FrameProcessor {
  public:
   /// Wall-clock seconds spent per stage by the last step. `tof_s` is the
@@ -150,8 +124,9 @@ class FrameProcessor {
 
   /// Full per-frame step: ToF (all angles) -> compound -> beamform ->
   /// envelope/log-compression. The returned FrameOutput references
-  /// processor-owned buffers that the next step overwrites.
-  FrameOutput process(const Frame& frame, StageTimes* times = nullptr);
+  /// processor-owned buffers that the next step overwrites; last_times()
+  /// holds the step's stage times.
+  FrameOutput process(const Frame& frame);
 
   // ---- graph-node stepping -------------------------------------------------
 
@@ -180,21 +155,12 @@ class FrameProcessor {
   /// Envelope/log-compression over the stored IQ image.
   FrameOutput finish(const Frame& frame);
 
-  // ---- linear/batched stepping ---------------------------------------------
-
-  /// prepare + every apply_tof_angle + compound, inline: fills the
-  /// processor's cube so an external caller can beamform it (possibly
-  /// stacked with other sessions' cubes) and finish() the frame.
-  const us::TofCube& apply_tof(const Frame& frame);
-
   /// finish() on an externally produced IQ image (batched inference).
   FrameOutput finish(const Frame& frame, Tensor iq);
 
   /// The compounded cube of the frame being stepped, applying a deferred
   /// plan first (while the frame is alive).
   const us::TofCube& cube();
-  /// Angle count latched by the last prepare().
-  std::size_t num_angles() const { return num_angles_; }
   /// Per-stage times of the frame most recently stepped to finish().
   const StageTimes& last_times() const { return times_; }
   graph::BufferArena::Stats arena_stats() const { return arena_.stats(); }
@@ -209,8 +175,6 @@ class FrameProcessor {
   PipelineConfig config_;
   device::Device* device_ = nullptr;  ///< resolved once in the constructor
 
-  /// prepare + every apply_tof_angle + compound.
-  void tof_steps(const Frame& frame, bool beamforms);
   /// Applies the deferred plan into cube_, timed as the tof stage.
   void apply_deferred();
 
@@ -246,32 +210,19 @@ class Pipeline {
 
   /// Runs the source dry, calling `sink` (when set) once per frame on the
   /// driving thread, in frame order. Source exceptions and sink/stage
-  /// exceptions propagate to the caller. Output is bit-identical across
-  /// scheduling modes.
+  /// exceptions propagate to the caller once the producer thread has
+  /// stopped. Each frame is traced as one "pipeline.frame" span on the
+  /// frame's lineage (Frame::trace_id), sink included.
   PipelineReport run(const Sink& sink = {});
 
   const PipelineConfig& config() const { return processor_.config(); }
 
-  ~Pipeline();
-
  private:
-  void process_frame(Frame& frame, const Sink& sink, PipelineReport& report);
-  void process_frame_graph(Frame& frame, const Sink& sink,
-                           PipelineReport& report);
-  void record_stage_times(PipelineReport& report);
-  void build_graph(std::size_t num_angles);
+  void process_frame(const Frame& frame, const Sink& sink,
+                     PipelineReport& report);
 
   std::shared_ptr<FrameSource> source_;
   FrameProcessor processor_;
-
-  // Graph-mode state: the per-shape frame graph (rebuilt when the angle
-  // count changes), its executor, and the frame/output slots the node
-  // bodies read and write through.
-  std::unique_ptr<graph::Executor> executor_;
-  std::unique_ptr<graph::FrameGraph> graph_;
-  std::size_t graph_angles_ = 0;
-  const Frame* graph_frame_ = nullptr;
-  std::optional<FrameOutput> graph_out_;
 };
 
 }  // namespace tvbf::rt

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -48,18 +47,12 @@ struct Server::Impl {
   std::condition_variable cv_space;  // producers: queue slot freed
   bool stop = false;
   std::exception_ptr first_error;
-  std::vector<Session*> direct;   // round-robin: worker threads
-  std::vector<Session*> batched;  // round-robin: the inference thread
-  std::size_t direct_cursor = 0;
-  std::size_t batched_cursor = 0;
-  bool serialize_frames = true;  // resolved from config.frame_parallelism
-  bool graph_mode = true;        // resolved from config.scheduling
   // Ops plane: true while run() feeds obs::ServiceState (endpoint or
   // watchdog configured); ops_port_live publishes the bound port.
   bool ops_active = false;
   std::atomic<int> ops_port_live{-1};
 
-  // ---- graph scheduling ----------------------------------------------------
+  // ---- frame graphs --------------------------------------------------------
   /// One per distinct BatchedBeamformer shared by batched sessions: the
   /// cross-session inference gate's parking lot and quorum bookkeeping.
   struct BatchDomain {
@@ -144,11 +137,6 @@ struct Server::Impl {
     cv_space.notify_all();
   }
 
-  static bool all_done(const std::vector<Session*>& set) {
-    return std::all_of(set.begin(), set.end(),
-                       [](const Session* s) { return s->done(); });
-  }
-
   bool all_sessions_done() const {
     return std::all_of(sessions.begin(), sessions.end(),
                        [](const auto& s) { return s->done(); });
@@ -193,7 +181,7 @@ struct Server::Impl {
         }
         s.ready.push_back(std::move(frame));
         t_in_flight.add();
-        if (graph_mode) try_launch_locked(s);
+        try_launch_locked(s);
         lock.unlock();
         cv_work.notify_all();
       }
@@ -211,8 +199,8 @@ struct Server::Impl {
   }
 
   // ==========================================================================
-  // Graph scheduling: per-session stage graphs drained by readiness across
-  // all sessions on one shared executor.
+  // Per-session stage graphs drained by readiness across all sessions on
+  // one shared executor.
   // ==========================================================================
 
   /// Wraps a stage body as a graph node fn: tags this thread's pool work
@@ -298,7 +286,7 @@ struct Server::Impl {
   /// Marks the session retired exactly once; returns its model when the
   /// retirement must be reported to the batch domain. Caller holds mu.
   const bf::BatchedBeamformer* check_retired_locked(Session& s) {
-    if (!graph_mode || s.retired || !s.done()) return nullptr;
+    if (s.retired || !s.done()) return nullptr;
     s.retired = true;
     obs::FlightRecorder::instance().record(obs::EventKind::kSessionRetire,
                                            s.id(), s.frames, s.dropped);
@@ -505,7 +493,7 @@ struct Server::Impl {
     fire_group(group, nullptr);
   }
 
-  void run_graph() {
+  void run_sessions() {
     for (const auto& s : sessions) {
       if (s->batched() == nullptr) continue;
       auto it = std::find_if(domains.begin(), domains.end(), [&](auto& d) {
@@ -518,12 +506,12 @@ struct Server::Impl {
       }
     }
 
+    // Serializing stages only pays when there are enough concurrent
+    // streams to fill the cores; below that it would idle cores and regress
+    // behind a solo Pipeline::run.
     graph::Executor::Options opts;
-    opts.num_workers = std::max<std::size_t>(
-        1, config.num_workers != 0
-               ? config.num_workers
-               : std::min(sessions.size(), hardware_threads()));
-    opts.serialize_nodes = serialize_frames;
+    opts.num_workers = std::min(sessions.size(), hardware_threads());
+    opts.serialize_nodes = sessions.size() >= hardware_threads();
     if (!domains.empty()) opts.idle_work = [this] { return flush_batches(); };
     executor = std::make_unique<graph::Executor>(opts);
 
@@ -541,206 +529,6 @@ struct Server::Impl {
     // completion, and joins the workers. A clean finish reaches here with
     // the executor idle.
     executor->stop();
-  }
-
-  // ==========================================================================
-  // Round-robin scheduling (legacy, kept for A/B benchmarking).
-  // ==========================================================================
-
-  /// Next direct session with a ready frame, rotating fairly. Caller holds
-  /// mu; marks nothing — the caller claims the session.
-  Session* pick_direct() {
-    const std::size_t n = direct.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t i = (direct_cursor + k) % n;
-      Session* s = direct[i];
-      if (!s->busy && !s->ready.empty()) {
-        direct_cursor = (i + 1) % n;
-        return s;
-      }
-    }
-    return nullptr;
-  }
-
-  void work_direct() {
-    // Throughput mode: the whole frame runs serially on this thread, so W
-    // workers process W sessions' frames truly concurrently instead of
-    // taking turns on the pool's single job slot. Latency mode leaves the
-    // pool fan-out on and relies on tagged fair-share slot admission.
-    std::optional<ScopedSerial> serial;
-    if (serialize_frames) serial.emplace();
-    while (true) {
-      Session* s = nullptr;
-      rt::Frame frame;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        while (true) {
-          if (stop) return;
-          if ((s = pick_direct()) != nullptr) break;
-          if (all_done(direct)) return;
-          cv_work.wait(lock);
-        }
-        frame = std::move(s->ready.front());
-        s->ready.pop_front();
-        s->busy = true;
-      }
-      cv_space.notify_all();
-      const auto dispatch_tp = std::chrono::steady_clock::now();
-
-      rt::FrameProcessor::StageTimes times;
-      double sink_s = 0.0;
-      try {
-        set_job_tag(static_cast<std::uint64_t>(s->id()) + 1);
-        const rt::FrameOutput out = s->processor().process(frame, &times);
-        Timer t;
-        if (s->config().sink) s->config().sink(out);
-        sink_s = t.seconds();
-        set_job_tag(0);
-      } catch (...) {
-        set_job_tag(0);
-        fail(std::current_exception());
-        return;
-      }
-      const double frame_s = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 dispatch_tp)
-                                 .count();
-      s->frame_latency.record(frame_s);
-      t_frame_s.record(frame_s);
-      t_frames.add();
-      t_in_flight.sub();
-      if (ops_active)
-        obs::ServiceState::instance().heartbeat(s->id(), frame_s);
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        s->busy = false;
-        ++s->frames;
-        s->tof_stats.record(times.tof_s);
-        s->compound_stats.record(times.compound_s);
-        s->beamform_stats.record(times.beamform_s);
-        s->post_stats.record(times.post_s);
-        s->sink_stats.record(sink_s);
-      }
-      cv_work.notify_all();
-    }
-  }
-
-  void work_inference() {
-    while (true) {
-      const bf::BatchedBeamformer* model = nullptr;
-      std::vector<Session*> group;
-      std::vector<rt::Frame> frames;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        const std::size_t n = batched.size();
-        std::size_t leader = n;
-        while (true) {
-          if (stop) return;
-          leader = n;
-          for (std::size_t k = 0; k < n; ++k) {
-            const std::size_t i = (batched_cursor + k) % n;
-            if (!batched[i]->busy && !batched[i]->ready.empty()) {
-              leader = i;
-              break;
-            }
-          }
-          if (leader < n) break;
-          if (all_done(batched)) return;
-          cv_work.wait(lock);
-        }
-        batched_cursor = (leader + 1) % batched.size();
-        model = batched[leader]->batched();
-        // One ready frame from every session sharing the leader's model —
-        // the cross-session batch. Per-session order holds: one frame per
-        // session per dispatch, FIFO queues, busy until finished.
-        for (std::size_t k = 0;
-             k < batched.size() && group.size() < config.max_batch; ++k) {
-          Session* s = batched[(leader + k) % batched.size()];
-          if (s->batched() == model && !s->busy && !s->ready.empty()) {
-            group.push_back(s);
-            frames.push_back(std::move(s->ready.front()));
-            s->ready.pop_front();
-            s->busy = true;
-          }
-        }
-      }
-      cv_space.notify_all();
-      const auto dispatch_tp = std::chrono::steady_clock::now();
-
-      std::vector<double> tof_s(group.size()), comp_s(group.size()),
-          post_s(group.size()), sink_s(group.size());
-      double forward_each_s = 0.0;
-      try {
-        std::vector<const us::TofCube*> cubes(group.size());
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          cubes[i] = &group[i]->processor().apply_tof(frames[i]);
-          const auto& lt = group[i]->processor().last_times();
-          tof_s[i] = lt.tof_s;
-          comp_s[i] = lt.compound_s;
-        }
-        Timer fwd;
-        std::vector<Tensor> iqs = batcher.dispatch(*model, cubes);
-        forward_each_s = fwd.seconds() / static_cast<double>(group.size());
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          Timer t;
-          const rt::FrameOutput out =
-              group[i]->processor().finish(frames[i], std::move(iqs[i]));
-          post_s[i] = t.seconds();
-          t.reset();
-          if (group[i]->config().sink) group[i]->config().sink(out);
-          sink_s[i] = t.seconds();
-        }
-      } catch (...) {
-        fail(std::current_exception());
-        return;
-      }
-      const double frame_s = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 dispatch_tp)
-                                 .count();
-      for (Session* s : group) {
-        s->frame_latency.record(frame_s);
-        t_frame_s.record(frame_s);
-        t_frames.add();
-        t_in_flight.sub();
-        if (ops_active)
-          obs::ServiceState::instance().heartbeat(s->id(), frame_s);
-      }
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          Session* s = group[i];
-          s->busy = false;
-          ++s->frames;
-          s->tof_stats.record(tof_s[i]);
-          s->compound_stats.record(comp_s[i]);
-          s->beamform_stats.record(forward_each_s);
-          s->post_stats.record(post_s[i]);
-          s->sink_stats.record(sink_s[i]);
-        }
-      }
-      cv_work.notify_all();
-    }
-  }
-
-  void run_round_robin() {
-    std::vector<std::thread> threads;
-    threads.reserve(sessions.size() + 1);
-    for (const auto& s : sessions)
-      threads.emplace_back([this, session = s.get()] { produce(*session); });
-
-    if (!direct.empty()) {
-      const std::size_t workers = std::max<std::size_t>(
-          1, config.num_workers != 0
-                 ? config.num_workers
-                 : std::min(direct.size(), hardware_threads()));
-      for (std::size_t i = 0; i < workers; ++i)
-        threads.emplace_back([this] { work_direct(); });
-    }
-    if (!batched.empty())
-      threads.emplace_back([this] { work_inference(); });
-
-    for (auto& t : threads) t.join();
   }
 };
 
@@ -772,30 +560,6 @@ ServerReport Server::run() {
   TVBF_REQUIRE(!im.started, "Server::run is single-shot");
   TVBF_REQUIRE(!im.sessions.empty(), "server has no sessions");
   im.started = true;
-  im.graph_mode = im.config.scheduling == Scheduling::kGraph;
-
-  for (const auto& s : im.sessions)
-    (s->batched() != nullptr ? im.batched : im.direct).push_back(s.get());
-
-  switch (im.config.frame_parallelism) {
-    case FrameParallelism::kSerialPerWorker:
-      im.serialize_frames = true;
-      break;
-    case FrameParallelism::kPool:
-      im.serialize_frames = false;
-      break;
-    case FrameParallelism::kAuto:
-      // Serializing stages only pays when there are enough concurrent
-      // streams to fill the cores; below that it would idle cores and
-      // regress behind a solo Pipeline::run. The round-robin scheduler
-      // counts direct sessions only (its batched sessions run on one
-      // dedicated inference thread); the graph scheduler shares its
-      // workers across every session.
-      im.serialize_frames =
-          (im.graph_mode ? im.sessions.size() : im.direct.size()) >=
-          hardware_threads();
-      break;
-  }
 
   // ---- ops plane -----------------------------------------------------------
   // ServiceState is fed only while an ops consumer (endpoint or watchdog)
@@ -839,10 +603,7 @@ ServerReport Server::run() {
   Timer wall;
 
   im.start_sampler();
-  if (im.graph_mode)
-    im.run_graph();
-  else
-    im.run_round_robin();
+  im.run_sessions();
 
   const double wall_s = wall.seconds();
   im.stop_sampler();

@@ -7,34 +7,31 @@
 // stacked through one cross-session forward pass per dispatch
 // (InferenceBatcher).
 //
-// Frame execution is graph-scheduled by default: each session's frame is a
-// graph::FrameGraph (prepare -> one ToF node per steering angle ->
-// compound -> beamform -> deliver) and one shared graph::Executor drains
-// ready nodes across ALL sessions by readiness, instead of the legacy
-// per-session whole-frame round-robin (kept as Scheduling::kRoundRobin for
-// A/B benchmarking). Under readiness scheduling a session parked behind
-// the cross-session inference gate never blocks another session's ToF
-// work, and multi-angle frames ToF-correct their transmits in parallel.
-// Cross-session batching is an ordinary graph node: a batched session's
-// gate node parks until enough sessions sharing its model are ready
-// (quorum = min(max_batch, live sessions)), then one stacked forward pass
-// fires and every parked graph resumes; the executor's idle hook and
-// session retirement flush partial groups so parked frames never stall.
+// Each session's frame is a graph::FrameGraph (prepare -> one ToF node per
+// steering angle -> compound -> beamform -> deliver), and one shared
+// graph::Executor drains ready nodes across ALL sessions by readiness: a
+// session parked behind the cross-session inference gate never blocks
+// another session's ToF work, and multi-angle frames ToF-correct their
+// transmits in parallel. Cross-session batching is an ordinary graph node:
+// a batched session's gate node parks until enough sessions sharing its
+// model are ready (quorum = min(max_batch, live sessions)), then one
+// stacked forward pass fires and every parked graph resumes; the
+// executor's idle hook and session retirement flush partial groups so
+// parked frames never stall.
 //
-// Stage-parallelism modes (both schedulers):
+// The executor runs min(sessions, pool threads) workers, in one of two
+// stage-parallelism modes picked per run:
 //
-//  - throughput: each work item runs serially on its worker thread
-//    (common::ScopedSerial), so concurrent sessions scale across cores
-//    instead of contending for the pool's single job slot (batched
-//    forward passes still fan out — common::ScopedParallel);
-//  - latency: stages fan out on the shared pool via parallel_for, with
-//    pool-slot admission tagged by session id so the fair-share rotation
-//    keeps any one session from starving the rest.
-//
-// The default picks per run: throughput when there are at least as many
-// sessions as pool threads (enough streams to fill the cores), latency
-// otherwise (serializing a lone session would idle every other core and
-// regress far below a solo Pipeline::run).
+//  - throughput, when there are at least as many sessions as pool threads
+//    (enough streams to fill the cores): each node runs serially on its
+//    worker thread (common::ScopedSerial), so concurrent sessions scale
+//    across cores instead of contending for the pool's single job slot
+//    (batched forward passes still fan out — common::ScopedParallel);
+//  - latency, otherwise: stages fan out on the shared pool via
+//    parallel_for, with pool-slot admission tagged by session id so the
+//    fair-share rotation keeps any one session from starving the rest
+//    (serializing a lone session would idle every other core and regress
+//    far below a solo Pipeline::run).
 //
 // Either way each session's frames are processed one at a time, in order,
 // by its own FrameProcessor — so per-session output is bit-identical to a
@@ -54,25 +51,8 @@
 
 namespace tvbf::serve {
 
-/// How a session's frame stages execute (see the file comment).
-enum class FrameParallelism {
-  kAuto,             ///< throughput when sessions >= pool threads
-  kSerialPerWorker,  ///< throughput mode, always
-  kPool,             ///< latency mode, always
-};
-
-/// Which scheduler drives per-frame work (see the file comment).
-enum class Scheduling {
-  kGraph,       ///< readiness-scheduled stage graphs across all sessions
-  kRoundRobin,  ///< legacy per-session whole-frame turn-taking
-};
-
 /// Server-wide scheduling knobs.
 struct ServerConfig {
-  /// Worker threads (kGraph: shared executor workers across all sessions;
-  /// kRoundRobin: direct-session workers); 0 = one per session, capped at
-  /// the pool size.
-  std::size_t num_workers = 0;
   /// Per-session bound on acquired-but-unprocessed frames (>= 1).
   std::size_t max_in_flight = 2;
   Backpressure backpressure = Backpressure::kBlock;
@@ -85,8 +65,6 @@ struct ServerConfig {
   /// structural min(max_batch, live sessions) — useful for A/B lanes that
   /// must differ only in max_batch.
   bool cost_aware_batching = true;
-  FrameParallelism frame_parallelism = FrameParallelism::kAuto;
-  Scheduling scheduling = Scheduling::kGraph;
   /// With a sink set and a positive period, run() keeps a background
   /// sampler thread that emits a telemetry Registry snapshot to the sink
   /// every period (plus one final snapshot as the run finishes). The sink

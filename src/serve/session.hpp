@@ -33,8 +33,7 @@ enum class Backpressure {
 struct SessionConfig {
   std::shared_ptr<rt::FrameSource> source;
   std::shared_ptr<const bf::Beamformer> beamformer;
-  /// Grid/ToF flavor/dynamic range for this stream. `overlap` is ignored —
-  /// the server always overlaps acquisition with processing.
+  /// Grid/ToF flavor/dynamic range/backend for this stream.
   rt::PipelineConfig pipeline;
   /// Invoked once per processed frame, in frame order, from a server
   /// scheduler thread (at most one frame of a session is in flight at a
@@ -83,7 +82,7 @@ class Session {
 
   /// Non-null when the beamformer is batch-capable and server-side
   /// batching is on: the session's frames then flow through the
-  /// cross-session InferenceBatcher instead of the direct workers.
+  /// cross-session InferenceBatcher instead of its own beamform node.
   const bf::BatchedBeamformer* batched() const { return batched_; }
 
   /// True once the producer is done and every frame has been processed.
@@ -104,7 +103,7 @@ class Session {
   rt::StageStats post_stats{.name = "postprocess"};
   rt::StageStats sink_stats{.name = "sink"};
 
-  // ---- graph-scheduling scratch (owned by the graph while `busy`) ----
+  // ---- frame-graph scratch (owned by the graph while `busy`) ----
   rt::Frame frame;          ///< frame currently flowing through the graph
   graph::FrameGraph graph;  ///< stage graph, rebuilt on angle-count change
   std::size_t graph_angles = 0;    ///< angle count `graph` was built for
@@ -119,7 +118,7 @@ class Session {
   /// (leaving the ready queue) to delivery. Registered at admission; the
   /// registry keeps the reference valid for the process lifetime.
   telemetry::LatencyHistogram& frame_latency;
-  /// When the in-flight frame left the ready queue (graph scheduling).
+  /// When the in-flight frame left the ready queue.
   std::chrono::steady_clock::time_point dispatch_time{};
 
  private:

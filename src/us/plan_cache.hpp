@@ -45,7 +45,9 @@ class PlanCache {
 
   /// Returns the cached plan for the key, building it on a miss. Plans
   /// larger than the whole capacity are built and returned but not
-  /// retained.
+  /// retained. Non-finite geometry (probe pitch, sampling frequency or
+  /// sound speed, angle, t0, grid origin or spacing) throws
+  /// InvalidArgument before the cache is consulted.
   std::shared_ptr<const TofPlan> get(const us::Probe& probe,
                                      const us::ImagingGrid& grid,
                                      double steering_angle_rad, double t0,

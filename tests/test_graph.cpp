@@ -1,9 +1,10 @@
 // Tests for the frame-graph execution layer: FrameGraph structure and
 // topological ordering, Executor readiness scheduling (diamond fan-in,
 // deferred gate nodes, failure drain, stop/cancel), BufferArena reuse, and
-// bit-identity of graph-scheduled frames against the linear stage path for
-// DAS, float Tiny-VBF and quantized sessions — single-angle and compounded.
-// Carries the `graph` ctest label and runs under the tsan CI preset.
+// bit-identity of the server's graph-scheduled sessions against solo
+// pipelines for mixed DAS, float Tiny-VBF and quantized sessions with
+// compounded frames. Carries the `graph` ctest label and runs under the
+// tsan CI preset.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -369,7 +370,7 @@ TEST(ArenaTest, DefaultBudgetLeavesSteadyStateReuseUntouched) {
   EXPECT_EQ(stats.budget_bytes, BufferArena::kDefaultBudgetBytes);
 }
 
-// ---- graph vs linear bit-identity ------------------------------------------
+// ---- server frame graphs vs solo pipelines ---------------------------------
 
 class GraphIdentityTest : public ::testing::Test {
  protected:
@@ -395,31 +396,15 @@ class GraphIdentityTest : public ::testing::Test {
         probe_, us::make_single_point(18e-3, 0.0, region), p);
   }
 
-  std::vector<Tensor> run(std::shared_ptr<const bf::Beamformer> beamformer,
-                          rt::StageScheduling scheduling,
-                          std::int64_t angles) const {
+  /// B-mode frames of a solo Pipeline::run over cine(frames, angles).
+  std::vector<Tensor> solo(std::shared_ptr<const bf::Beamformer> beamformer,
+                           std::int64_t frames, std::int64_t angles) const {
     rt::PipelineConfig cfg;
     cfg.grid = grid_;
-    cfg.scheduling = scheduling;
     std::vector<Tensor> out;
-    rt::Pipeline pipeline(cine(3, angles), std::move(beamformer), cfg);
+    rt::Pipeline pipeline(cine(frames, angles), std::move(beamformer), cfg);
     pipeline.run([&](const rt::FrameOutput& f) { out.push_back(f.db); });
     return out;
-  }
-
-  /// Asserts graph scheduling reproduces the linear path bit for bit.
-  void expect_identical(std::shared_ptr<const bf::Beamformer> beamformer,
-                        std::int64_t angles) {
-    const std::vector<Tensor> linear =
-        run(beamformer, rt::StageScheduling::kLinear, angles);
-    const std::vector<Tensor> graph =
-        run(beamformer, rt::StageScheduling::kGraph, angles);
-    ASSERT_EQ(linear.size(), graph.size());
-    for (std::size_t i = 0; i < linear.size(); ++i) {
-      ASSERT_EQ(linear[i].shape(), graph[i].shape());
-      EXPECT_EQ(max_abs_diff(linear[i], graph[i]), 0.0f)
-          << "frame " << i << ", " << angles << " angle(s)";
-    }
   }
 
   std::shared_ptr<models::TinyVbf> model() const {
@@ -439,32 +424,10 @@ class GraphIdentityTest : public ::testing::Test {
       us::ImagingGrid::reduced(probe_, 40, 32, 12e-3, 24e-3);
 };
 
-TEST_F(GraphIdentityTest, DasMatchesLinearSingleAndCompounded) {
-  const auto das = std::make_shared<bf::DasBeamformer>(probe_);
-  expect_identical(das, 1);
-  expect_identical(das, 3);
-}
-
-TEST_F(GraphIdentityTest, TinyVbfMatchesLinearSingleAndCompounded) {
-  const auto vbf = std::make_shared<models::TinyVbfBeamformer>(model());
-  expect_identical(vbf, 1);
-  expect_identical(vbf, 3);
-}
-
-TEST_F(GraphIdentityTest, QuantizedMatchesLinearSingleAndCompounded) {
-  const auto quantized = std::make_shared<quant::QuantizedVbfBeamformer>(
-      std::make_shared<quant::QuantizedTinyVbf>(*model(),
-                                                quant::QuantScheme::uniform(16)));
-  expect_identical(quantized, 1);
-  expect_identical(quantized, 3);
-}
-
-// ---- server-level graph scheduling -----------------------------------------
-
-TEST_F(GraphIdentityTest, ServerGraphMatchesRoundRobinMixedSessions) {
+TEST_F(GraphIdentityTest, ServerGraphMatchesSoloPipelinesMixedSessions) {
   // Mixed DAS + float VBF + quantized sessions, compounded frames: the
-  // readiness scheduler must reproduce the legacy round-robin scheduler's
-  // output exactly (both equal a solo pipeline by the serve contract).
+  // readiness-scheduled frame graphs must reproduce each session's solo
+  // pipeline exactly.
   const auto shared_model = model();
   const auto das = std::make_shared<bf::DasBeamformer>(probe_);
   const auto vbf = std::make_shared<models::TinyVbfBeamformer>(shared_model);
@@ -474,31 +437,24 @@ TEST_F(GraphIdentityTest, ServerGraphMatchesRoundRobinMixedSessions) {
   const std::vector<std::shared_ptr<const bf::Beamformer>> beamformers = {
       das, vbf, vbf, quantized};
 
-  const auto serve_all = [&](serve::Scheduling scheduling) {
-    serve::ServerConfig cfg;
-    cfg.scheduling = scheduling;
-    serve::Server server(cfg);
-    std::vector<std::vector<Tensor>> outputs(beamformers.size());
-    for (std::size_t s = 0; s < beamformers.size(); ++s) {
-      rt::PipelineConfig pipeline;
-      pipeline.grid = grid_;
-      auto& into = outputs[s];
-      server.add_session(
-          {cine(3, 2), beamformers[s], pipeline,
-           [&into](const rt::FrameOutput& f) { into.push_back(f.db); }});
-    }
-    server.run();
-    return outputs;
-  };
+  serve::Server server;
+  std::vector<std::vector<Tensor>> graph(beamformers.size());
+  for (std::size_t s = 0; s < beamformers.size(); ++s) {
+    rt::PipelineConfig pipeline;
+    pipeline.grid = grid_;
+    auto& into = graph[s];
+    server.add_session(
+        {cine(3, 2), beamformers[s], pipeline,
+         [&into](const rt::FrameOutput& f) { into.push_back(f.db); }});
+  }
+  server.run();
 
-  const auto round_robin = serve_all(serve::Scheduling::kRoundRobin);
-  const auto graph = serve_all(serve::Scheduling::kGraph);
-  ASSERT_EQ(round_robin.size(), graph.size());
   for (std::size_t s = 0; s < graph.size(); ++s) {
-    ASSERT_EQ(round_robin[s].size(), 3u) << "session " << s;
+    const std::vector<Tensor> expected = solo(beamformers[s], 3, 2);
+    ASSERT_EQ(expected.size(), 3u) << "session " << s;
     ASSERT_EQ(graph[s].size(), 3u) << "session " << s;
     for (std::size_t i = 0; i < 3; ++i)
-      EXPECT_EQ(max_abs_diff(round_robin[s][i], graph[s][i]), 0.0f)
+      EXPECT_EQ(max_abs_diff(expected[i], graph[s][i]), 0.0f)
           << "session " << s << " frame " << i;
   }
 }
@@ -512,17 +468,9 @@ TEST_F(GraphIdentityTest, BatchedSessionsWithUnequalFramesDrainAfterRetire) {
   const std::vector<std::int64_t> frame_counts = {2, 5};
 
   std::vector<std::vector<Tensor>> expected;
-  for (const std::int64_t n : frame_counts) {
-    rt::PipelineConfig cfg;
-    cfg.grid = grid_;
-    std::vector<Tensor> out;
-    rt::Pipeline pipeline(cine(n, 1), vbf, cfg);
-    pipeline.run([&](const rt::FrameOutput& f) { out.push_back(f.db); });
-    expected.push_back(std::move(out));
-  }
+  for (const std::int64_t n : frame_counts) expected.push_back(solo(vbf, n, 1));
 
   serve::ServerConfig cfg;
-  cfg.scheduling = serve::Scheduling::kGraph;
   cfg.batch_inference = true;
   serve::Server server(cfg);
   std::vector<std::vector<Tensor>> got(frame_counts.size());

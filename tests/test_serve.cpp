@@ -35,6 +35,8 @@
 #include "us/tof.hpp"
 #include "us/tof_plan.hpp"
 
+#include "fault_injection.hpp"
+
 namespace tvbf::serve {
 namespace {
 
@@ -134,17 +136,17 @@ TEST_F(ServeTest, ConcurrentSessionsBitIdenticalToSoloRuns) {
     expected[s] = solo_frames(cine(kFrames, 15e-3 + 2e-3 * s), das(),
                               pipeline_config());
 
-  ServerConfig cfg;
-  cfg.num_workers = 3;  // force worker concurrency even on small hosts
-  // Pin throughput mode so the ScopedSerial path is exercised regardless
-  // of how many cores the host has (kAuto would pick pool mode here).
-  cfg.frame_parallelism = FrameParallelism::kSerialPerWorker;
-  Server server(cfg);
+  // Four sessions on a 3-thread pool: three executor workers in
+  // throughput mode (sessions >= pool threads), so the ScopedSerial path
+  // runs concurrently whatever the host's core count.
+  set_thread_count(3);
+  Server server;
   std::vector<std::vector<Tensor>> got(kSessions);
   for (int s = 0; s < kSessions; ++s)
     server.add_session({cine(kFrames, 15e-3 + 2e-3 * s), das(),
                         pipeline_config(), capture(got[s])});
   const ServerReport report = server.run();
+  set_thread_count(0);
 
   EXPECT_EQ(report.frames, kSessions * kFrames);
   ASSERT_EQ(report.sessions.size(), static_cast<std::size_t>(kSessions));
@@ -168,13 +170,13 @@ TEST_F(ServeTest, MixedGridsAndCubeFlavors) {
   const std::vector<Tensor> expected_rf = solo_frames(replay(2), das(), rf_cfg);
   const std::vector<Tensor> expected_an = solo_frames(replay(2), das(), an_cfg);
 
-  ServerConfig cfg;
-  cfg.num_workers = 2;
-  Server server(cfg);
+  set_thread_count(4);  // two executor workers, whatever the host
+  Server server;
   std::vector<Tensor> got_rf, got_an;
   server.add_session({replay(2), das(), rf_cfg, capture(got_rf)});
   server.add_session({replay(2), das(), an_cfg, capture(got_an)});
   server.run();
+  set_thread_count(0);
 
   ASSERT_EQ(got_rf.size(), 2u);
   ASSERT_EQ(got_an.size(), 2u);
@@ -220,9 +222,8 @@ TEST_F(ServeTest, DropOldestPolicyDropsUnderSlowSink) {
 }
 
 TEST_F(ServeTest, SinkExceptionStopsAllSessionsAndPropagates) {
-  ServerConfig cfg;
-  cfg.num_workers = 2;
-  Server server(cfg);
+  set_thread_count(4);  // two executor workers, whatever the host
+  Server server;
   server.add_session({replay(50), das(), pipeline_config(),
                       [](const rt::FrameOutput& f) {
                         if (f.index == 1)
@@ -230,6 +231,44 @@ TEST_F(ServeTest, SinkExceptionStopsAllSessionsAndPropagates) {
                       }});
   server.add_session({replay(50), das(), pipeline_config(), {}});
   EXPECT_THROW(server.run(), std::runtime_error);
+  set_thread_count(0);
+}
+
+TEST_F(ServeTest, SourceExceptionStopsAllSessionsUnderEitherBackpressure) {
+  // One session's source throws at frame 3 while a 50-frame session runs
+  // beside it: the run stops every producer and rethrows, whether the
+  // other producer is blocked on a full queue or dropping frames.
+  for (const Backpressure policy :
+       {Backpressure::kBlock, Backpressure::kDropOldest}) {
+    ServerConfig cfg;
+    cfg.max_in_flight = 1;
+    cfg.backpressure = policy;
+    Server server(cfg);
+    server.add_session({std::make_shared<test::FailingSource>(replay(8), 3),
+                        das(), pipeline_config(), {}});
+    server.add_session({replay(50), das(), pipeline_config(), {}});
+    EXPECT_THROW(server.run(), std::runtime_error)
+        << "backpressure " << static_cast<int>(policy);
+  }
+}
+
+TEST_F(ServeTest, BeamformerExceptionMidCompoundedStreamPropagates) {
+  // Three steered transmits per frame; the session's beamformer throws on
+  // frame 2. Frames 0 and 1 are delivered, then the run stops and
+  // rethrows.
+  std::vector<us::Acquisition> angles;
+  for (const double angle : {-0.1, 0.0, 0.1})
+    angles.push_back(us::simulate_plane_wave(
+        probe_, us::make_single_point(18e-3), angle, clean_));
+  Server server;
+  std::vector<std::int64_t> delivered;
+  server.add_session(
+      {std::make_shared<rt::ReplaySource>(angles, 8, 30.0, 3),
+       std::make_shared<test::FailingBeamformer>(das(), 2), pipeline_config(),
+       [&](const rt::FrameOutput& f) { delivered.push_back(f.index); }});
+  server.add_session({replay(50), das(), pipeline_config(), {}});
+  EXPECT_THROW(server.run(), std::runtime_error);
+  EXPECT_EQ(delivered, (std::vector<std::int64_t>{0, 1}));
 }
 
 TEST_F(ServeTest, RejectsBadConfigurationAndReuse) {
@@ -253,14 +292,15 @@ TEST_F(ServeTest, RejectsBadConfigurationAndReuse) {
 TEST_F(ServeTest, IntraFrameParallelismModeMatchesSolo) {
   const std::vector<Tensor> expected =
       solo_frames(cine(2), das(), pipeline_config());
-  ServerConfig cfg;
-  cfg.frame_parallelism = FrameParallelism::kPool;  // latency: pool + tags
-  cfg.num_workers = 2;
-  Server server(cfg);
+  // Two sessions on a 4-thread pool: fewer sessions than pool threads
+  // picks latency mode (pool fan-out + session tags) on two workers.
+  set_thread_count(4);
+  Server server;
   std::vector<Tensor> got;
   server.add_session({cine(2), das(), pipeline_config(), capture(got)});
   server.add_session({cine(2, 16e-3), das(), pipeline_config(), {}});
   server.run();
+  set_thread_count(0);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t k = 0; k < got.size(); ++k)
     EXPECT_EQ(max_abs_diff(got[k], expected[k]), 0.0f);
@@ -473,14 +513,14 @@ TEST_F(ServeModelTest, MixedDasAndBatchedModelSessions) {
   const std::vector<Tensor> expected_vbf =
       solo_frames(cine(3, 16e-3), beamformer_, pipeline_config());
 
-  ServerConfig cfg;
-  cfg.num_workers = 2;
-  Server server(cfg);
+  set_thread_count(4);  // two executor workers, whatever the host
+  Server server;
   std::vector<Tensor> got_das, got_vbf;
   server.add_session({cine(3), das(), pipeline_config(), capture(got_das)});
   server.add_session(
       {cine(3, 16e-3), beamformer_, pipeline_config(), capture(got_vbf)});
   server.run();
+  set_thread_count(0);
 
   ASSERT_EQ(got_das.size(), 3u);
   ASSERT_EQ(got_vbf.size(), 3u);
