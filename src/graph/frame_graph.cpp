@@ -1,6 +1,5 @@
 #include "graph/frame_graph.hpp"
 
-#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
@@ -39,14 +38,6 @@ const std::vector<NodeId>& FrameGraph::dependencies(NodeId id) const {
 
 const std::vector<NodeId>& FrameGraph::successors(NodeId id) const {
   return node(id).successors;
-}
-
-std::vector<NodeId> FrameGraph::topological_order() const {
-  // Dependencies must precede their node at add() time, so insertion order
-  // is already topological.
-  std::vector<NodeId> order(nodes_.size());
-  std::iota(order.begin(), order.end(), NodeId{0});
-  return order;
 }
 
 }  // namespace tvbf::graph

@@ -46,11 +46,6 @@ class FrameGraph {
   const std::vector<NodeId>& dependencies(NodeId id) const;
   const std::vector<NodeId>& successors(NodeId id) const;
 
-  /// An execution order respecting every edge. Nodes are added after their
-  /// dependencies, so insertion order is returned; callers that execute the
-  /// graph inline (the linear scheduling mode) walk this order.
-  std::vector<NodeId> topological_order() const;
-
   /// Drops every node (so a stream whose shape changed — e.g. a different
   /// steering-angle count — can rebuild in place).
   void clear() { nodes_.clear(); }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "kernels/reduce.hpp"
 
 namespace tvbf::kernels {
 namespace {
@@ -66,25 +67,81 @@ constexpr std::int64_t kVw = 8;  // scalar fallback tile width
 
 constexpr std::int64_t kNr = 2 * kVw;
 
+/// A read through strides, element (i, p) at a[i * rs + p * cs]; tile()
+/// views the rows from i0 on, from inner step p0 on.
+struct StridedA {
+  const float* a;
+  std::int64_t rs, cs;
+  float operator()(std::int64_t i, std::int64_t p) const {
+    return a[i * rs + p * cs];
+  }
+  StridedA tile(std::int64_t i0, std::int64_t p0, std::int64_t) const {
+    return {a + i0 * rs + p0 * cs, rs, cs};
+  }
+};
+
+/// A read through row pointers and column offsets, element (i, p) at
+/// rows[i][cols[p]]; a tile holds its rows' pointers.
+struct IndirectA {
+  const float* const* rows;
+  const std::int64_t* cols;
+  struct Tile {
+    const float* r[kMr];
+    const std::int64_t* cols;
+    float operator()(std::int64_t i, std::int64_t p) const {
+      return r[i][cols[p]];
+    }
+  };
+  Tile tile(std::int64_t i0, std::int64_t p0, std::int64_t mr) const {
+    Tile t{{}, cols + p0};
+    std::copy_n(rows + i0, mr, t.r);
+    return t;
+  }
+};
+
+/// How a K block leaves its C tile: the first stores 0 + acc, a later one
+/// c + acc; the last then applies the epilogue (bias already offset to the
+/// tile's first column).
+struct Finish {
+  bool first = true, last = true;
+  const float* bias = nullptr;
+  bool relu = false;
+};
+
+inline float finish(float c, float acc, const Finish& f, std::int64_t j) {
+  float v = f.first ? 0.0f + acc : c + acc;
+  if (f.last && f.bias != nullptr) v += f.bias[j];
+  if (f.last && f.relu) v = v > 0.0f ? v : 0.0f;
+  return v;
+}
+
 #ifdef TVBF_GEMM_VECTOR_EXT
 
-/// Full register tile: C[0:kMr, 0:2*kVw] += A_panel . B_panel over kc inner
-/// steps. A is addressed through runtime strides (a_rs between C rows, a_cs
-/// between inner steps) so the same kernel serves both A.B (a_rs = k,
-/// a_cs = 1) and A^T.B (a_rs = 1, a_cs = k) panel sweeps.
-void micro_tile2(const float* a, std::int64_t a_rs, std::int64_t a_cs,
-                 const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
-                 std::int64_t kc) {
+typedef std::int32_t vi __attribute__((vector_size(sizeof(vf))));
+
+/// finish() on kVw outputs at c, columns j..j+kVw-1 of the tile.
+inline void finish(float* c, vf acc, const Finish& f, std::int64_t j) {
+  vf v = f.first ? vf{} + acc : loadu(c) + acc;
+  if (f.last && f.bias != nullptr) v = v + loadu(f.bias + j);
+  if (f.last && f.relu)
+    v = reinterpret_cast<vf>(reinterpret_cast<vi>(v) & (v > vf{}));
+  storeu(c, v);
+}
+
+/// Full register tile: C[0:kMr, 0:2*kVw] (+)= A_tile . B_panel over kc
+/// inner steps, B's rows ldb apart.
+template <class Tile>
+void micro_tile2(const Tile& a, const float* b, std::int64_t ldb, float* c,
+                 std::int64_t ldc, std::int64_t kc, const Finish& f) {
   vf c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* brow = b + p * ldb;
     const vf b0 = loadu(brow);
     const vf b1 = loadu(brow + kVw);
-    const float* ap = a + p * a_cs;
-    const vf a0 = splat(ap[0]);
-    const vf a1 = splat(ap[a_rs]);
-    const vf a2 = splat(ap[2 * a_rs]);
-    const vf a3 = splat(ap[3 * a_rs]);
+    const vf a0 = splat(a(0, p));
+    const vf a1 = splat(a(1, p));
+    const vf a2 = splat(a(2, p));
+    const vf a3 = splat(a(3, p));
     c00 += b0 * a0;
     c01 += b1 * a0;
     c10 += b0 * a1;
@@ -94,57 +151,55 @@ void micro_tile2(const float* a, std::int64_t a_rs, std::int64_t a_cs,
     c30 += b0 * a3;
     c31 += b1 * a3;
   }
-  storeu(c, loadu(c) + c00);
-  storeu(c + kVw, loadu(c + kVw) + c01);
-  float* c1 = c + ldc;
-  storeu(c1, loadu(c1) + c10);
-  storeu(c1 + kVw, loadu(c1 + kVw) + c11);
-  float* c2 = c + 2 * ldc;
-  storeu(c2, loadu(c2) + c20);
-  storeu(c2 + kVw, loadu(c2 + kVw) + c21);
-  float* c3 = c + 3 * ldc;
-  storeu(c3, loadu(c3) + c30);
-  storeu(c3 + kVw, loadu(c3 + kVw) + c31);
+  finish(c, c00, f, 0);
+  finish(c + kVw, c01, f, kVw);
+  finish(c + ldc, c10, f, 0);
+  finish(c + ldc + kVw, c11, f, kVw);
+  finish(c + 2 * ldc, c20, f, 0);
+  finish(c + 2 * ldc + kVw, c21, f, kVw);
+  finish(c + 3 * ldc, c30, f, 0);
+  finish(c + 3 * ldc + kVw, c31, f, kVw);
 }
 
-/// Half-width tile: C[0:kMr, 0:kVw] += A_panel . B_panel.
-void micro_tile1(const float* a, std::int64_t a_rs, std::int64_t a_cs,
-                 const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
-                 std::int64_t kc) {
+/// Half-width tile: C[0:kMr, 0:kVw] (+)= A_tile . B_panel.
+template <class Tile>
+void micro_tile1(const Tile& a, const float* b, std::int64_t ldb, float* c,
+                 std::int64_t ldc, std::int64_t kc, const Finish& f) {
   vf c0{}, c1{}, c2{}, c3{};
   for (std::int64_t p = 0; p < kc; ++p) {
     const vf b0 = loadu(b + p * ldb);
-    const float* ap = a + p * a_cs;
-    c0 += b0 * splat(ap[0]);
-    c1 += b0 * splat(ap[a_rs]);
-    c2 += b0 * splat(ap[2 * a_rs]);
-    c3 += b0 * splat(ap[3 * a_rs]);
+    c0 += b0 * splat(a(0, p));
+    c1 += b0 * splat(a(1, p));
+    c2 += b0 * splat(a(2, p));
+    c3 += b0 * splat(a(3, p));
   }
-  storeu(c, loadu(c) + c0);
-  storeu(c + ldc, loadu(c + ldc) + c1);
-  storeu(c + 2 * ldc, loadu(c + 2 * ldc) + c2);
-  storeu(c + 3 * ldc, loadu(c + 3 * ldc) + c3);
+  finish(c, c0, f, 0);
+  finish(c + ldc, c1, f, 0);
+  finish(c + 2 * ldc, c2, f, 0);
+  finish(c + 3 * ldc, c3, f, 0);
 }
 
 #endif  // TVBF_GEMM_VECTOR_EXT
 
 /// Ragged edge tile with runtime extents (mr <= kMr, nr <= kNr).
-void micro_edge(const float* a, std::int64_t a_rs, std::int64_t a_cs,
-                const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
-                std::int64_t kc, std::int64_t mr, std::int64_t nr) {
+template <class Tile>
+void micro_edge(const Tile& a, const float* b, std::int64_t ldb, float* c,
+                std::int64_t ldc, std::int64_t kc, std::int64_t mr,
+                std::int64_t nr, const Finish& f) {
   float acc[kMr][kNr] = {};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* brow = b + p * ldb;
     for (std::int64_t i = 0; i < mr; ++i) {
-      const float av = a[i * a_rs + p * a_cs];
+      const float av = a(i, p);
       for (std::int64_t j = 0; j < nr; ++j) acc[i][j] += av * brow[j];
     }
   }
   for (std::int64_t i = 0; i < mr; ++i)
-    for (std::int64_t j = 0; j < nr; ++j) c[i * ldc + j] += acc[i][j];
+    for (std::int64_t j = 0; j < nr; ++j)
+      c[i * ldc + j] = finish(c[i * ldc + j], acc[i][j], f, j);
 }
 
-/// Width of the next packed B panel given the remaining columns: full
+/// Width of the next B panel given the remaining columns: full
 /// double-vector panels, then a single-vector panel, then the ragged rest.
 inline std::int64_t panel_width(std::int64_t remaining) {
   if (remaining >= 2 * kVw) return 2 * kVw;
@@ -152,9 +207,45 @@ inline std::int64_t panel_width(std::int64_t remaining) {
   return remaining;
 }
 
-/// Shared panel sweep: C[row_begin:row_end) (+)= Aview . Bview where Aview
-/// is (m, depth) addressed through (a_rs, a_cs), Bview is (depth, n) with
-/// element (p, j) at b[p * b_rs + j * b_cs], and C rows are ldc apart.
+/// One K block [p0, p0 + kc) over output rows [row_begin, row_end) and
+/// columns [0, nc) of c: every tile through the micro-kernels (micro_edge
+/// alone when edge_only). A panel of B starts at b + kc * j with rows pw
+/// apart when packed, else at b + j with rows ldb apart.
+template <class A>
+void block_tiles(const A& a, std::int64_t p0, std::int64_t kc,
+                 const float* b, bool packed, std::int64_t ldb, float* c,
+                 std::int64_t ldc, std::int64_t nc, std::int64_t row_begin,
+                 std::int64_t row_end, Finish f, bool edge_only = false) {
+  const float* bias = f.bias;
+  for (std::int64_t i0 = row_begin; i0 < row_end; i0 += kMr) {
+    const std::int64_t mr = std::min(kMr, row_end - i0);
+    const auto at = a.tile(i0, p0, mr);
+    for (std::int64_t j = 0; j < nc;) {
+      const std::int64_t pw = panel_width(nc - j);
+      const float* bp = packed ? b + kc * j : b + j;
+      const std::int64_t ld = packed ? pw : ldb;
+      float* ci = c + i0 * ldc + j;
+      f.bias = bias != nullptr ? bias + j : nullptr;
+#ifdef TVBF_GEMM_VECTOR_EXT
+      if (!edge_only && mr == kMr && pw == 2 * kVw)
+        micro_tile2(at, bp, ld, ci, ldc, kc, f);
+      else if (!edge_only && mr == kMr && pw == kVw)
+        micro_tile1(at, bp, ld, ci, ldc, kc, f);
+      else
+        micro_edge(at, bp, ld, ci, ldc, kc, mr, pw, f);
+#else
+      (void)edge_only;
+      micro_edge(at, bp, ld, ci, ldc, kc, mr, pw, f);
+#endif
+      j += pw;
+    }
+  }
+}
+
+/// Shared panel sweep: C[row_begin:row_end) (+)= A . Bview, then the
+/// epilogue unless accumulating, where A is (m, depth) and Bview is
+/// (depth, n) with element (p, j) at b[p * b_rs + j * b_cs], and C rows are
+/// ldc apart.
 ///
 /// B is packed into contiguous (kc x panel) strips once per (Kc, Nc) block
 /// and reused across every row tile. Packing only copies values, so B's
@@ -162,14 +253,16 @@ inline std::int64_t panel_width(std::int64_t remaining) {
 /// packing sidesteps the power-of-two-stride conflict misses that cripple
 /// unpacked sweeps at n = 128/256 (rows 512 B apart map to a handful of L1
 /// sets) — this, not the FLOP count, is where the naive kernel loses.
-void gemm_panel(const float* a, std::int64_t a_rs, std::int64_t a_cs,
-                const float* b, std::int64_t b_rs, std::int64_t b_cs,
-                float* c, std::int64_t ldc, std::int64_t depth,
-                std::int64_t n, std::int64_t row_begin, std::int64_t row_end,
-                bool accumulate) {
-  if (!accumulate)
-    for (std::int64_t i = row_begin; i < row_end; ++i)
-      std::fill_n(c + i * ldc, n, 0.0f);
+template <class A>
+void gemm_panel(const A& a, const float* b, std::int64_t b_rs,
+                std::int64_t b_cs, float* c, std::int64_t ldc,
+                std::int64_t depth, std::int64_t n, std::int64_t row_begin,
+                std::int64_t row_end, bool accumulate,
+                const Epilogue& epilogue) {
+  const Finish whole{true, true, epilogue.bias, epilogue.relu};
+  for (std::int64_t i = row_begin; i < row_end && depth == 0; ++i)
+    for (std::int64_t j = 0; j < n && !accumulate; ++j)  // sums of nothing
+      c[i * ldc + j] = finish(0.0f, 0.0f, whole, j);
   // Per-thread pack buffer: gemm_panel never nests on one thread, and each
   // pool worker gets its own copy.
   thread_local std::vector<float> packed;
@@ -177,7 +270,8 @@ void gemm_panel(const float* a, std::int64_t a_rs, std::int64_t a_cs,
       std::min(kKc, depth) * std::min(kNc, ((n + kNr - 1) / kNr) * kNr)));
   for (std::int64_t p0 = 0; p0 < depth; p0 += kKc) {
     const std::int64_t kc = std::min(kKc, depth - p0);
-    const float* ap = a + p0 * a_cs;
+    Finish f{!accumulate && p0 == 0, !accumulate && p0 + kc == depth,
+             nullptr, epilogue.relu};
     for (std::int64_t jc = 0; jc < n; jc += kNc) {
       const std::int64_t nc = std::min(kNc, n - jc);
       float* dst = packed.data();
@@ -196,58 +290,80 @@ void gemm_panel(const float* a, std::int64_t a_rs, std::int64_t a_cs,
         dst += kc * pw;
         j += pw;
       }
-      for (std::int64_t i0 = row_begin; i0 < row_end; i0 += kMr) {
-        const std::int64_t mr = std::min(kMr, row_end - i0);
-        const float* ai = ap + i0 * a_rs;
-        const float* bp = packed.data();
-        for (std::int64_t j = 0; j < nc;) {
-          const std::int64_t pw = panel_width(nc - j);
-          float* ci = c + i0 * ldc + jc + j;
-#ifdef TVBF_GEMM_VECTOR_EXT
-          if (mr == kMr && pw == 2 * kVw)
-            micro_tile2(ai, a_rs, a_cs, bp, pw, ci, ldc, kc);
-          else if (mr == kMr && pw == kVw)
-            micro_tile1(ai, a_rs, a_cs, bp, pw, ci, ldc, kc);
-          else
-            micro_edge(ai, a_rs, a_cs, bp, pw, ci, ldc, kc, mr, pw);
-#else
-          micro_edge(ai, a_rs, a_cs, bp, pw, ci, ldc, kc, mr, pw);
-#endif
-          bp += kc * pw;
-          j += pw;
-        }
-      }
+      f.bias = epilogue.bias != nullptr ? epilogue.bias + jc : nullptr;
+      block_tiles(a, p0, kc, packed.data(), /*packed=*/true, 0, c + jc, ldc,
+                  nc, row_begin, row_end, f);
     }
   }
+}
+
+/// C = A.B with gemm_panel's arithmetic, B read in place (rows ldb apart):
+/// one attention head's operands fit in L1 and need no packing.
+void gemm_in_place(const StridedA& a, const float* b, std::int64_t ldb,
+                   float* c, std::int64_t ldc, std::int64_t m,
+                   std::int64_t depth, std::int64_t n, bool edge_only) {
+  for (std::int64_t p0 = 0; p0 < depth; p0 += kKc) {
+    const std::int64_t kc = std::min(kKc, depth - p0);
+    block_tiles(a, p0, kc, b + p0 * ldb, /*packed=*/false, ldb, c, ldc, n, 0,
+                m, Finish{p0 == 0, p0 + kc == depth}, edge_only);
+  }
+}
+
+/// attention_block through the vector micro-kernels and softmax, or
+/// (scalar) micro_edge and the scalar softmax.
+void attention(const float* q, const float* k, const float* v,
+               std::int64_t ld, float* out, std::int64_t ldo, std::int64_t np,
+               std::int64_t dk, float scale, float* work,
+               const AttentionHook& hook, bool scalar) {
+  const auto round = [&](bool softmax) {
+    if (hook) hook(softmax, work, np * np);
+  };
+  // S^T = K.Q^T: key j's row holds every query's score, so the micro-kernels
+  // run across queries, and the softmax down each column.
+  float* st = work;
+  float* qt = work + np * np;
+  for (std::int64_t i = 0; i < np; ++i)
+    for (std::int64_t p = 0; p < dk; ++p) qt[p * np + i] = q[i * ld + p];
+  gemm_in_place(StridedA{k, ld, 1}, qt, np, st, np, np, dk, np, scalar);
+  round(false);
+  for (std::int64_t i = 0; i < np * np; ++i) st[i] *= scale;
+  round(false);
+  (scalar ? softmax_columns_scalar : softmax_columns)(st, np, np);
+  round(true);
+  // out = P.V with P(i, j) = st[j * np + i].
+  gemm_in_place(StridedA{st, 1, np}, v, ld, out, ldo, np, np, dk, scalar);
 }
 
 }  // namespace
 
 void gemm_rows(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n, std::int64_t row_begin,
-               std::int64_t row_end, bool accumulate) {
+               std::int64_t row_end, bool accumulate,
+               const Epilogue& epilogue) {
   (void)m;
-  gemm_panel(a, /*a_rs=*/k, /*a_cs=*/1, b, /*b_rs=*/n, /*b_cs=*/1, c,
-             /*ldc=*/n, k, n, row_begin, row_end, accumulate);
-}
-
-void gemm_strided(const float* a, std::int64_t lda, const float* b,
-                  std::int64_t b_rs, std::int64_t b_cs, float* c,
-                  std::int64_t ldc, std::int64_t m, std::int64_t k,
-                  std::int64_t n) {
-  gemm_panel(a, /*a_rs=*/lda, /*a_cs=*/1, b, b_rs, b_cs, c, ldc, k, n, 0, m,
-             /*accumulate=*/false);
+  gemm_panel(StridedA{a, k, 1}, b, /*b_rs=*/n, /*b_cs=*/1, c, /*ldc=*/n, k,
+             n, row_begin, row_end, accumulate, epilogue);
 }
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
-          std::int64_t k, std::int64_t n) {
+          std::int64_t k, std::int64_t n, const Epilogue& epilogue) {
   parallel_for(
       0, static_cast<std::size_t>(m),
       [&](std::size_t rb, std::size_t re) {
         gemm_rows(a, b, c, m, k, n, static_cast<std::int64_t>(rb),
-                  static_cast<std::int64_t>(re));
+                  static_cast<std::int64_t>(re), false, epilogue);
       },
       /*min_grain=*/8);
+}
+
+void gemm_indirect_rows(const float* const* a_rows,
+                        const std::int64_t* a_cols, const float* b, float* c,
+                        std::int64_t k, std::int64_t n,
+                        std::int64_t row_begin, std::int64_t row_end,
+                        const Epilogue& epilogue) {
+  gemm_panel(IndirectA{a_rows, a_cols}, b, /*b_rs=*/n, /*b_cs=*/1, c,
+             /*ldc=*/n, k, n, row_begin, row_end, /*accumulate=*/false,
+             epilogue);
 }
 
 void gemm_reference_rows(const float* a, const float* b, float* c,
@@ -328,8 +444,8 @@ void gemm_nt_rows(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_tn_panel(const float* a, const float* b, float* c, std::int64_t m,
                    std::int64_t k, std::int64_t n, std::int64_t p_begin,
                    std::int64_t p_end) {
-  gemm_panel(a, /*a_rs=*/1, /*a_cs=*/k, b, /*b_rs=*/n, /*b_cs=*/1, c,
-             /*ldc=*/n, /*depth=*/m, n, p_begin, p_end, /*accumulate=*/true);
+  gemm_panel(StridedA{a, 1, k}, b, /*b_rs=*/n, /*b_cs=*/1, c, /*ldc=*/n,
+             /*depth=*/m, n, p_begin, p_end, /*accumulate=*/true, {});
 }
 
 void gemm_tn_accumulate(const float* a, const float* b, float* c,
@@ -341,6 +457,20 @@ void gemm_tn_accumulate(const float* a, const float* b, float* c,
                       static_cast<std::int64_t>(pe));
       },
       /*min_grain=*/8);
+}
+
+void attention_block(const float* q, const float* k, const float* v,
+                     std::int64_t ld, float* out, std::int64_t ldo,
+                     std::int64_t np, std::int64_t dk, float scale,
+                     float* work, const AttentionHook& hook) {
+  attention(q, k, v, ld, out, ldo, np, dk, scale, work, hook, false);
+}
+
+void attention_block_scalar(const float* q, const float* k, const float* v,
+                            std::int64_t ld, float* out, std::int64_t ldo,
+                            std::int64_t np, std::int64_t dk, float scale,
+                            float* work, const AttentionHook& hook) {
+  attention(q, k, v, ld, out, ldo, np, dk, scale, work, hook, true);
 }
 
 }  // namespace tvbf::kernels

@@ -1,12 +1,14 @@
 // Register-blocked float32 GEMM micro-kernels.
 //
 // This is the hot-path layer the tensor/nn/quant matmuls are built on. All
-// matrices are row-major and, except for gemm_strided's views, fully packed
-// (leading dimension == column count). The blocked kernels tile C into MR x NR register accumulator
-// panels swept over Kc-sized slices of the inner dimension, with no
-// data-dependent branches in the inner loops, so the compiler can keep the
-// accumulators in vector registers. The `_reference` entry points preserve
-// the original naive loops for equivalence testing and benchmarking.
+// matrices are row-major and, except for the views of gemm_indirect_rows
+// and attention_block, fully packed (leading dimension == column count).
+// The blocked kernels tile C into MR x NR register accumulator panels swept
+// over Kc-sized slices of the inner dimension, with no data-dependent
+// branches in the inner loops, so the compiler can keep the accumulators in
+// vector registers; an epilogue can add a bias and apply ReLU on the last K
+// block. The `_reference` entry points preserve the original naive loops
+// for equivalence testing and benchmarking.
 //
 // Serial `_rows`/`_panel` variants compute a sub-range of output rows so
 // callers can parallelize across the process-wide pool; the plain entry
@@ -14,32 +16,41 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 namespace tvbf::kernels {
+
+/// What a GEMM does to each output after its sum: c += bias[j] when bias
+/// is not null, then c = c > 0 ? c : 0 when relu, bit for bit those
+/// separate passes.
+struct Epilogue {
+  const float* bias = nullptr;
+  bool relu = false;
+};
 
 // ---- C = A.B ---------------------------------------------------------------
 
 /// Serial blocked kernel for output rows [row_begin, row_end):
-/// C = A.B (accumulate == false zeroes the rows first) or C += A.B.
+/// C = A.B, then the epilogue (accumulate == false), or C += A.B.
 /// a is (m, k), b is (k, n), c is (m, n).
 void gemm_rows(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n, std::int64_t row_begin,
-               std::int64_t row_end, bool accumulate = false);
+               std::int64_t row_end, bool accumulate = false,
+               const Epilogue& epilogue = {});
 
-/// C = A.B, threaded over row blocks via the common pool.
+/// C = A.B, then the epilogue, threaded over row blocks via the common pool.
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
-          std::int64_t k, std::int64_t n);
+          std::int64_t k, std::int64_t n, const Epilogue& epilogue = {});
 
-/// Serial C = A.B over strided views, with gemm_rows' arithmetic: a is
-/// (m, k) with rows lda apart, b is (k, n) with element (p, j) at
-/// b[p * b_rs + j * b_cs], and c is (m, n) with rows ldc apart, overwritten.
-/// B is packed into the same panels whatever its strides, so a column band
-/// of a wider matrix, or a transposed one (b_rs = 1), gives the bits
-/// gemm_rows gives on a packed copy.
-void gemm_strided(const float* a, std::int64_t lda, const float* b,
-                  std::int64_t b_rs, std::int64_t b_cs, float* c,
-                  std::int64_t ldc, std::int64_t m, std::int64_t k,
-                  std::int64_t n);
+/// gemm_rows with A read through row pointers and column offsets: element
+/// (i, p) of A is a_rows[i][a_cols[p]]. The same micro-kernels sum the
+/// same products in the same K-block order, so the result is gemm_rows'
+/// on the gathered A, bit for bit. c is (m, n), overwritten; serial.
+void gemm_indirect_rows(const float* const* a_rows,
+                        const std::int64_t* a_cols, const float* b, float* c,
+                        std::int64_t k, std::int64_t n,
+                        std::int64_t row_begin, std::int64_t row_end,
+                        const Epilogue& epilogue = {});
 
 /// Original naive ikj kernel (seed implementation), kept as the reference
 /// for equivalence tests and bench baselines. C rows are overwritten.
@@ -68,5 +79,34 @@ void gemm_tn_panel(const float* a, const float* b, float* c, std::int64_t m,
 /// C += A^T.B, threaded over the k rows of C via the common pool.
 void gemm_tn_accumulate(const float* a, const float* b, float* c,
                         std::int64_t m, std::int64_t k, std::int64_t n);
+
+// ---- One attention head ----------------------------------------------------
+
+/// Rounds an attention score block x[0, n) in place, elementwise; softmax
+/// is true for the softmax output.
+using AttentionHook =
+    std::function<void(bool softmax, float* x, std::int64_t n)>;
+
+/// Scratch floats attention_block needs for np patches of head width dk.
+inline std::int64_t attention_block_floats(std::int64_t np, std::int64_t dk) {
+  return np * (np + dk);
+}
+
+/// One head over one depth row's np patches, reading the (np, dk) bands q,
+/// k and v (rows ld apart) in place: bit for bit gemm(Q, K^T), the hook,
+/// times scale, the hook, softmax_rows, the hook, then gemm(P, V) into out
+/// (rows ldo apart). The scores stay in `work`, transposed (keys x queries,
+/// softmaxed by softmax_columns). A query whose scores hold NaN or +inf, or
+/// only -inf, comes out all NaN, as through softmax_rows. Serial.
+void attention_block(const float* q, const float* k, const float* v,
+                     std::int64_t ld, float* out, std::int64_t ldo,
+                     std::int64_t np, std::int64_t dk, float scale,
+                     float* work, const AttentionHook& hook = {});
+/// attention_block through the scalar edge micro-kernel and the scalar
+/// softmax; the test oracle.
+void attention_block_scalar(const float* q, const float* k, const float* v,
+                            std::int64_t ld, float* out, std::int64_t ldo,
+                            std::int64_t np, std::int64_t dk, float scale,
+                            float* work, const AttentionHook& hook = {});
 
 }  // namespace tvbf::kernels

@@ -39,17 +39,19 @@ double lane_sum(const double* l) {
   return ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
 }
 
-void softmax_row_scalar(const float* x, float* y, std::int64_t w) {
+/// Softmax over the w elements x[j * stride], into y[j * stride].
+void softmax_row_scalar(const float* x, float* y, std::int64_t w,
+                        std::int64_t stride = 1) {
   float m = x[0];
-  for (std::int64_t j = 1; j < w; ++j) m = std::max(m, x[j]);
+  for (std::int64_t j = 1; j < w; ++j) m = std::max(m, x[j * stride]);
   double lanes[8] = {};
   for (std::int64_t j = 0; j < w; ++j) {
-    const float e = exp_nonpositive(x[j] - m);
-    y[j] = e;
+    const float e = exp_nonpositive(x[j * stride] - m);
+    y[j * stride] = e;
     lanes[j % 8] += e;
   }
   const auto inv = static_cast<float>(1.0 / lane_sum(lanes));
-  for (std::int64_t j = 0; j < w; ++j) y[j] *= inv;
+  for (std::int64_t j = 0; j < w; ++j) y[j * stride] *= inv;
 }
 
 void layer_norm_row_scalar(const float* x, float* y, std::int64_t w,
@@ -156,6 +158,44 @@ void softmax_row_avx2(const float* x, float* y, std::int64_t w) {
     _mm256_maskstore_ps(
         y + body, tail,
         _mm256_mul_ps(_mm256_maskload_ps(y + body, tail), inv));
+}
+
+/// softmax_row_avx2 down columns [c0, c0 + 8) of x (rows by cols), one
+/// column per lane: the max, e = exp(x - max) in place, the double sums of
+/// the rows r % 8 == l for each l, combined in lane_sum's tree, and
+/// e * float(1 / total).
+void softmax_8columns_avx2(float* x, std::int64_t rows, std::int64_t cols,
+                           std::int64_t c0) {
+  const auto at = [&](std::int64_t r) { return x + c0 + r * cols; };
+  // The max in two chains: exact, and a NaN anywhere makes the column all
+  // NaN whichever chain it meets.
+  __m256 m0 = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  __m256 m1 = m0;
+  for (std::int64_t r = 0; r + 1 < rows; r += 2) {
+    m0 = _mm256_max_ps(m0, _mm256_loadu_ps(at(r)));
+    m1 = _mm256_max_ps(m1, _mm256_loadu_ps(at(r + 1)));
+  }
+  const __m256 m = _mm256_max_ps(_mm256_max_ps(m0, m1),
+                                 _mm256_loadu_ps(at(rows - 1)));
+  for (std::int64_t r = 0; r < rows; ++r)
+    _mm256_storeu_ps(at(r), exp8(_mm256_sub_ps(_mm256_loadu_ps(at(r)), m)));
+  __m256d lo[8], hi[8];
+  for (std::int64_t l = 0; l < 8; ++l) {
+    lo[l] = hi[l] = _mm256_setzero_pd();
+    for (std::int64_t r = l; r < rows; r += 8)
+      accumulate(_mm256_loadu_ps(at(r)), lo[l], hi[l]);
+  }
+  const auto inv_total = [](const __m256d* s) {
+    const __m256d total =
+        _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(s[0], s[4]),
+                                    _mm256_add_pd(s[2], s[6])),
+                      _mm256_add_pd(_mm256_add_pd(s[1], s[5]),
+                                    _mm256_add_pd(s[3], s[7])));
+    return _mm256_cvtpd_ps(_mm256_div_pd(_mm256_set1_pd(1.0), total));
+  };
+  const __m256 inv = _mm256_set_m128(inv_total(hi), inv_total(lo));
+  for (std::int64_t r = 0; r < rows; ++r)
+    _mm256_storeu_ps(at(r), _mm256_mul_ps(_mm256_loadu_ps(at(r)), inv));
 }
 
 /// Columns [j0, j0 + 8) of eight rows w apart, one column per vector
@@ -292,6 +332,11 @@ void softmax_rows_scalar(const float* x, float* y, std::int64_t rows,
     softmax_row_scalar(x + r * w, y + r * w, w);
 }
 
+void softmax_columns_scalar(float* x, std::int64_t rows, std::int64_t cols) {
+  for (std::int64_t c = 0; c < cols; ++c)
+    softmax_row_scalar(x + c, x + c, rows, cols);
+}
+
 void layer_norm_rows_scalar(const float* x, float* y, std::int64_t rows,
                             std::int64_t w, const float* gamma,
                             const float* beta, float epsilon, float* xhat,
@@ -334,6 +379,12 @@ void softmax_rows(const float* x, float* y, std::int64_t rows,
     softmax_row_avx2(x + r * w, y + r * w, w);
 }
 
+void softmax_columns(float* x, std::int64_t rows, std::int64_t cols) {
+  std::int64_t c = 0;
+  for (; c + 8 <= cols; c += 8) softmax_8columns_avx2(x, rows, cols, c);
+  for (; c < cols; ++c) softmax_row_scalar(x + c, x + c, rows, cols);
+}
+
 void layer_norm_rows(const float* x, float* y, std::int64_t rows,
                      std::int64_t w, const float* gamma, const float* beta,
                      float epsilon, float* xhat, float* inv_std) {
@@ -354,6 +405,10 @@ float max_abs(const float* x, std::int64_t n) { return max_abs_scalar(x, n); }
 void softmax_rows(const float* x, float* y, std::int64_t rows,
                   std::int64_t w) {
   softmax_rows_scalar(x, y, rows, w);
+}
+
+void softmax_columns(float* x, std::int64_t rows, std::int64_t cols) {
+  softmax_columns_scalar(x, rows, cols);
 }
 
 void layer_norm_rows(const float* x, float* y, std::int64_t rows,

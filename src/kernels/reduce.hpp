@@ -37,6 +37,12 @@ void softmax_rows(const float* x, float* y, std::int64_t rows,
 void softmax_rows_scalar(const float* x, float* y, std::int64_t rows,
                          std::int64_t w);
 
+/// Softmax down each column of x (rows >= 1 by cols, row-major), in place,
+/// eight columns per vector: column i comes out as row i of softmax_rows
+/// over the transpose, bit for bit, including the all-NaN rule.
+void softmax_columns(float* x, std::int64_t rows, std::int64_t cols);
+void softmax_columns_scalar(float* x, std::int64_t rows, std::int64_t cols);
+
 /// Layer norm over each of `rows` rows of width w >= 1:
 /// y = gamma * xhat + beta, xhat = (x - mean) * inv_std,
 /// inv_std = 1 / sqrt(var + epsilon), mean and variance accumulated in

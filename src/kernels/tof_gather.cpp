@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "kernels/reduce.hpp"
 
 namespace tvbf::kernels {
 namespace {
@@ -71,18 +72,21 @@ inline float lerp_rf(const CompactRfGather& g, std::int32_t idx, float frac,
 }
 
 std::int64_t slots_of(const CompactRfGather& g) { return g.nx + g.nch - 1; }
+std::int64_t groups_of(const CompactRfGather& g) { return (g.nch + 7) / 8; }
 
-/// Channels [e_begin, nch) of every pixel of depth row iz, times scale,
-/// into `row` (nx, nch).
-void compact_row_scalar(const CompactRfGather& g, std::int64_t iz,
-                        std::int64_t e_begin, float scale, float* row) {
+/// Depth row iz's slot table, every value times scale, into `table`.
+void slot_row_scalar(const CompactRfGather& g, std::int64_t iz, float scale,
+                     float* table) {
   const std::int32_t* idx = g.idx + iz * slots_of(g);
   const float* frac = g.frac + iz * slots_of(g);
-  for (std::int64_t ix = 0; ix < g.nx; ++ix) {
-    const std::int64_t j0 = g.nx - 1 - ix;
-    for (std::int64_t e = e_begin; e < g.nch; ++e)
-      row[ix * g.nch + e] = lerp_rf(g, idx[j0 + e], frac[j0 + e], e) * scale;
-  }
+  for (std::int64_t q = 0; q < groups_of(g); ++q)
+    for (std::int64_t s = 0; s < g.nx + 7; ++s)
+      for (std::int64_t l = 0; l < 8; ++l) {
+        const std::int64_t j = 8 * q + s, c = 8 * q + l;
+        const float v = j < slots_of(g) && c < g.nch
+                            ? lerp_rf(g, idx[j], frac[j], c) : 0.0f;
+        *table++ = j < slots_of(g) ? v * scale : 0.0f;
+      }
 }
 
 /// Slot j feeds channels [first_channel, end_channel): those whose pixel
@@ -94,14 +98,60 @@ std::int64_t end_channel(const CompactRfGather& g, std::int64_t j) {
   return std::min(j, g.nch - 1) + 1;
 }
 
-/// max |v| over depth row iz, NaN skipped.
-float compact_peak_row_scalar(const CompactRfGather& g, std::int64_t iz) {
-  const std::int32_t* idx = g.idx + iz * slots_of(g);
-  const float* frac = g.frac + iz * slots_of(g);
+/// max |v| over the channels slot j of depth row iz feeds, NaN skipped.
+float slot_peak_scalar(const CompactRfGather& g, std::int64_t iz,
+                       std::int64_t j) {
+  const std::int64_t at = iz * slots_of(g) + j;
   float m = 0.0f;
-  for (std::int64_t j = 0; j < slots_of(g); ++j)
-    for (std::int64_t e = first_channel(g, j); e < end_channel(g, j); ++e)
-      m = std::max(m, std::fabs(lerp_rf(g, idx[j], frac[j], e)));
+  for (std::int64_t e = first_channel(g, j); e < end_channel(g, j); ++e)
+    m = std::max(m, std::fabs(lerp_rf(g, g.idx[at], g.frac[at], e)));
+  return m;
+}
+
+/// The bounded peak. A value of a slot is fl32(fl64(fl64(1 - f) * a) +
+/// fl64(f * b)) for its channel's samples a and b (RF rows base and
+/// base + 1) and f in [0, 1], and its magnitude is at most
+/// max(|a|, |b|): in double the sum exceeds (1 - f + f) * max(|a|, |b|)
+/// by a few double ulps at most, far below half a float ulp, so rounding
+/// to float cannot pass that float. With R[s] = max |rf row s| over the
+/// channels, NaN skipped, max(R[base], R[base + 1]) bounds every value of
+/// the slot: a NaN sample makes its values NaN, which the peak skips, and
+/// an infinite one makes the bound infinite. The slot with the largest
+/// bound is evaluated first, then only the slots whose bound exceeds the
+/// running max, since no other slot can raise it; max is exact and
+/// skips NaN in any order, so the result is max_abs of the cube, bit for
+/// bit. Worst case, every bound exceeds the true peak: the full pass plus
+/// the bound pass.
+template <class RowMax, class SlotPeak>
+float bounded_peak(const CompactRfGather& g, const RowMax& row_max,
+                   const SlotPeak& slot_peak) {
+  const std::int64_t width = slots_of(g);
+  const auto base_of = [](std::int32_t idx) -> std::int64_t {
+    return idx >= 0 ? idx : kTofLinearBias - idx;
+  };
+  std::int64_t rows = 0;  // the RF rows the table reads: [0, rows)
+  for (std::int64_t i = 0; i < g.nz * width; ++i)
+    if (g.idx[i] != kTofOutOfRange)
+      rows = std::max(rows, base_of(g.idx[i]) + 2);
+  if (rows == 0) return 0.0f;
+  std::vector<float> row_bound(static_cast<std::size_t>(rows));
+  for (std::int64_t s = 0; s < rows; ++s)
+    row_bound[static_cast<std::size_t>(s)] = row_max(g.rf + s * g.nch);
+  const auto bound = [&](std::int64_t i) {
+    const auto at = static_cast<std::size_t>(base_of(g.idx[i]));
+    return std::max(row_bound[at], row_bound[at + 1]);
+  };
+  std::int64_t top = -1;
+  float top_bound = -1.0f;
+  for (std::int64_t i = 0; i < g.nz * width; ++i)
+    if (g.idx[i] != kTofOutOfRange && bound(i) > top_bound) {
+      top = i;
+      top_bound = bound(i);
+    }
+  float m = slot_peak(g, top / width, top % width);
+  for (std::int64_t i = 0; i < g.nz * width; ++i)
+    if (g.idx[i] != kTofOutOfRange && bound(i) > m)
+      m = std::max(m, slot_peak(g, i / width, i % width));
   return m;
 }
 
@@ -192,93 +242,69 @@ inline bool slot_rows(const CompactRfGather& g, std::int32_t idx, float frac,
   return true;
 }
 
-/// Channels e..e+3 of a slot.
-inline __m128 slot4(const SlotRows& s, std::int64_t e) {
-  return lerp_rf4(_mm_loadu_ps(s.a + e), _mm_loadu_ps(s.b + e), s.f,
-                  s.one_minus_f);
+/// Channels e..e+3 of a slot; with n < 4, lanes from n on read 0.
+inline __m128 slot4(const SlotRows& s, std::int64_t e, std::int64_t n = 4) {
+  if (n >= 4)
+    return lerp_rf4(_mm_loadu_ps(s.a + e), _mm_loadu_ps(s.b + e), s.f,
+                    s.one_minus_f);
+  const __m128i mask =
+      _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<std::int32_t>(n)),
+                      _mm_setr_epi32(0, 1, 2, 3));
+  return lerp_rf4(_mm_maskload_ps(s.a + e, mask),
+                  _mm_maskload_ps(s.b + e, mask), s.f, s.one_minus_f);
 }
 
-void compact_rows_avx2(const CompactRfGather& g, std::int64_t z0,
-                       std::int64_t z_begin, std::int64_t z_end, float scale,
-                       float* out) {
-  const std::int64_t nx = g.nx, nch = g.nch, groups = nch / 8;
-  if (groups == 0) {
-    for (std::int64_t iz = z_begin; iz < z_end; ++iz)
-      compact_row_scalar(g, iz, 0, scale, out + (iz - z0) * nx * nch);
-    return;
-  }
-  // Channel group q (channels 8q..8q+7) reads slots 8q .. 8q + nx + 6:
-  // pixel ix = nx - 1 - s takes lane l from slot 8q + s + l. A row first
-  // computes those slot values, slot by slot (contiguous RF loads), into
-  // `slots` (group q's from q * span on), then blends each pixel's lanes.
-  const std::int64_t span = nx + 7;
-  std::vector<float> slots(static_cast<std::size_t>(groups * span * 8));
-  const __m256 scale8 = _mm256_set1_ps(scale);
-  for (std::int64_t iz = z_begin; iz < z_end; ++iz) {
-    const std::int32_t* idx = g.idx + iz * slots_of(g);
-    const float* frac = g.frac + iz * slots_of(g);
+void slot_rows_avx2(const CompactRfGather& g, std::int64_t z0,
+                    std::int64_t z1, float scale, float* out) {
+  const std::int64_t nx = g.nx, nch = g.nch, groups = groups_of(g);
+  const std::int64_t span = g.nx + 7, slots = slots_of(g);
+  // Slot j is lane block s = j - 8q of the groups q with 0 <= s < span;
+  // it is computed slot by slot (contiguous RF loads). The last group's
+  // lanes past nch load 0.
+  const __m128 scale4 = _mm_set1_ps(scale);
+  const __m128 out_of_range = _mm_mul_ps(_mm_setzero_ps(), scale4);
+  const std::int64_t next_group = (span - 8) * 8;
+  for (std::int64_t iz = z0; iz < z1; ++iz) {
+    const std::int32_t* idx = g.idx + iz * slots;
+    const float* frac = g.frac + iz * slots;
+    float* table = out + (iz - z0) * slot_row_floats(nx, nch);
     for (std::int64_t j = 0; j < 8 * groups + nx - 1; ++j) {
       const std::int64_t q_begin =
           std::max<std::int64_t>(0, (j - span + 8) / 8);
       const std::int64_t q_end = std::min(groups, j / 8 + 1);
-      float* to = slots.data() + (q_begin * span + j - 8 * q_begin) * 8;
-      const std::int64_t next_group = (span - 8) * 8;
+      float* to = table + (q_begin * span + j - 8 * q_begin) * 8;
       SlotRows sr;
-      if (!slot_rows(g, idx[j], frac[j], sr)) {
+      if (j >= slots || !slot_rows(g, idx[j], frac[j], sr)) {
+        const __m128 zero = j >= slots ? _mm_setzero_ps() : out_of_range;
         for (std::int64_t q = q_begin; q < q_end; ++q, to += next_group)
-          _mm256_storeu_ps(to, _mm256_setzero_ps());
+          _mm_storeu_ps(to, zero), _mm_storeu_ps(to + 4, zero);
         continue;
       }
-      for (std::int64_t q = q_begin; q < q_end; ++q, to += next_group) {
-        _mm_storeu_ps(to, slot4(sr, 8 * q));
-        _mm_storeu_ps(to + 4, slot4(sr, 8 * q + 4));
-      }
+      for (std::int64_t q = q_begin; q < q_end; ++q, to += next_group)
+        for (std::int64_t e = 8 * q; e < 8 * q + 8; e += 4)
+          _mm_storeu_ps(to + e - 8 * q,
+                        _mm_mul_ps(slot4(sr, e, nch - e), scale4));
     }
-    float* row = out + (iz - z0) * nx * nch;
-    for (std::int64_t s = 0; s < nx; ++s) {
-      float* px = row + (nx - 1 - s) * nch;
-      for (std::int64_t q = 0; q < groups; ++q) {
-        const float* v = slots.data() + (q * span + s) * 8;
-        __m256 o = _mm256_blend_ps(_mm256_loadu_ps(v),
-                                   _mm256_loadu_ps(v + 8), 0x02);
-        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 16), 0x04);
-        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 24), 0x08);
-        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 32), 0x10);
-        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 40), 0x20);
-        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 48), 0x40);
-        o = _mm256_blend_ps(o, _mm256_loadu_ps(v + 56), 0x80);
-        _mm256_storeu_ps(px + 8 * q, _mm256_mul_ps(o, scale8));
-      }
-    }
-    if (8 * groups < nch) compact_row_scalar(g, iz, 8 * groups, scale, row);
   }
 }
 
-float compact_peak_row_avx2(const CompactRfGather& g, std::int64_t iz) {
-  const std::int32_t* idx = g.idx + iz * slots_of(g);
-  const float* frac = g.frac + iz * slots_of(g);
+float slot_peak_avx2(const CompactRfGather& g, std::int64_t iz,
+                     std::int64_t j) {
+  const std::int64_t at = iz * slots_of(g) + j;
+  SlotRows sr;
+  if (!slot_rows(g, g.idx[at], g.frac[at], sr)) return 0.0f;  // reads 0
   // max_ps(v, m) returns m when v is NaN, as in max_abs.
   const __m128 sign = _mm_set1_ps(-0.0f);
-  const __m128i lanes = _mm_setr_epi32(0, 1, 2, 3);
   __m128 m0 = _mm_setzero_ps(), m1 = m0;
-  for (std::int64_t j = 0; j < slots_of(g); ++j) {
-    SlotRows sr;
-    if (!slot_rows(g, idx[j], frac[j], sr)) continue;  // its channels read 0
-    const std::int64_t end = end_channel(g, j);
-    std::int64_t e = first_channel(g, j);
-    for (; e + 8 <= end; e += 8) {
-      m0 = _mm_max_ps(_mm_andnot_ps(sign, slot4(sr, e)), m0);
-      m1 = _mm_max_ps(_mm_andnot_ps(sign, slot4(sr, e + 4)), m1);
-    }
-    for (; e < end; e += 4) {
-      // Lanes from `end` on load 0 and so add |0|.
-      const __m128i mask = _mm_cmpgt_epi32(
-          _mm_set1_epi32(static_cast<std::int32_t>(end - e)), lanes);
-      const __m128 v =
-          lerp_rf4(_mm_maskload_ps(sr.a + e, mask),
-                   _mm_maskload_ps(sr.b + e, mask), sr.f, sr.one_minus_f);
-      m0 = _mm_max_ps(_mm_andnot_ps(sign, v), m0);
-    }
+  const std::int64_t end = end_channel(g, j);
+  std::int64_t e = first_channel(g, j);
+  for (; e + 8 <= end; e += 8) {
+    m0 = _mm_max_ps(_mm_andnot_ps(sign, slot4(sr, e)), m0);
+    m1 = _mm_max_ps(_mm_andnot_ps(sign, slot4(sr, e + 4)), m1);
+  }
+  for (; e < end; e += 4) {
+    // Lanes from `end` on load 0 and so add |0|.
+    m0 = _mm_max_ps(_mm_andnot_ps(sign, slot4(sr, e, end - e)), m0);
   }
   __m128 m = _mm_max_ps(m0, m1);
   m = _mm_max_ps(m, _mm_movehl_ps(m, m));
@@ -287,25 +313,6 @@ float compact_peak_row_avx2(const CompactRfGather& g, std::int64_t iz) {
 }
 
 #endif  // __AVX2__
-
-void compact_rows(const CompactRfGather& g, std::int64_t z0,
-                  std::int64_t z_begin, std::int64_t z_end, float scale,
-                  float* out) {
-#ifdef __AVX2__
-  compact_rows_avx2(g, z0, z_begin, z_end, scale, out);
-#else
-  for (std::int64_t iz = z_begin; iz < z_end; ++iz)
-    compact_row_scalar(g, iz, 0, scale, out + (iz - z0) * g.nx * g.nch);
-#endif
-}
-
-float compact_peak_row(const CompactRfGather& g, std::int64_t iz) {
-#ifdef __AVX2__
-  return compact_peak_row_avx2(g, iz);
-#else
-  return compact_peak_row_scalar(g, iz);
-#endif
-}
 
 }  // namespace
 
@@ -326,42 +333,37 @@ void tof_gather(const TofGather& g) {
 
 void tof_gather_scalar(const TofGather& g) { rows_scalar(g, 0, g.nz); }
 
-void tof_rows_compact_rf(const CompactRfGather& g, std::int64_t z0,
-                         std::int64_t z1, float scale, float* out) {
-  parallel_for(
-      static_cast<std::size_t>(z0), static_cast<std::size_t>(z1),
-      [&](std::size_t z_begin, std::size_t z_end) {
-        compact_rows(g, z0, static_cast<std::int64_t>(z_begin),
-                     static_cast<std::int64_t>(z_end), scale, out);
-      },
-      /*min_grain=*/1);
+void tof_slot_rows_compact_rf(const CompactRfGather& g, std::int64_t z0,
+                              std::int64_t z1, float scale, float* out) {
+#ifdef __AVX2__
+  slot_rows_avx2(g, z0, z1, scale, out);
+#else
+  tof_slot_rows_compact_rf_scalar(g, z0, z1, scale, out);
+#endif
 }
 
-void tof_rows_compact_rf_scalar(const CompactRfGather& g, std::int64_t z0,
-                                std::int64_t z1, float scale, float* out) {
+void tof_slot_rows_compact_rf_scalar(const CompactRfGather& g,
+                                     std::int64_t z0, std::int64_t z1,
+                                     float scale, float* out) {
   for (std::int64_t iz = z0; iz < z1; ++iz)
-    compact_row_scalar(g, iz, 0, scale, out + (iz - z0) * g.nx * g.nch);
+    slot_row_scalar(g, iz, scale,
+                    out + (iz - z0) * slot_row_floats(g.nx, g.nch));
 }
 
 float tof_peak_compact_rf(const CompactRfGather& g) {
-  std::vector<float> row_peak(static_cast<std::size_t>(g.nz));
-  parallel_for(
-      0, row_peak.size(),
-      [&](std::size_t z_begin, std::size_t z_end) {
-        for (std::size_t iz = z_begin; iz < z_end; ++iz)
-          row_peak[iz] = compact_peak_row(g, static_cast<std::int64_t>(iz));
-      },
-      /*min_grain=*/1);
-  float m = 0.0f;
-  for (const float p : row_peak) m = std::max(m, p);
-  return m;
+#ifdef __AVX2__
+  return bounded_peak(
+      g, [&](const float* row) { return max_abs(row, g.nch); },
+      slot_peak_avx2);
+#else
+  return tof_peak_compact_rf_scalar(g);
+#endif
 }
 
 float tof_peak_compact_rf_scalar(const CompactRfGather& g) {
-  float m = 0.0f;
-  for (std::int64_t iz = 0; iz < g.nz; ++iz)
-    m = std::max(m, compact_peak_row_scalar(g, iz));
-  return m;
+  return bounded_peak(
+      g, [&](const float* row) { return max_abs_scalar(row, g.nch); },
+      slot_peak_scalar);
 }
 
 }  // namespace tvbf::kernels

@@ -14,9 +14,11 @@
 // acquired, sample-major (nsamples, nch): every channel of one slot shares
 // the slot's (idx, frac), so channels e0..e0+7 of a slot load as two
 // contiguous 8-float vectors, from RF rows idx and idx + 1. Its values are
-// the ones tof_gather writes for the same table over channel-major lines;
-// one entry point writes depth rows of that cube, times a scale, and the
-// other returns its peak max |v|, without the cube.
+// the ones tof_gather writes for the same table over channel-major lines.
+// One entry point writes depth rows as slot tables, every value times a
+// scale, for a consumer that reads each pixel through slot_offset() (the
+// Tiny-VBF embed does); the other returns the cube's peak max |v| from a
+// per-RF-row bound, evaluating only the slots that could hold it.
 //
 // This TU is compiled with -ffp-contract=off: the lerp and the cubic
 // polynomial are never fused into FMAs.
@@ -72,18 +74,33 @@ struct CompactRfGather {
   std::int64_t nz = 0, nx = 0, nch = 0;
 };
 
-/// Depth rows [z0, z1) of the cube, every value times `scale`, into out as
-/// (z1 - z0, nx, nch), threaded over depth rows via the common pool.
-void tof_rows_compact_rf(const CompactRfGather& g, std::int64_t z0,
-                         std::int64_t z1, float scale, float* out);
-/// The scalar form of tof_rows_compact_rf, serial.
-void tof_rows_compact_rf_scalar(const CompactRfGather& g, std::int64_t z0,
-                                std::int64_t z1, float scale, float* out);
+/// A depth row's slot table: channel group q (channels 8q..8q+7, the last
+/// group padded past nch) holds the nx + 7 slots 8q .. 8q + nx + 6, each as
+/// eight lanes, lane l being channel 8q + l of that slot. Pixel ix takes
+/// lane l from slot 8q + (nx - 1 - ix) + l, so the cube row's value (ix, c)
+/// sits at slot_offset(nx, ix, c). Lanes no pixel reads hold 0 or a value.
+inline std::int64_t slot_row_floats(std::int64_t nx, std::int64_t nch) {
+  return (nch + 7) / 8 * (nx + 7) * 8;
+}
+inline std::int64_t slot_offset(std::int64_t nx, std::int64_t ix,
+                                std::int64_t c) {
+  return 8 * ((nx + 7) * (c / 8) + nx - 1 - ix) + 9 * (c % 8);
+}
 
-/// max |v| over the whole cube, NaN skipped (max_abs of the cube), threaded
-/// over depth rows via the common pool.
+/// Depth rows [z0, z1) as slot tables, slot_row_floats(nx, nch) apart from
+/// out on, every value times `scale`: the value at slot_offset(nx, ix, c)
+/// of row iz is the cube's (iz, ix, c) times scale, bit for bit. Serial.
+void tof_slot_rows_compact_rf(const CompactRfGather& g, std::int64_t z0,
+                              std::int64_t z1, float scale, float* out);
+/// The scalar form of tof_slot_rows_compact_rf.
+void tof_slot_rows_compact_rf_scalar(const CompactRfGather& g,
+                                     std::int64_t z0, std::int64_t z1,
+                                     float scale, float* out);
+
+/// max |v| over the whole cube, NaN skipped (max_abs of the cube, bit for
+/// bit), evaluating only the slots whose bound could exceed it. Serial.
 float tof_peak_compact_rf(const CompactRfGather& g);
-/// The scalar form of tof_peak_compact_rf, serial.
+/// The scalar form of tof_peak_compact_rf.
 float tof_peak_compact_rf_scalar(const CompactRfGather& g);
 
 }  // namespace tvbf::kernels

@@ -1,6 +1,7 @@
 #include "models/neural_beamformer.hpp"
 
 #include "dsp/hilbert.hpp"
+#include "kernels/tof_gather.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace tvbf::models {
@@ -19,13 +20,20 @@ float input_scale(const us::TofCube& cube) {
 
 std::optional<Tensor> infer_through(
     const us::TofPlan& plan, const us::Acquisition& acq,
-    const std::function<Tensor(const Shape&, const RowLoader&)>& infer) {
+    const std::function<Tensor(const Shape&, const RowLayout&,
+                               const RowLoader&)>& infer) {
   if (!plan.reads_rf()) return std::nullopt;
   const float scale = scale_for_peak(plan.peak(acq));
   const us::TofPlanKey& key = plan.key();
-  return infer({key.grid.nz, key.grid.nx, key.num_elements},
+  const std::int64_t nx = key.grid.nx, nch = key.num_elements;
+  const std::int64_t origin = kernels::slot_offset(nx, 0, 0);
+  RowLayout slots{kernels::slot_row_floats(nx, nch), origin,
+                  kernels::slot_offset(nx, 1, 0) - origin, {}};
+  for (std::int64_t c = 0; c < nch; ++c)
+    slots.channel_offset.push_back(kernels::slot_offset(nx, 0, c) - origin);
+  return infer({key.grid.nz, nx, nch}, slots,
                [&](std::int64_t z0, std::int64_t rows, float* out) {
-                 plan.rows(acq, z0, rows, scale, out);
+                 plan.slot_rows(acq, z0, rows, scale, out);
                });
 }
 
@@ -87,8 +95,9 @@ Tensor TinyVbfBeamformer::beamform(const us::TofCube& cube) const {
 std::optional<Tensor> TinyVbfBeamformer::beamform_through(
     const us::TofPlan& plan, const us::Acquisition& acq) const {
   return infer_through(plan, acq,
-                       [this](const Shape& shape, const RowLoader& load) {
-                         return model_->infer(shape, load);
+                       [this](const Shape& shape, const RowLayout& layout,
+                              const RowLoader& load) {
+                         return model_->infer(shape, layout, load);
                        });
 }
 

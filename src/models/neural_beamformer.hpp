@@ -74,12 +74,13 @@ float input_scale(const us::TofCube& cube);
 
 /// Shared body of the Tiny-VBF adapters' beamform_through: for a plan that
 /// reads RF directly (us::TofPlan::reads_rf), runs `infer` over the frame's
-/// rows gathered straight from the acquired RF, scaled by 1 / plan.peak()
+/// slot tables (us::TofPlan::slot_rows), scaled by 1 / plan.peak()
 /// under input_scale()'s rule, so the image is the cube path's bit for bit.
 /// Declines every other plan.
 std::optional<Tensor> infer_through(
     const us::TofPlan& plan, const us::Acquisition& acq,
-    const std::function<Tensor(const Shape&, const RowLoader&)>& infer);
+    const std::function<Tensor(const Shape&, const RowLayout&,
+                               const RowLoader&)>& infer);
 
 /// Normalized copy of the cube's RF data, each value times input_scale()
 /// (shared by the adapters and the training-set builder so train/test

@@ -16,6 +16,12 @@ void TinyVbfConfig::validate() const {
                "hidden sizes and block count must be positive");
 }
 
+RowLayout RowLayout::dense(std::int64_t nx, std::int64_t nch) {
+  RowLayout layout{nx * nch, 0, nch, {}};
+  for (std::int64_t c = 0; c < nch; ++c) layout.channel_offset.push_back(c);
+  return layout;
+}
+
 TinyVbfConfig TinyVbfConfig::paper() {
   return TinyVbfConfig{};  // defaults are the paper-scale values
 }
@@ -82,6 +88,11 @@ Tensor TinyVbf::infer(const Tensor& input, float input_scale) const {
 
 Tensor TinyVbf::infer(const Shape& shape, const RowLoader& load) const {
   return run_tiny_vbf(config_, weights_of(*this), shape, load);
+}
+
+Tensor TinyVbf::infer(const Shape& shape, const RowLayout& layout,
+                      const RowLoader& load) const {
+  return run_tiny_vbf(config_, weights_of(*this), shape, layout, load);
 }
 
 std::vector<Tensor> TinyVbf::infer_batch(

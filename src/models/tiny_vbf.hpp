@@ -24,9 +24,20 @@
 namespace tvbf::models {
 
 /// Writes depth rows [z0, z0 + rows) of a Tiny-VBF input, every element
-/// already multiplied by the input scale, to out as (rows, nx, nch).
+/// already multiplied by the input scale, to out (see RowLayout).
 using RowLoader =
     std::function<void(std::int64_t z0, std::int64_t rows, float* out)>;
+
+/// Where a loaded depth row keeps its values: pixel ix, channel c at
+/// row[origin + ix * pixel_step + channel_offset[c]], rows row_floats
+/// apart. The embed reads its patches from there in place.
+struct RowLayout {
+  std::int64_t row_floats = 0;
+  std::int64_t origin = 0;
+  std::int64_t pixel_step = 0;
+  std::vector<std::int64_t> channel_offset;
+  static RowLayout dense(std::int64_t nx, std::int64_t nch);  ///< (nx, nch)
+};
 
 /// Architecture hyper-parameters of Tiny-VBF.
 struct TinyVbfConfig {
@@ -67,8 +78,12 @@ class TinyVbf : public nn::Module {
 
   /// infer() over an input of `shape` (nz, nx, nch) that `load` fetches
   /// row range by row range, already scaled: bit-identical to infer() on
-  /// the tensor the loader's rows make up.
+  /// the tensor the loader's rows make up. Without a layout the rows are
+  /// (nx, nch) and fetched in order on the calling thread; with one, pool
+  /// workers may fetch disjoint ranges at once (see run_tiny_vbf).
   Tensor infer(const Shape& shape, const RowLoader& load) const;
+  Tensor infer(const Shape& shape, const RowLayout& layout,
+               const RowLoader& load) const;
 
   /// Batch-of-frames inference: stacks the per-frame inputs (nz_i, nx, nch)
   /// along the depth axis, runs one infer() over the stack, and splits the

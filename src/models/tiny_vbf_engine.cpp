@@ -17,30 +17,32 @@ constexpr float kLayerNormEpsilon = 1e-5f;
 /// One tile's forward pass over the views, rounding through the hook, on
 /// buffers allocated once for up to `max_rows` depth rows and reused by
 /// every tile. With n = rows * np patch rows and d = d_model:
-///   in_           one slice of the tile's scaled input, (slice_rows * np,
-///                 patch * nch)
+///   in_           one slice of the tile's scaled input in the loader's
+///                 layout; patch row i's column p at a_rows_[i][a_cols_[p]]
 ///   h_            (n, d)            the residual stream
 ///   x_            (n, d)            layer-norm output, then the concatenated
 ///                                   heads, then the MLP output
 ///   q_, k_, v_    (n, d)            projections; q_ then takes W_o's output
-///   wide_         one head's scores (rows, np, np), softmaxed in place;
-///                 later the MLP and decoder hidden layers
+///   wide_         each depth row's attention block; later the MLP and
+///                 decoder hidden layers
 class TileForward {
  public:
+  /// worker_loads: pool workers load their own rows of a slice.
   TileForward(const TinyVbfConfig& config, const TinyVbfWeights& weights,
-              const RoundingHook& hook, std::int64_t max_rows)
-      : config_(config), weights_(weights), hook_(hook) {
+              const RoundingHook& hook, std::int64_t max_rows,
+              const RowLayout& layout, bool worker_loads)
+      : config_(config), weights_(weights), hook_(hook),
+        row_floats_(layout.row_floats), worker_loads_(worker_loads) {
     const std::int64_t np = config.num_patches();
     const std::int64_t n = max_rows * np;
-    const std::int64_t row_bytes = config.num_lateral * config.in_channels *
-                                   static_cast<std::int64_t>(sizeof(float));
     slice_rows_ = std::max<std::int64_t>(
-        1, std::min(max_rows, kVbfSliceBytes / row_bytes));
-    const std::int64_t in =
-        slice_rows_ * config.num_lateral * config.in_channels;
+        1, std::min(max_rows, kVbfSliceBytes / (row_floats_ * 4)));
+    const std::int64_t in = slice_rows_ * row_floats_;
     const std::int64_t d = n * config.d_model;
+    block_ = kernels::attention_block_floats(
+        np, config.d_model / config.num_heads);
     const std::int64_t wide =
-        std::max({max_rows * np * np, n * config.mlp_hidden,
+        std::max({max_rows * block_, n * config.mlp_hidden,
                   n * config.decoder_hidden});
     buffer_ = std::make_unique_for_overwrite<float[]>(
         static_cast<std::size_t>(in + 5 * d + wide));
@@ -51,6 +53,16 @@ class TileForward {
     k_ = q_ + d;
     v_ = k_ + d;
     wide_ = v_ + d;
+    // Patch P of slice row r starts at pixel P * patch; its column
+    // dx * nch + c is pixel dx on, channel c.
+    const std::int64_t patch = config.patch_size;
+    for (std::int64_t r = 0; r < slice_rows_; ++r)
+      for (std::int64_t p = 0; p < np; ++p)
+        a_rows_.push_back(in_ + r * row_floats_ + layout.origin +
+                          p * patch * layout.pixel_step);
+    for (std::int64_t dx = 0; dx < patch; ++dx)
+      for (const std::int64_t offset : layout.channel_offset)
+        a_cols_.push_back(dx * layout.pixel_step + offset);
   }
 
   /// Runs the tile of `rows` depth rows from z0, loading and embedding its
@@ -61,13 +73,29 @@ class TileForward {
     const std::int64_t np = config_.num_patches();
     const std::int64_t d = config_.d_model;
     const std::int64_t n = rows * np;
-    const std::int64_t row_in = config_.num_lateral * config_.in_channels;
+    const std::int64_t patch_in = config_.patch_size * config_.in_channels;
+    const auto load_rows = [&](std::int64_t r, std::int64_t count) {
+      float* in = in_ + (r % slice_rows_) * row_floats_;
+      load(z0 + r, count, in);
+      round(RoundAt::kInter, in, count * row_floats_);  // as layer outputs
+    };
     for (std::int64_t r0 = 0; r0 < rows; r0 += slice_rows_) {
       const std::int64_t slice = std::min(slice_rows_, rows - r0);
-      load(z0 + r0, slice, in_);
-      // Samples enter through the same path as the layer outputs.
-      round(RoundAt::kInter, in_, slice * row_in);
-      dense(in_, slice * np, weights_.embed, h_ + r0 * np * d);
+      if (!worker_loads_) load_rows(r0, slice);
+      // One fork-join per slice, in which each worker embeds its rows.
+      float* h = h_ + r0 * np * d;
+      parallel_for(
+          0, static_cast<std::size_t>(slice),
+          [&](std::size_t b, std::size_t e) {
+            const auto rb = static_cast<std::int64_t>(b);
+            const auto re = static_cast<std::int64_t>(e);
+            if (worker_loads_) load_rows(r0 + rb, re - rb);
+            kernels::gemm_indirect_rows(
+                a_rows_.data(), a_cols_.data(), weights_.embed.w->raw(), h,
+                patch_in, d, rb * np, re * np, epilogue(weights_.embed, false));
+            finish(weights_.embed, h + rb * np * d, (re - rb) * np, false);
+          },
+          /*min_grain=*/1);
     }
     round(RoundAt::kInter, h_, n * d);
     // Positional embedding, added to every depth row.
@@ -85,14 +113,12 @@ class TileForward {
       dense(x_, n, blk.wo, q_);
       add_residual(q_, n);
       layer_norm(blk.ln2_gamma, blk.ln2_beta, n);
-      dense(x_, n, blk.fc1, wide_);
       // relu keeps op results on their grid, so it needs no rounding.
-      relu(wide_, n * config_.mlp_hidden);
+      dense(x_, n, blk.fc1, wide_, /*relu=*/true);
       dense(wide_, n, blk.fc2, x_);
       add_residual(x_, n);
     }
-    dense(h_, n, weights_.dec1, wide_);
-    relu(wide_, n * config_.decoder_hidden);
+    dense(h_, n, weights_.dec1, wide_, /*relu=*/true);
     dense(wide_, n, weights_.dec2, out);
     round(RoundAt::kInter, out, n * weights_.dec2.w->dim(1));
   }
@@ -102,18 +128,33 @@ class TileForward {
     if (hook_) hook_(at, x, n);
   }
 
-  /// nn::Dense::forward over n rows: y = x W, then + b, each result at the
-  /// op width.
-  void dense(const float* x, std::int64_t n,
-             const TinyVbfWeights::Dense& layer, float* y) {
-    const std::int64_t in = layer.w->dim(0);
+  /// nn::Dense::forward, then ReLU if asked: y = x W through the GEMM with
+  /// epilogue(), then finish() on its `rows` rows of y. Without a hook the
+  /// bias and ReLU ride the epilogue; with one, x W and then + b are each
+  /// rounded at the op width before the ReLU.
+  kernels::Epilogue epilogue(const TinyVbfWeights::Dense& layer,
+                             bool relu) const {
+    return {hook_ ? nullptr : layer.b->raw(), !hook_ && relu};
+  }
+  void finish(const TinyVbfWeights::Dense& layer, float* y, std::int64_t rows,
+              bool relu) const {
+    if (!hook_) return;
     const std::int64_t out = layer.w->dim(1);
-    kernels::gemm(x, layer.w->raw(), y, n, in, out);
-    round(RoundAt::kOp, y, n * out);
     const float* b = layer.b->raw();
-    for (std::int64_t r = 0; r < n; ++r)
+    round(RoundAt::kOp, y, rows * out);
+    for (std::int64_t r = 0; r < rows; ++r)
       for (std::int64_t j = 0; j < out; ++j) y[r * out + j] += b[j];
-    round(RoundAt::kOp, y, n * out);
+    round(RoundAt::kOp, y, rows * out);
+    if (relu)
+      for (std::int64_t i = 0; i < rows * out; ++i)
+        y[i] = y[i] > 0.0f ? y[i] : 0.0f;
+  }
+  void dense(const float* x, std::int64_t n,
+             const TinyVbfWeights::Dense& layer, float* y,
+             bool relu = false) const {
+    kernels::gemm(x, layer.w->raw(), y, n, layer.w->dim(0), layer.w->dim(1),
+                  epilogue(layer, relu));
+    finish(layer, y, n, relu);
   }
 
   /// x_ = layer_norm(h_), an op result.
@@ -131,13 +172,12 @@ class TileForward {
     round(RoundAt::kInter, h_, size);
   }
 
-  static void relu(float* x, std::int64_t n) {
-    for (std::int64_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
-  }
-
   /// nn::MultiHeadAttention::forward up to W_o, over the layer-norm output
-  /// in x_: the heads' outputs are concatenated into x_. Head bands of
-  /// q_, k_ and v_ are read in place through GEMM strides.
+  /// in x_: the heads' outputs are concatenated into x_. Each (depth row,
+  /// head) runs as one kernels::attention_block over the head bands of q_,
+  /// k_ and v_, in that row's block of wide_; the hook rounds each block
+  /// at the op width after the scores and after the scale, and at the
+  /// softmax width after the softmax.
   void attention(std::int64_t rows, const TinyVbfWeights::Block& blk) {
     const std::int64_t np = config_.num_patches();
     const std::int64_t d = config_.d_model;
@@ -147,49 +187,38 @@ class TileForward {
     dense(x_, n, blk.wk, k_);
     dense(x_, n, blk.wv, v_);
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dk));
-    float* scores = wide_;
-    const std::int64_t size = rows * np * np;
-    for (std::int64_t h = 0; h < config_.num_heads; ++h) {
-      const std::int64_t band = h * dk;
-      // scores = Q_h K_h^T, one (np, np) block per depth row.
-      per_row(rows, [&](std::int64_t r) {
-        const std::int64_t at = r * np * d + band;
-        kernels::gemm_strided(q_ + at, d, k_ + at, /*b_rs=*/1, /*b_cs=*/d,
-                              scores + r * np * np, np, np, dk, np);
-      });
-      round(RoundAt::kOp, scores, size);
-      for (std::int64_t i = 0; i < size; ++i) scores[i] *= inv_sqrt_dk;
-      round(RoundAt::kOp, scores, size);
-      kernels::softmax_rows(scores, scores, n, np);
-      round(RoundAt::kSoftmax, scores, size);
-      // Head h's output, attn V_h, into its band of x_.
-      per_row(rows, [&](std::int64_t r) {
-        const std::int64_t at = r * np * d + band;
-        kernels::gemm_strided(scores + r * np * np, np, v_ + at, d, 1,
-                              x_ + at, d, np, np, dk);
-      });
-    }
-    // Every head's A.V result is rounded once, at the op width.
-    round(RoundAt::kOp, x_, n * d);
-  }
-
-  /// fn(r) for every depth row r of the tile, across the pool.
-  static void per_row(std::int64_t rows,
-                      const std::function<void(std::int64_t)>& fn) {
+    kernels::AttentionHook block_hook;
+    if (hook_)
+      block_hook = [this](bool softmax, float* x, std::int64_t size) {
+        round(softmax ? RoundAt::kSoftmax : RoundAt::kOp, x, size);
+      };
     parallel_for(
         0, static_cast<std::size_t>(rows),
         [&](std::size_t rb, std::size_t re) {
-          for (std::size_t r = rb; r < re; ++r)
-            fn(static_cast<std::int64_t>(r));
+          for (auto r = static_cast<std::int64_t>(rb);
+               r < static_cast<std::int64_t>(re); ++r)
+            for (std::int64_t h = 0; h < config_.num_heads; ++h) {
+              const std::int64_t at = r * np * d + h * dk;
+              kernels::attention_block(q_ + at, k_ + at, v_ + at, d,
+                                       x_ + at, d, np, dk, inv_sqrt_dk,
+                                       wide_ + r * block_, block_hook);
+            }
         },
         /*min_grain=*/1);
+    // Every head's A.V result is rounded once, at the op width.
+    round(RoundAt::kOp, x_, n * d);
   }
 
   const TinyVbfConfig& config_;
   const TinyVbfWeights& weights_;
   const RoundingHook& hook_;
+  std::int64_t row_floats_ = 0;  ///< floats per loaded depth row
+  bool worker_loads_ = false;
   std::int64_t slice_rows_ = 1;  ///< depth rows per input slice
+  std::int64_t block_ = 0;       ///< floats of one attention block
   std::unique_ptr<float[]> buffer_;
+  std::vector<const float*> a_rows_;
+  std::vector<std::int64_t> a_cols_;
   float* in_ = nullptr;
   float* h_ = nullptr;
   float* x_ = nullptr;
@@ -198,6 +227,39 @@ class TileForward {
   float* v_ = nullptr;
   float* wide_ = nullptr;
 };
+
+/// run_tiny_vbf over rows in `layout`, loaded by the pool's workers or
+/// (worker_loads false) slice by slice on the calling thread.
+Tensor run(const TinyVbfConfig& config, const TinyVbfWeights& weights,
+           const Shape& shape, const RowLayout& layout, const RowLoader& load,
+           const RoundingHook& rounding, bool worker_loads) {
+  TVBF_REQUIRE(shape.size() == 3 && shape[1] == config.num_lateral &&
+                   shape[2] == config.in_channels,
+               "Tiny-VBF configured for (nz, " +
+                   std::to_string(config.num_lateral) + ", " +
+                   std::to_string(config.in_channels) + ") input; got " +
+                   to_string(shape));
+  TVBF_REQUIRE(static_cast<std::int64_t>(weights.blocks.size()) ==
+                   config.num_blocks,
+               "Tiny-VBF weights hold the wrong number of blocks");
+  const std::int64_t nz = shape[0];
+  const std::int64_t row_out = config.num_lateral * 2;
+  bool fits = static_cast<std::int64_t>(layout.channel_offset.size()) ==
+              config.in_channels;
+  for (const std::int64_t offset : layout.channel_offset)  // first, last pixel
+    for (const std::int64_t ix : {std::int64_t{0}, config.num_lateral - 1}) {
+      const std::int64_t at = layout.origin + ix * layout.pixel_step + offset;
+      fits = fits && at >= 0 && at < layout.row_floats;
+    }
+  TVBF_REQUIRE(fits, "Tiny-VBF row layout does not match the input");
+  TileForward forward(config, weights, rounding, std::min(kVbfTileRows, nz),
+                      layout, worker_loads);
+  Tensor out({nz, config.num_lateral, 2});
+  for (std::int64_t z0 = 0; z0 < nz; z0 += kVbfTileRows)
+    forward(z0, std::min(kVbfTileRows, nz - z0), load,
+            out.raw() + z0 * row_out);
+  return out;
+}
 
 }  // namespace
 
@@ -226,23 +288,16 @@ TinyVbfWeights weights_of(const TinyVbf& model) {
 Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
                     const Shape& shape, const RowLoader& load,
                     const RoundingHook& rounding) {
-  TVBF_REQUIRE(shape.size() == 3 && shape[1] == config.num_lateral &&
-                   shape[2] == config.in_channels,
-               "Tiny-VBF configured for (nz, " +
-                   std::to_string(config.num_lateral) + ", " +
-                   std::to_string(config.in_channels) + ") input; got " +
-                   to_string(shape));
-  TVBF_REQUIRE(static_cast<std::int64_t>(weights.blocks.size()) ==
-                   config.num_blocks,
-               "Tiny-VBF weights hold the wrong number of blocks");
-  const std::int64_t nz = shape[0];
-  const std::int64_t row_out = config.num_lateral * 2;
-  TileForward forward(config, weights, rounding, std::min(kVbfTileRows, nz));
-  Tensor out({nz, config.num_lateral, 2});
-  for (std::int64_t z0 = 0; z0 < nz; z0 += kVbfTileRows)
-    forward(z0, std::min(kVbfTileRows, nz - z0), load,
-            out.raw() + z0 * row_out);
-  return out;
+  return run(config, weights, shape,
+             RowLayout::dense(config.num_lateral, config.in_channels), load,
+             rounding, /*worker_loads=*/false);
+}
+
+Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
+                    const Shape& shape, const RowLayout& layout,
+                    const RowLoader& load, const RoundingHook& rounding) {
+  return run(config, weights, shape, layout, load, rounding,
+             /*worker_loads=*/true);
 }
 
 Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
@@ -251,6 +306,7 @@ Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
   const std::int64_t row_in = config.num_lateral * config.in_channels;
   return run_tiny_vbf(
       config, weights, input.shape(),
+      RowLayout::dense(config.num_lateral, config.in_channels),
       [&](std::int64_t z0, std::int64_t rows, float* out) {
         const float* src = input.raw() + z0 * row_in;
         for (std::int64_t i = 0; i < rows * row_in; ++i)

@@ -4,11 +4,11 @@
 //
 // It calls the kernels directly on raw buffers, but every op computes what
 // the autograd forward TinyVbf::forward computes, in the same order: the
-// GEMMs run the same blocked kernel (head bands of Q, K and V are read
-// through kernels::gemm_strided's strides, which pack B into the same
-// panels a copied band would), layer norm and softmax run the kernels
-// tvbf::layer_norm and tvbf::softmax_last call, and the adds, scales and
-// ReLUs are the same elementwise float ops. So float inference is the
+// GEMMs run the same micro-kernels (each (depth row, head) of attention as
+// one kernels::attention_block, in L1), layer norm and softmax the
+// arithmetic of tvbf::layer_norm and tvbf::softmax_last, and the adds,
+// scales and ReLUs are the same float ops (the bias adds and ReLUs in the
+// GEMM epilogues when there is no hook). So float inference is the
 // autograd output bit for bit; test_models and the benchmark's traced run
 // check it. The fixed-point datapath passes a rounding hook that the engine
 // calls, in place, on every buffer the accelerator rounds (Figs 5-8);
@@ -19,14 +19,14 @@
 // row), so the output does not depend on the tiling; the tiling bounds the
 // working set. A call allocates one workspace for a tile's buffers and
 // reuses it for every tile, and every elementwise op runs in place in it.
-// The input enters through a row loader, which writes already scaled rows:
-// a tile is loaded and embedded in slices of at most kVbfSliceBytes of
-// input, so the embed GEMM reads each slice from cache right after the
-// loader writes it, and a frame's input is never held whole. The loader
-// may copy from a raw ToF cube (the tensor overload) or gather the rows
-// straight from the acquired RF (us::TofPlan::rows). The embed GEMM's rows
-// are independent and the rounding hook is elementwise, so the slicing
-// does not change the output either.
+// The input enters through a row loader, which writes already scaled rows
+// in a RowLayout: a tile is loaded and embedded in slices of at most
+// kVbfSliceBytes of input, one pool fork-join per slice, so the embed GEMM
+// reads each slice from cache, in place (kernels::gemm_indirect_rows), and
+// a frame's input is never held whole. The loader may copy (nx, nch) rows
+// from a raw ToF cube or write slot tables straight from the acquired RF
+// (us::TofPlan::slot_rows). The embed GEMM's rows are independent and the
+// rounding hook is elementwise, so neither changes the output.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,8 @@ namespace tvbf::models {
 /// and a softmax output (its own, wider width).
 enum class RoundAt { kOp, kInter, kSoftmax };
 
-/// Rounds x[0, n) in place to the format of one datapath point.
+/// Rounds x[0, n) in place to the format of one datapath point; pool
+/// workers may call it at once, on disjoint buffers.
 using RoundingHook = std::function<void(RoundAt at, float* x, std::int64_t n)>;
 
 /// Non-owning views of one Tiny-VBF's weights, laid out as TinyVbf's
@@ -80,21 +81,29 @@ inline constexpr std::int64_t kVbfTileRows = 64;
 
 /// Most input bytes loaded per slice: a slice holds as many whole depth
 /// rows as fit, at least one and at most a tile. At paper scale (64 KB
-/// rows) that is 8 rows, a 512 KB input buffer that stays in L2 between
-/// the load and the embed GEMM. One paper frame on one thread, gathering
-/// the rows from the RF and embedding them (medians of five interleaved
-/// runs, 4-vCPU Xeon): 64-row slices 17.4 ms, 8-row 12.2 ms, 4-row
-/// 13.3 ms. Rows of 8 KB or less load a whole tile at once.
+/// cube rows, 67.5 KB slot tables) that is 8 or 7 rows, which stay in L2
+/// between the load and the embed GEMM. One paper frame on one thread,
+/// gathering (nx, nch) rows from the RF and embedding them (medians of
+/// five interleaved runs, 4-vCPU Xeon): 64-row slices 17.4 ms, 8-row
+/// 12.2 ms, 4-row 13.3 ms. Rows of 8 KB or less load a whole tile at once.
 inline constexpr std::int64_t kVbfSliceBytes = 512 * 1024;
 
-/// Tiny-VBF over an input of `shape` (nz, nx, nch) whose rows `load`
-/// writes, already scaled (a raw ToF cube times 1 / max|x| is the network's
-/// [-1, 1] input). With a hook, each loaded slice is rounded at
-/// RoundAt::kInter and every datapath result at its point. Returns the IQ
-/// image (nz, nx, 2).
+/// Tiny-VBF over an input of `shape` (nz, nx, nch) whose (nx, nch) rows
+/// `load` writes, already scaled (a raw ToF cube times 1 / max|x| is the
+/// network's [-1, 1] input). The engine asks for each row once, in order,
+/// slice by slice, on the calling thread. With a hook, each loaded slice is
+/// rounded at RoundAt::kInter and every datapath result at its point.
+/// Returns the IQ image (nz, nx, 2).
 Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
                     const Shape& shape, const RowLoader& load,
                     const RoundingHook& rounding = {});
+
+/// run_tiny_vbf over rows `load` writes in `layout`, which each pool worker
+/// loads for its own depth rows of a slice and embeds: `load` may run on
+/// several threads at once, over disjoint row ranges, in any order.
+Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
+                    const Shape& shape, const RowLayout& layout,
+                    const RowLoader& load, const RoundingHook& rounding = {});
 
 /// run_tiny_vbf over a (nz, nx, nch) tensor: the loader copies its rows,
 /// every element multiplied by `input_scale` (an already normalized input

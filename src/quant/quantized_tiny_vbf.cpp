@@ -94,6 +94,13 @@ Tensor QuantizedTinyVbf::infer(const Shape& shape,
   return models::run_tiny_vbf(config_, weights(), shape, load, rounding());
 }
 
+Tensor QuantizedTinyVbf::infer(const Shape& shape,
+                               const models::RowLayout& layout,
+                               const models::RowLoader& load) const {
+  return models::run_tiny_vbf(config_, weights(), shape, layout, load,
+                              rounding());
+}
+
 std::vector<Tensor> QuantizedTinyVbf::infer_batch(
     const std::vector<const Tensor*>& inputs) const {
   // Same depth-axis stacking as TinyVbf::infer_batch: every fixed-point
@@ -119,8 +126,10 @@ Tensor QuantizedVbfBeamformer::beamform(const us::TofCube& cube) const {
 std::optional<Tensor> QuantizedVbfBeamformer::beamform_through(
     const us::TofPlan& plan, const us::Acquisition& acq) const {
   return models::infer_through(
-      plan, acq, [this](const Shape& shape, const models::RowLoader& load) {
-        return model_->infer(shape, load);
+      plan, acq,
+      [this](const Shape& shape, const models::RowLayout& layout,
+             const models::RowLoader& load) {
+        return model_->infer(shape, layout, load);
       });
 }
 

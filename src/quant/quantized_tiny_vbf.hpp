@@ -32,8 +32,11 @@ class QuantizedTinyVbf {
   Tensor infer(const Tensor& input, float input_scale = 1.0f) const;
 
   /// infer() over an input of `shape` that `load` fetches row range by row
-  /// range, already scaled (see models::run_tiny_vbf).
+  /// range, already scaled, in order as (nx, nch) rows or, given a layout,
+  /// from pool workers in it (see models::run_tiny_vbf).
   Tensor infer(const Shape& shape, const models::RowLoader& load) const;
+  Tensor infer(const Shape& shape, const models::RowLayout& layout,
+               const models::RowLoader& load) const;
 
   /// Batch-of-frames fixed-point inference: stacks the per-frame inputs
   /// along the depth axis, runs one infer() over the stack and splits the

@@ -163,7 +163,6 @@ class FrameProcessor {
   const us::TofCube& cube();
   /// Per-stage times of the frame most recently stepped to finish().
   const StageTimes& last_times() const { return times_; }
-  graph::BufferArena::Stats arena_stats() const { return arena_.stats(); }
 
   const PipelineConfig& config() const { return config_; }
   const bf::Beamformer& beamformer() const { return *beamformer_; }

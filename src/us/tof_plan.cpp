@@ -193,12 +193,12 @@ float TofPlan::peak(const us::Acquisition& acq) const {
   return kernels::tof_peak_compact_rf(rf_gather(acq));
 }
 
-void TofPlan::rows(const us::Acquisition& acq, std::int64_t z0,
-                   std::int64_t n_rows, float scale, float* out) const {
+void TofPlan::slot_rows(const us::Acquisition& acq, std::int64_t z0,
+                        std::int64_t n_rows, float scale, float* out) const {
   const kernels::CompactRfGather g = rf_gather(acq);
   TVBF_REQUIRE(z0 >= 0 && n_rows >= 0 && z0 + n_rows <= g.nz,
                "depth rows outside the plan's grid");
-  kernels::tof_rows_compact_rf(g, z0, z0 + n_rows, scale, out);
+  kernels::tof_slot_rows_compact_rf(g, z0, z0 + n_rows, scale, out);
 }
 
 void TofPlan::apply(const us::Acquisition& acq, bool analytic,

@@ -77,8 +77,8 @@ class TofPlan {
   us::TofCube apply(const us::Acquisition& acq, bool analytic) const;
 
   /// True when the plan can feed a consumer straight from the acquired RF,
-  /// without the cube: its table is compact and linear. peak() and rows()
-  /// need it; the other plans only apply().
+  /// without the cube: its table is compact and linear. peak() and
+  /// slot_rows() need it; the other plans only apply().
   bool reads_rf() const {
     return compact_ && key_.interp == dsp::Interp::kLinear;
   }
@@ -89,11 +89,13 @@ class TofPlan {
   float peak(const us::Acquisition& acq) const;
 
   /// Depth rows [z0, z0 + n_rows) of the RF cube apply(acq, false) writes,
-  /// every value times `scale`, into out as (n_rows, nx, nch): bit for bit
-  /// the cube's values times scale. Requires reads_rf(); validates `acq`
-  /// as apply() does.
-  void rows(const us::Acquisition& acq, std::int64_t z0,
-            std::int64_t n_rows, float scale, float* out) const;
+  /// every value times `scale`, as slot tables (kernels/tof_gather.hpp)
+  /// kernels::slot_row_floats(nx, nch) apart from out on: the value at
+  /// kernels::slot_offset(nx, ix, c) of a row is the cube's (ix, c) times
+  /// scale, bit for bit. Serial. Requires reads_rf(); validates `acq` as
+  /// apply() does.
+  void slot_rows(const us::Acquisition& acq, std::int64_t z0,
+                 std::int64_t n_rows, float scale, float* out) const;
 
   const TofPlanKey& key() const { return key_; }
 

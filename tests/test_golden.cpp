@@ -241,9 +241,9 @@ TEST_F(Golden96x64, TinyVbfHybrid2Iq) {
 /// L11-5v probe at 0 degrees, a linear plan, over fixed-seed Gaussian RF
 /// (no simulation needed). 1,828 samples is the simulator's window for
 /// 45 mm, so the deepest outer pixels fall outside it and read 0. The same
-/// cube assembled from the plan's cube-free rows (the compact-RF kernel),
-/// in uneven row ranges at scale 1, must give the same digest, and the
-/// plan's peak must be max_abs of the cube.
+/// cube assembled through slot_offset from the plan's cube-free slot rows
+/// (the compact-RF kernel), in uneven row ranges at scale 1, must give the
+/// same digest, and the plan's peak must be max_abs of the cube.
 TEST(GoldenDigest, PaperScaleTofCube) {
   us::Acquisition acq;
   acq.probe = us::Probe::l11_5v();
@@ -257,11 +257,18 @@ TEST(GoldenDigest, PaperScaleTofCube) {
 
   const us::TofPlan plan = us::TofPlan::build_for(acq, grid);
   ASSERT_TRUE(plan.reads_rf());
-  Tensor rows(cube.real.shape());
-  const std::int64_t row = grid.nx * acq.probe.num_elements;
+  const std::int64_t nx = grid.nx, nch = acq.probe.num_elements;
+  const std::int64_t row = kernels::slot_row_floats(nx, nch);
+  std::vector<float> tables(static_cast<std::size_t>(grid.nz * row));
   for (std::int64_t z0 = 0, step = 8; z0 < grid.nz; z0 += step, step ^= 13)
-    plan.rows(acq, z0, std::min(step, grid.nz - z0), 1.0f,
-              rows.raw() + z0 * row);  // 8 rows, then 5, then 8, ...
+    plan.slot_rows(acq, z0, std::min(step, grid.nz - z0), 1.0f,
+                   tables.data() + z0 * row);  // 8 rows, then 5, then 8, ...
+  Tensor rows(cube.real.shape());
+  for (std::int64_t iz = 0; iz < grid.nz; ++iz)
+    for (std::int64_t ix = 0; ix < nx; ++ix)
+      for (std::int64_t c = 0; c < nch; ++c)
+        rows.raw()[(iz * nx + ix) * nch + c] = tables[static_cast<std::size_t>(
+            iz * row + kernels::slot_offset(nx, ix, c))];
   EXPECT_EQ(fnv1a(rows), fnv1a(cube.real));
   if (!regenerating("tof_paper_rf.fnv1a"))
     check_digest("tof_paper_rf.fnv1a", rows);

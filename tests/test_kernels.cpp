@@ -280,6 +280,32 @@ std::int64_t first_mismatch(const float* a, const float* b, std::int64_t n) {
   return -1;
 }
 
+/// Depth rows [z0, z1) of the cube, assembled through slot_offset from the
+/// slot tables tof_slot_rows_compact_rf (or its scalar form) writes. Both
+/// forms must write the same whole tables.
+std::vector<float> slot_rows_cube(const CompactRfGather& g, std::int64_t z0,
+                                  std::int64_t z1, float scale, bool scalar) {
+  const std::int64_t row = slot_row_floats(g.nx, g.nch);
+  const auto size = static_cast<std::size_t>((z1 - z0) * row);
+  std::vector<float> tables(size, 1.0f), twin(size, 2.0f);
+  (scalar ? tof_slot_rows_compact_rf_scalar : tof_slot_rows_compact_rf)(
+      g, z0, z1, scale, tables.data());
+  (scalar ? tof_slot_rows_compact_rf : tof_slot_rows_compact_rf_scalar)(
+      g, z0, z1, scale, twin.data());
+  EXPECT_EQ(first_mismatch(tables.data(), twin.data(),
+                           static_cast<std::int64_t>(size)),
+            -1)
+      << "the AVX2 and scalar slot tables differ, nch " << g.nch;
+  std::vector<float> cube(static_cast<std::size_t>((z1 - z0) * g.nx * g.nch));
+  for (std::int64_t r = 0; r < z1 - z0; ++r)
+    for (std::int64_t ix = 0; ix < g.nx; ++ix)
+      for (std::int64_t c = 0; c < g.nch; ++c)
+        cube[static_cast<std::size_t>((r * g.nx + ix) * g.nch + c)] =
+            tables[static_cast<std::size_t>(r * row +
+                                            slot_offset(g.nx, ix, c))];
+  return cube;
+}
+
 /// A row of one of the kinds the oracle tests cover.
 enum class RowKind { kNormal, kWide, kOffset, kEqual, kSpecials };
 
@@ -740,9 +766,8 @@ TEST(TofGatherKernel, LerpRoundsBothProductsBeforeTheAdd) {
       peak = std::max(peak, std::fabs(v));
     }
   const CompactRfGather cg{cidx.data(), cfrac.data(), rf.data(), 1, cx, cch};
-  std::vector<float> rows(cube.size()), scalar_rows(cube.size());
-  tof_rows_compact_rf(cg, 0, 1, 1.0f, rows.data());
-  tof_rows_compact_rf_scalar(cg, 0, 1, 1.0f, scalar_rows.data());
+  const std::vector<float> rows = slot_rows_cube(cg, 0, 1, 1.0f, false);
+  const std::vector<float> scalar_rows = slot_rows_cube(cg, 0, 1, 1.0f, true);
   const auto cube_n = static_cast<std::int64_t>(cube.size());
   EXPECT_EQ(first_mismatch(rows.data(), cube.data(), cube_n), -1);
   EXPECT_EQ(first_mismatch(scalar_rows.data(), cube.data(), cube_n), -1);
@@ -814,17 +839,16 @@ TEST(TofGatherKernel, CompactRfRowsEqualScalarAndTheCubeTimesScale) {
     for (const float scale : {1.0f, 0.37f}) {
       std::vector<float> want(cube.size());
       for (std::size_t i = 0; i < cube.size(); ++i) want[i] = cube[i] * scale;
-      std::vector<float> got(cube.size()), scalar(cube.size());
-      tof_rows_compact_rf(g, 0, nz, scale, got.data());
-      tof_rows_compact_rf_scalar(g, 0, nz, scale, scalar.data());
+      const std::vector<float> got = slot_rows_cube(g, 0, nz, scale, false);
+      const std::vector<float> scalar = slot_rows_cube(g, 0, nz, scale, true);
       EXPECT_EQ(first_mismatch(got.data(), want.data(), count), -1)
           << "nch " << nch << ", scale " << scale;
       EXPECT_EQ(first_mismatch(scalar.data(), want.data(), count), -1)
           << "nch " << nch << ", scale " << scale;
       // Rows [1, 3) and [3, 5): each range starts at its own buffer.
       for (const std::int64_t z0 : {1, 3}) {
-        std::vector<float> part(static_cast<std::size_t>(2 * plane));
-        tof_rows_compact_rf(g, z0, z0 + 2, scale, part.data());
+        const std::vector<float> part =
+            slot_rows_cube(g, z0, z0 + 2, scale, false);
         EXPECT_EQ(first_mismatch(part.data(), want.data() + z0 * plane,
                                  2 * plane),
                   -1)
@@ -896,6 +920,341 @@ TEST(TofGatherKernel, CompactRfPeakEqualsMaxAbsOfTheCube) {
           << " vs " << want;
     }
   }
+}
+
+
+// ---- Bounded peak, slot rows ------------------------------------------------
+
+/// The RF cube a compact table gives through tof_gather (what
+/// TofPlan::apply runs), from sample-major RF.
+std::vector<float> applied_cube(const std::vector<std::int32_t>& idx,
+                                const std::vector<float>& frac,
+                                const std::vector<float>& rf, std::int64_t nz,
+                                std::int64_t nx, std::int64_t nch,
+                                std::int64_t n) {
+  std::vector<float> lines(rf.size());
+  for (std::int64_t i = 0; i < n; ++i)
+    for (std::int64_t e = 0; e < nch; ++e)
+      lines[static_cast<std::size_t>(e * n + i)] =
+          rf[static_cast<std::size_t>(i * nch + e)];
+  std::vector<float> cube(static_cast<std::size_t>(nz * nx * nch));
+  tof_gather({.idx = idx.data(),
+              .frac = frac.data(),
+              .row_stride = nx + nch - 1,
+              .col0 = nx - 1,
+              .col_step = -1,
+              .lines_re = lines.data(),
+              .out_re = cube.data(),
+              .nz = nz,
+              .nx = nx,
+              .nch = nch,
+              .nsamples = n});
+  return cube;
+}
+
+TEST(TofGatherKernel, BoundedPeakEqualsMaxAbsOnAdversarialRf) {
+  // The bounded peak skips slots whose bound max(R[base], R[base + 1])
+  // cannot exceed the running max; each case must still give max_abs of
+  // the applied cube, in both forms.
+  const std::int64_t nz = 3, nx = 6, n = 24;
+  for (const std::int64_t nch : {5, 12, 16}) {
+    const std::int64_t width = nx + nch - 1;
+    enum Case { kHalfLerp, kTail, kSpecials, kZero, kAllBoundsHigh };
+    for (const Case c : {kHalfLerp, kTail, kSpecials, kZero, kAllBoundsHigh}) {
+      Rng rng(61 + static_cast<std::uint64_t>(c));
+      std::vector<float> rf(static_cast<std::size_t>(n * nch));
+      for (float& x : rf)
+        x = c == kZero ? 0.0f : static_cast<float>(rng.normal(0.0, 0.1));
+      std::vector<std::int32_t> idx;
+      std::vector<float> frac;
+      random_compact_table(rng, nz, nx, nch, n, idx, frac);
+      const auto at = [&](std::int64_t s, std::int64_t e) -> float& {
+        return rf[static_cast<std::size_t>(s * nch + e)];
+      };
+      switch (c) {
+        case kHalfLerp:
+          // One slot reads 1e30 beside -1e30 at f = 0.5: its bound is the
+          // largest, its values are 0. No other slot reads rows 20, 21.
+          for (std::int64_t i = 0; i < nz * width; ++i)
+            if (idx[static_cast<std::size_t>(i)] >= 19 ||
+                kTofLinearBias - idx[static_cast<std::size_t>(i)] >= 19)
+              idx[static_cast<std::size_t>(i)] = 2;
+          idx[static_cast<std::size_t>(width + 4)] = 20;
+          frac[static_cast<std::size_t>(width + 4)] = 0.5f;
+          for (std::int64_t e = 0; e < nch; ++e) {
+            at(20, e) = 1e30f;
+            at(21, e) = -1e30f;
+          }
+          break;
+        case kTail:
+          // The peak sits in the last channel, past the 8-lane body.
+          at(idx[static_cast<std::size_t>(width - 1)] >= 0
+                 ? idx[static_cast<std::size_t>(width - 1)]
+                 : kTofLinearBias - idx[static_cast<std::size_t>(width - 1)],
+             nch - 1) = 50.0f;
+          idx[static_cast<std::size_t>(width - 1)] = 7;
+          frac[static_cast<std::size_t>(width - 1)] = 0.0f;
+          at(7, nch - 1) = 50.0f;
+          break;
+        case kSpecials:
+          for (const float special : {kNaN, kInf, -kInf, kNaN})
+            at(static_cast<std::int64_t>(rng.uniform_index(n)),
+               static_cast<std::int64_t>(rng.uniform_index(nch))) = special;
+          break;
+        case kZero:
+          break;
+        case kAllBoundsHigh:
+          break;  // below, on its own grid
+      }
+      std::int64_t grid_nx = nx;
+      if (c == kAllBoundsHigh) {
+        // One column: slot j feeds channel j alone. Each slot reads its own
+        // row pair, which holds a 1e6 in another channel, so every bound is
+        // 1e6 and every slot is evaluated.
+        grid_nx = 1;
+        rf.assign(static_cast<std::size_t>((2 * nz * nch + 1) * nch), 0.0f);
+        idx.resize(static_cast<std::size_t>(nz * nch));
+        frac.resize(idx.size());
+        for (std::int64_t i = 0; i < nz * nch; ++i) {
+          const std::int64_t e = i % nch;
+          idx[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(2 * i);
+          frac[static_cast<std::size_t>(i)] =
+              static_cast<float>(rng.uniform());
+          for (std::int64_t s = 2 * i; s < 2 * i + 2; ++s) {
+            rf[static_cast<std::size_t>(s * nch + e)] =
+                static_cast<float>(rng.normal());
+            rf[static_cast<std::size_t>(s * nch + (e + 1) % nch)] =
+                nch > 1 ? 1e6f : rf[static_cast<std::size_t>(s * nch + e)];
+          }
+        }
+      }
+      const std::vector<float> cube = applied_cube(
+          idx, frac, rf, nz, grid_nx, nch,
+          static_cast<std::int64_t>(rf.size()) / nch);
+      const float want =
+          max_abs(cube.data(), static_cast<std::int64_t>(cube.size()));
+      if (c == kAllBoundsHigh) {
+        ASSERT_LT(want, 1e5f) << "nch " << nch;
+      }
+      const CompactRfGather g{idx.data(), frac.data(), rf.data(),
+                              nz,         grid_nx,     nch};
+      const float got = tof_peak_compact_rf(g);
+      const float scalar = tof_peak_compact_rf_scalar(g);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << "nch " << nch << ", case " << c << ": " << got << " vs " << want;
+      EXPECT_EQ(std::memcmp(&scalar, &want, sizeof(float)), 0)
+          << "nch " << nch << ", case " << c << ": " << scalar << " vs "
+          << want;
+    }
+  }
+}
+
+TEST(TofGatherKernel, SlotRowsAssembleTheAppliedCube) {
+  // The cube read through slot_offset from the slot tables equals the
+  // applied cube times the scale, for channel counts around and past the
+  // 8-lane groups (the last group padded).
+  Rng rng(67);
+  const std::int64_t nz = 3, nx = 9, n = 50;
+  for (const std::int64_t nch :
+       {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 52, 128}) {
+    std::vector<float> rf(static_cast<std::size_t>(n * nch));
+    for (float& x : rf) x = static_cast<float>(rng.normal());
+    std::vector<std::int32_t> idx;
+    std::vector<float> frac;
+    random_compact_table(rng, nz, nx, nch, n, idx, frac);
+    const std::vector<float> cube =
+        applied_cube(idx, frac, rf, nz, nx, nch, n);
+    const CompactRfGather g{idx.data(), frac.data(), rf.data(), nz, nx, nch};
+    for (const float scale : {1.0f, 0.37f}) {
+      std::vector<float> want(cube.size());
+      for (std::size_t i = 0; i < cube.size(); ++i) want[i] = cube[i] * scale;
+      const auto count = static_cast<std::int64_t>(want.size());
+      EXPECT_EQ(first_mismatch(slot_rows_cube(g, 0, nz, scale, false).data(),
+                               want.data(), count),
+                -1)
+          << "nch " << nch << ", scale " << scale;
+      EXPECT_EQ(first_mismatch(slot_rows_cube(g, 0, nz, scale, true).data(),
+                               want.data(), count),
+                -1)
+          << "nch " << nch << ", scale " << scale;
+    }
+  }
+}
+
+// ---- GEMM epilogue, indirect A ----------------------------------------------
+
+TEST(Gemm, EpilogueEqualsSeparateBiasAndReluPasses) {
+  // gemm + bias + ReLU in one pass against gemm, then + b, then
+  // v > 0 ? v : 0: ragged tiles, two K blocks (k > 256), and outputs that
+  // are -0 or NaN before the bias.
+  for (const auto& [m, k, n] :
+       std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>{
+           {1, 1, 1}, {5, 7, 3}, {9, 16, 17}, {13, 300, 24}, {33, 512, 16}}) {
+    Rng rng(static_cast<std::uint64_t>(71 + m + k + n));
+    Tensor a = random_tensor({m, k}, rng);
+    const Tensor b = random_tensor({k, n}, rng);
+    Tensor bias = random_tensor({n}, rng);
+    bias.raw()[0] = -0.0f;
+    std::fill_n(a.raw(), k, 0.0f);  // row 0 sums to 0 (-0 after a -0 bias)
+    a.raw()[0] = -0.0f;
+    if (m > 2) a.raw()[2 * k] = kNaN;  // row 2 sums to NaN
+    for (const bool relu : {false, true}) {
+      Tensor want({m, n}), got({m, n}, 7.0f), rows({m, n}, 7.0f);
+      gemm(a.raw(), b.raw(), want.raw(), m, k, n);
+      for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = 0; j < n; ++j) {
+          float& v = want.raw()[i * n + j];
+          v += bias.raw()[j];
+          if (relu) v = v > 0.0f ? v : 0.0f;
+        }
+      gemm(a.raw(), b.raw(), got.raw(), m, k, n, {bias.raw(), relu});
+      gemm_rows(a.raw(), b.raw(), rows.raw(), m, k, n, 0, m, false,
+                {bias.raw(), relu});
+      EXPECT_EQ(first_mismatch(got.raw(), want.raw(), m * n), -1)
+          << m << "x" << k << "x" << n << ", relu " << relu;
+      EXPECT_EQ(first_mismatch(rows.raw(), want.raw(), m * n), -1)
+          << m << "x" << k << "x" << n << ", relu " << relu;
+    }
+  }
+}
+
+TEST(Gemm, IndirectRowsEqualGemmOnTheGatheredA) {
+  // A read through row pointers and column offsets (each row's columns
+  // reversed and strided through a wider buffer) gives gemm_rows' bits on
+  // the gathered copy, with and without an epilogue.
+  for (const auto& [m, k, n] :
+       std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>{
+           {1, 1, 1}, {6, 9, 5}, {13, 40, 16}, {21, 300, 20}}) {
+    Rng rng(static_cast<std::uint64_t>(73 + m + k + n));
+    const Tensor src = random_tensor({m, 3 * k}, rng);
+    const Tensor b = random_tensor({k, n}, rng);
+    const Tensor bias = random_tensor({n}, rng);
+    std::vector<const float*> rows;
+    std::vector<std::int64_t> cols;
+    Tensor gathered({m, k});
+    for (std::int64_t i = 0; i < m; ++i) rows.push_back(src.raw() + i * 3 * k);
+    for (std::int64_t p = 0; p < k; ++p) cols.push_back(3 * (k - 1 - p) + 1);
+    for (std::int64_t i = 0; i < m; ++i)
+      for (std::int64_t p = 0; p < k; ++p)
+        gathered.raw()[i * k + p] = rows[i][cols[p]];
+    for (const Epilogue e : {Epilogue{}, Epilogue{bias.raw(), true}}) {
+      Tensor want({m, n}), got({m, n});
+      gemm_rows(gathered.raw(), b.raw(), want.raw(), m, k, n, 0, m, false, e);
+      gemm_indirect_rows(rows.data(), cols.data(), b.raw(), got.raw(), k, n,
+                         0, m, e);
+      EXPECT_EQ(first_mismatch(got.raw(), want.raw(), m * n), -1)
+          << m << "x" << k << "x" << n;
+    }
+  }
+}
+
+// ---- Column softmax, attention block ---------------------------------------
+
+TEST(ReduceKernels, SoftmaxColumnsEqualRowsOfTheTranspose) {
+  Rng rng(79);
+  for (const std::int64_t rows : {1, 3, 8, 13, 32, 40})
+    for (const std::int64_t cols : {1, 7, 8, 13, 32})
+      for (const RowKind kind : {RowKind::kNormal, RowKind::kWide,
+                                 RowKind::kEqual, RowKind::kSpecials}) {
+        const std::vector<float> x = make_rows(kind, rows * cols, rng);
+        std::vector<float> t(x.size()), want(x.size());
+        for (std::int64_t r = 0; r < rows; ++r)
+          for (std::int64_t c = 0; c < cols; ++c)
+            t[static_cast<std::size_t>(c * rows + r)] =
+                x[static_cast<std::size_t>(r * cols + c)];
+        softmax_rows_scalar(t.data(), t.data(), cols, rows);
+        for (std::int64_t r = 0; r < rows; ++r)
+          for (std::int64_t c = 0; c < cols; ++c)
+            want[static_cast<std::size_t>(r * cols + c)] =
+                t[static_cast<std::size_t>(c * rows + r)];
+        std::vector<float> got = x, scalar = x;
+        softmax_columns(got.data(), rows, cols);
+        softmax_columns_scalar(scalar.data(), rows, cols);
+        EXPECT_EQ(first_mismatch(got.data(), want.data(), rows * cols), -1)
+            << rows << "x" << cols << ", kind " << static_cast<int>(kind);
+        EXPECT_EQ(first_mismatch(scalar.data(), want.data(), rows * cols), -1)
+            << rows << "x" << cols << ", kind " << static_cast<int>(kind);
+      }
+}
+
+/// attention_block's reference: Q.K^T by gemm on copied bands, the hook,
+/// the scale, the hook, softmax_rows, the hook, then gemm(P, V).
+void reference_attention(const float* q, const float* k, const float* v,
+                         std::int64_t ld, std::int64_t np, std::int64_t dk,
+                         float scale, const AttentionHook& hook, float* out) {
+  std::vector<float> qb(static_cast<std::size_t>(np * dk)), kt(qb.size()),
+      vb(qb.size()), s(static_cast<std::size_t>(np * np));
+  for (std::int64_t i = 0; i < np; ++i)
+    for (std::int64_t p = 0; p < dk; ++p) {
+      qb[static_cast<std::size_t>(i * dk + p)] = q[i * ld + p];
+      kt[static_cast<std::size_t>(p * np + i)] = k[i * ld + p];
+      vb[static_cast<std::size_t>(i * dk + p)] = v[i * ld + p];
+    }
+  const auto round = [&](bool softmax) {
+    if (hook) hook(softmax, s.data(), np * np);
+  };
+  gemm(qb.data(), kt.data(), s.data(), np, dk, np);
+  round(false);
+  for (float& x : s) x *= scale;
+  round(false);
+  softmax_rows(s.data(), s.data(), np, np);
+  round(true);
+  gemm(s.data(), vb.data(), out, np, np, dk);
+}
+
+TEST(AttentionBlock, EqualsGemmSoftmaxGemmOnCopiedBands) {
+  // Bands of a wider (np, 3 * dk) buffer; a hook that snaps each point to
+  // its own grid; a query row holding NaN and one holding +inf come out
+  // all NaN, as through softmax_rows.
+  const AttentionHook snap = [](bool softmax, float* x, std::int64_t n) {
+    const float step = softmax ? 4096.0f : 256.0f;
+    for (std::int64_t i = 0; i < n; ++i)
+      x[i] = std::nearbyint(x[i] * step) / step;
+  };
+  for (const std::int64_t np : {1, 4, 7, 13, 16, 32})
+    for (const std::int64_t dk : {4, 8, 12})
+      for (const bool hooked : {false, true})
+        for (const bool special : {false, true}) {
+          const AttentionHook hook = hooked ? snap : AttentionHook{};
+          Rng rng(static_cast<std::uint64_t>(83 + np * 16 + dk));
+          const std::int64_t ld = 3 * dk;
+          std::vector<float> qkv(static_cast<std::size_t>(np * ld));
+          for (float& x : qkv) x = static_cast<float>(rng.normal(0.0, 2.0));
+          const float* q = qkv.data();
+          const float* k = q + dk;
+          const float* v = k + dk;
+          if (special && np > 2) {
+            qkv[static_cast<std::size_t>(1 * ld + 0)] = kNaN;
+            qkv[static_cast<std::size_t>(2 * ld + 1)] = kInf;
+          }
+          const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
+          const std::int64_t ldo = dk + 3;
+          std::vector<float> want(static_cast<std::size_t>(np * dk));
+          reference_attention(q, k, v, ld, np, dk, scale, hook, want.data());
+          std::vector<float> work(
+              static_cast<std::size_t>(attention_block_floats(np, dk)));
+          for (const bool scalar : {false, true}) {
+            std::vector<float> out(static_cast<std::size_t>(np * ldo), 5.0f);
+            (scalar ? attention_block_scalar : attention_block)(
+                q, k, v, ld, out.data(), ldo, np, dk, scale, work.data(),
+                hook);
+            for (std::int64_t i = 0; i < np; ++i) {
+              EXPECT_EQ(first_mismatch(out.data() + i * ldo,
+                                       want.data() + i * dk, dk),
+                        -1)
+                  << "np " << np << ", dk " << dk << ", row " << i
+                  << (hooked ? ", hooked" : "") << (scalar ? ", scalar" : "");
+              EXPECT_EQ(out[static_cast<std::size_t>(i * ldo + dk)], 5.0f);
+              if (special && np > 2 && (i == 1 || i == 2)) {
+                for (std::int64_t c = 0; c < dk; ++c) {
+                  EXPECT_TRUE(std::isnan(out[static_cast<std::size_t>(
+                      i * ldo + c)]))
+                      << "np " << np << ", dk " << dk << ", row " << i;
+                }
+              }
+            }
+          }
+        }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // (the paper's GOPs/frame comparison), adapters, dataset and training.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -189,6 +190,51 @@ TEST(TinyVbfEngine, RowLoaderEqualsTensorOverload) {
     EXPECT_TRUE(same_bits(model.infer(x.shape(), load), model.infer(x, s)))
         << where;
   }
+}
+
+TEST(TinyVbfEngine, RowLayoutLoadsEqualTheTensorOverload) {
+  // Rows in a padded, channel-reversed layout, loaded by the pool's
+  // workers, give the tensor overload's bits, with and without a hook; a
+  // layout that reaches outside its rows, or has the wrong channel count,
+  // throws.
+  Rng rng(16);
+  const TinyVbfConfig config = TinyVbfConfig::test(8, 16);
+  const TinyVbf model(config, rng);
+  const TinyVbfWeights weights = weights_of(model);
+  Rng drng(17);
+  const Tensor x = random_input(21, 16, 8, drng);
+  const std::int64_t nx = 16, nch = 8, row_floats = nx * nch + 5;
+  RowLayout layout{row_floats, 3 + (nx - 1) * nch, -nch, {}};
+  for (std::int64_t c = 0; c < nch; ++c)
+    layout.channel_offset.push_back(nch - 1 - c);
+  const RowLoader load = [&](std::int64_t z0, std::int64_t rows, float* out) {
+    std::fill_n(out, rows * row_floats, 0.0f);
+    for (std::int64_t r = 0; r < rows; ++r)
+      for (std::int64_t ix = 0; ix < nx; ++ix)
+        for (std::int64_t c = 0; c < nch; ++c)
+          out[r * row_floats + layout.origin + ix * layout.pixel_step +
+              layout.channel_offset[static_cast<std::size_t>(c)]] =
+              x.raw()[((z0 + r) * nx + ix) * nch + c] * 0.5f;
+  };
+  const RoundingHook snap = [](RoundAt, float* v, std::int64_t n) {
+    for (std::int64_t i = 0; i < n; ++i)
+      v[i] = std::nearbyint(v[i] * 256.0f) / 256.0f;
+  };
+  for (const RoundingHook& hook : {RoundingHook{}, snap})
+    EXPECT_TRUE(same_bits(
+        run_tiny_vbf(config, weights, x.shape(), layout, load, hook),
+        run_tiny_vbf(config, weights, x, 0.5f, hook)));
+  EXPECT_TRUE(
+      same_bits(model.infer(x.shape(), layout, load), model.infer(x, 0.5f)));
+  RowLayout outside = layout;
+  outside.origin = 0;  // pixel 15 at -120
+  EXPECT_THROW(model.infer(x.shape(), outside, load), InvalidArgument);
+  outside = layout;
+  outside.row_floats = nx * nch;  // pixel 0 at 3 + 127
+  EXPECT_THROW(model.infer(x.shape(), outside, load), InvalidArgument);
+  outside = layout;
+  outside.channel_offset.pop_back();
+  EXPECT_THROW(model.infer(x.shape(), outside, load), InvalidArgument);
 }
 
 TEST(TinyCnn, ForwardShapeAndOps) {

@@ -139,6 +139,19 @@ bool same_bits(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() && same_bits(a.raw(), b.raw(), a.size());
 }
 
+/// The (nz, nx, nch) cube read from nz slot tables through slot_offset.
+Tensor cube_from_slot_rows(const std::vector<float>& tables, std::int64_t nz,
+                           std::int64_t nx, std::int64_t nch) {
+  Tensor cube({nz, nx, nch});
+  const std::int64_t row = kernels::slot_row_floats(nx, nch);
+  for (std::int64_t iz = 0; iz < nz; ++iz)
+    for (std::int64_t ix = 0; ix < nx; ++ix)
+      for (std::int64_t c = 0; c < nch; ++c)
+        cube.raw()[(iz * nx + ix) * nch + c] = tables[static_cast<std::size_t>(
+            iz * row + kernels::slot_offset(nx, ix, c))];
+  return cube;
+}
+
 TEST_F(TofPlanTest, ApplyIdenticalToTofCorrectRf) {
   const TofPlan plan = TofPlan::build_for(acq_, grid_);
   const us::TofCube via_plan = plan.apply(acq_, /*analytic=*/false);
@@ -218,19 +231,21 @@ TEST_F(TofPlanTest, ApplyClearsImagWhenSwitchingToRf) {
 TEST_F(TofPlanTest, ApplyRejectsMismatchedAcquisitions) {
   const TofPlan plan = TofPlan::build_for(acq_, grid_);
   us::TofCube cube;
-  // A plan that reads RF directly shares the checks in peak() and rows().
+  // A plan that reads RF directly shares the checks in peak() and
+  // slot_rows().
   const us::ImagingGrid on_elements = us::ImagingGrid::reduced(
       probe_, 96, probe_.num_elements, 10e-3, 28e-3);
   const TofPlan direct = TofPlan::build_for(acq_, on_elements);
   ASSERT_TRUE(direct.reads_rf());
-  std::vector<float> rows(
-      static_cast<std::size_t>(2 * on_elements.nx * probe_.num_elements));
+  std::vector<float> rows(static_cast<std::size_t>(
+      2 * kernels::slot_row_floats(on_elements.nx, probe_.num_elements)));
   EXPECT_NO_THROW(direct.peak(acq_));
-  EXPECT_NO_THROW(direct.rows(acq_, 94, 2, 1.0f, rows.data()));
+  EXPECT_NO_THROW(direct.slot_rows(acq_, 94, 2, 1.0f, rows.data()));
   const auto rejects = [&](const us::Acquisition& bad, const char* what) {
     EXPECT_THROW(plan.apply(bad, false, cube), InvalidArgument) << what;
     EXPECT_THROW(direct.peak(bad), InvalidArgument) << what;
-    EXPECT_THROW(direct.rows(bad, 0, 2, 1.0f, rows.data()), InvalidArgument)
+    EXPECT_THROW(direct.slot_rows(bad, 0, 2, 1.0f, rows.data()),
+                 InvalidArgument)
         << what;
   };
   us::Acquisition steered = acq_;
@@ -248,8 +263,10 @@ TEST_F(TofPlanTest, ApplyRejectsMismatchedAcquisitions) {
   other_probe.probe.pitch *= 2.0;
   rejects(other_probe, "probe geometry");
   // Rows outside the grid.
-  EXPECT_THROW(direct.rows(acq_, 95, 2, 1.0f, rows.data()), InvalidArgument);
-  EXPECT_THROW(direct.rows(acq_, -1, 1, 1.0f, rows.data()), InvalidArgument);
+  EXPECT_THROW(direct.slot_rows(acq_, 95, 2, 1.0f, rows.data()),
+               InvalidArgument);
+  EXPECT_THROW(direct.slot_rows(acq_, -1, 1, 1.0f, rows.data()),
+               InvalidArgument);
 }
 
 TEST_F(TofPlanTest, BuildRejectsDegenerateInputs) {
@@ -340,14 +357,15 @@ TEST_F(TofPlanTest, RowsAndPeakEqualTheAppliedCube) {
     const float peak = plan.peak(acq);
     const float want = max_abs(cube);
     EXPECT_TRUE(same_bits(&peak, &want, 1)) << "nch " << nch;
-    const std::int64_t row = grid.nx * nch;
+    const std::int64_t row = kernels::slot_row_floats(grid.nx, nch);
     for (const float scale : {1.0f, 1.0f / peak}) {
       Tensor want_rows = cube;
       for (float& v : want_rows.data()) v *= scale;
-      Tensor rows(cube.shape());
+      std::vector<float> tables(static_cast<std::size_t>(grid.nz * row));
       for (std::int64_t z0 = 0, step = 5; z0 < grid.nz; z0 += step, step ^= 6)
-        plan.rows(acq, z0, std::min(step, grid.nz - z0), scale,
-                  rows.raw() + z0 * row);
+        plan.slot_rows(acq, z0, std::min(step, grid.nz - z0), scale,
+                       tables.data() + z0 * row);
+      const Tensor rows = cube_from_slot_rows(tables, grid.nz, grid.nx, nch);
       EXPECT_TRUE(same_bits(rows, want_rows))
           << "nch " << nch << ", scale " << scale;
     }
@@ -359,8 +377,8 @@ TEST_F(TofPlanTest, OnlyCompactLinearPlansReadRf) {
       probe_, 12, probe_.num_elements, 10e-3, 28e-3);
   us::Acquisition steered = acq_;
   steered.steering_angle_rad = 0.1;
-  std::vector<float> rows(
-      static_cast<std::size_t>(on_elements.nx * probe_.num_elements));
+  std::vector<float> rows(static_cast<std::size_t>(
+      kernels::slot_row_floats(on_elements.nx, probe_.num_elements)));
   for (const TofPlan& plan :
        {TofPlan::build_for(acq_, grid_),  // off the elements: full table
         TofPlan::build_for(acq_, on_elements, dsp::Interp::kCubic),
@@ -369,7 +387,8 @@ TEST_F(TofPlanTest, OnlyCompactLinearPlansReadRf) {
         plan.key().steering_angle_rad != 0.0 ? steered : acq_;
     EXPECT_FALSE(plan.reads_rf());
     EXPECT_THROW(plan.peak(acq), InvalidArgument);
-    EXPECT_THROW(plan.rows(acq, 0, 1, 1.0f, rows.data()), InvalidArgument);
+    EXPECT_THROW(plan.slot_rows(acq, 0, 1, 1.0f, rows.data()),
+                 InvalidArgument);
   }
 }
 
