@@ -1,30 +1,19 @@
-// Multi-session serving benchmark: quantifies the two serving-layer wins.
+// Multi-session serving benchmark.
 //
-// Part 1 runs N concurrent DAS sessions through the Server (frame-graph
-// scheduling, per-session frame state, block backpressure) against the
-// baseline of running the same N sessions sequentially as solo Pipelines on
-// the same pool — the aggregate-throughput question a multi-client scanner
-// server has to answer. Part 2 runs N sessions of the learned Tiny-VBF
-// beamformer through the same inference engine one-frame-at-a-time
-// (max_batch 1) and cross-session batched — the batcher stacks every ready
-// frame into one forward pass, amortizing per-pass fixed cost (GEMM
-// packing, pool fan-out) the way the PlanCache amortizes
-// geometry. Part 3 checks
-// that served per-session output stays bit-identical to a solo
-// Pipeline::run of the same source, DAS and Tiny-VBF alike. Part 4 A/Bs
-// the device backends' batching decisions on a mixed DAS + Tiny-VBF
-// session load: the CPU cost model vs the accelerator cycle model feed the
-// batcher's preferred-batch sizing, so the accel lane should justify
-// deeper quorums while both lanes stay bit-identical (AccelDevice
-// executes on the same CPU kernels; only the estimates differ).
-// Part 5 measures the telemetry layer itself: the mixed-session load runs
-// with instruments enabled vs disabled (enabled must stay >= 0.97x of
+// Part 1 runs N concurrent DAS sessions through the Server (workers
+// walking each session's frames, per-session frame state, block
+// backpressure) against the baseline of running the same N sessions
+// sequentially as solo Pipelines on the same pool — the aggregate-
+// throughput question a multi-client scanner server has to answer. Part 2
+// checks that served per-session output stays bit-identical to a solo
+// Pipeline::run of the same source, DAS and Tiny-VBF alike. Part 3
+// measures the telemetry layer itself: a mixed DAS + Tiny-VBF session load
+// runs with instruments enabled vs disabled (enabled must stay >= 0.97x of
 // disabled on >= 4-core hosts), and the enabled run's registry yields
-// per-session frame-latency quantiles plus the device's measured-vs-
-// estimated latency error per command kind. Part 6 measures the full ops
-// plane the same way: frame-lineage trace capture armed, stall watchdog
-// polling and the localhost introspection endpoint bound, vs the part-5
-// enabled lane (>= 0.97x on >= 4-core hosts, bit-identical frames).
+// per-session frame-latency quantiles. Part 4 measures the full ops plane
+// the same way: frame-lineage trace capture armed, stall watchdog polling
+// and the localhost introspection endpoint bound, vs the part-3 enabled
+// lane (>= 0.97x on >= 4-core hosts, bit-identical frames).
 //
 // Every part's scalar results are also written to
 // bench_out/BENCH_serve.json so the perf trajectory is tracked across PRs.
@@ -43,7 +32,6 @@
 #include "beamform/das.hpp"
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
-#include "accel/accel_device.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "telemetry/telemetry.hpp"
@@ -193,44 +181,13 @@ int main(int argc, char** argv) {
   std::printf("  per-session fps spread %.1f .. %.1f (fairness)\n\n",
               spread.min_fps, spread.max_fps);
 
-  // ---- part 2: cross-session batched Tiny-VBF inference --------------------
   Rng model_rng(11);
   const models::TinyVbfConfig vbf_cfg = models::TinyVbfConfig::test(
       probe.num_elements, grid.nx);
   auto model = std::make_shared<models::TinyVbf>(vbf_cfg, model_rng);
   auto vbf = std::make_shared<models::TinyVbfBeamformer>(model);
 
-  // Both lanes run on the same inference engine; only the batch cap
-  // differs, so the ratio isolates cross-session stacking itself. The
-  // cost-aware quorum cap is disabled here for that reason — the device
-  // cost models get their own A/B in part 4.
-  auto run_vbf = [&](std::size_t max_batch) {
-    serve::ServerConfig scfg;
-    scfg.max_batch = max_batch;
-    scfg.cost_aware_batching = false;
-    serve::Server vbf_server(scfg);
-    for (int s = 0; s < num_sessions; ++s)
-      vbf_server.add_session({make_source(), vbf, cfg, {}});
-    return vbf_server.run();
-  };
-  const serve::ServerReport unbatched = run_vbf(1);
-  const serve::ServerReport batched =
-      run_vbf(static_cast<std::size_t>(num_sessions));
-  const double batch_ratio =
-      batched.aggregate_fps() / unbatched.aggregate_fps();
-
-  std::printf("Tiny-VBF serving (%d sessions, aggregate frames/s):\n",
-              num_sessions);
-  std::printf("  one-at-a-time          %8.1f fps  (%.2f s)\n",
-              unbatched.aggregate_fps(), unbatched.wall_s);
-  std::printf("  cross-session batched  %8.1f fps  (%.2f s)  -> %.2fx\n",
-              batched.aggregate_fps(), batched.wall_s, batch_ratio);
-  std::printf("  batches: %lld, mean size %.1f, max %lld\n\n",
-              static_cast<long long>(batched.batches.batches),
-              batched.batches.mean_batch(),
-              static_cast<long long>(batched.batches.max_batch));
-
-  // ---- part 3: served output == solo pipeline output -----------------------
+  // ---- part 2: served output == solo pipeline output -----------------------
   auto served_frame = [&](std::shared_ptr<const bf::Beamformer> beamformer) {
     serve::Server check;
     Tensor last;
@@ -255,8 +212,7 @@ int main(int argc, char** argv) {
               static_cast<double>(das_diff), static_cast<double>(vbf_diff),
               match ? "MATCH" : "MISMATCH");
 
-  // Mixed load for parts 4-6: alternating DAS and batch-capable Tiny-VBF
-  // sessions.
+  // Mixed load for parts 3-4: alternating DAS and Tiny-VBF sessions.
   auto run_mixed = [&](const serve::ServerConfig& scfg) {
     serve::Server mixed(scfg);
     std::vector<Tensor> last(static_cast<std::size_t>(num_sessions));
@@ -274,56 +230,7 @@ int main(int argc, char** argv) {
     return std::make_pair(report, std::move(last));
   };
 
-  // ---- part 4: cpu vs accel cost models driving the batcher ----------------
-  // Same mixed load, two device backends. The accelerator cycle model prices
-  // a 1 ms dispatch per command list, so the batcher should justify a deeper
-  // quorum than under the CPU cost model — while frames stay bit-identical,
-  // because AccelDevice executes through the same CPU kernels and only the
-  // latency estimates differ.
-  auto run_backend = [&](std::shared_ptr<device::Device> dev) {
-    rt::PipelineConfig backend_cfg = cfg;
-    backend_cfg.device = std::move(dev);
-    serve::Server backend_server;
-    std::vector<Tensor> last(static_cast<std::size_t>(num_sessions));
-    for (int s = 0; s < num_sessions; ++s) {
-      const std::shared_ptr<const bf::Beamformer> beamformer =
-          s % 2 == 0 ? std::shared_ptr<const bf::Beamformer>(das)
-                     : std::shared_ptr<const bf::Beamformer>(vbf);
-      Tensor& into = last[static_cast<std::size_t>(s)];
-      backend_server.add_session({make_source(), beamformer, backend_cfg,
-                                  [&into](const rt::FrameOutput& out) {
-                                    into = out.db;
-                                  }});
-    }
-    const serve::ServerReport report = backend_server.run();
-    return std::make_pair(report, std::move(last));
-  };
-  const auto [cpu_report, cpu_frames] = run_backend(nullptr);
-  const auto [accel_report, accel_frames] =
-      run_backend(std::make_shared<accel::AccelDevice>());
-  float backend_diff = 0.0f;
-  for (std::size_t s = 0; s < cpu_frames.size(); ++s) {
-    const float d = max_abs_diff(cpu_frames[s], accel_frames[s]);
-    if (d > backend_diff) backend_diff = d;
-  }
-  std::printf("device backends on the mixed load (batching decisions):\n");
-  std::printf("  cpu cost model         preferred batch %lld; %lld batches, "
-              "mean %.1f, max %lld\n",
-              static_cast<long long>(cpu_report.batches.preferred_batch),
-              static_cast<long long>(cpu_report.batches.batches),
-              cpu_report.batches.mean_batch(),
-              static_cast<long long>(cpu_report.batches.max_batch));
-  std::printf("  accel cycle model      preferred batch %lld; %lld batches, "
-              "mean %.1f, max %lld\n",
-              static_cast<long long>(accel_report.batches.preferred_batch),
-              static_cast<long long>(accel_report.batches.batches),
-              accel_report.batches.mean_batch(),
-              static_cast<long long>(accel_report.batches.max_batch));
-  std::printf("  backend max |diff|: %.3g dB -> %s\n\n",
-              static_cast<double>(backend_diff),
-              backend_diff == 0.0f ? "MATCH" : "MISMATCH");
-
-  // ---- part 5: telemetry overhead on the mixed load ------------------------
+  // ---- part 3: telemetry overhead on the mixed load ------------------------
   // The same mixed-session load, instruments enabled (the default) vs
   // disabled (relaxed load + branch per record site). The registry is reset
   // before the enabled lane so its histograms hold exactly that run.
@@ -358,30 +265,14 @@ int main(int argc, char** argv) {
                 h->p50_s * 1e3, h->p99_s * 1e3,
                 static_cast<long long>(h->count));
   }
-  std::printf("  device submit latency, measured vs cost-model estimate:\n");
-  for (std::size_t k = 0; k < device::kNumCommandKinds; ++k) {
-    const std::string base =
-        std::string("device.submit.") + device::command_kind_name(k);
-    const auto* measured = tel_snap.counter(base + ".measured_ns");
-    const auto* estimated = tel_snap.counter(base + ".estimated_ns");
-    if (measured == nullptr || measured->value <= 0) continue;
-    const double err = static_cast<double>(estimated->value) /
-                           static_cast<double>(measured->value) -
-                       1.0;
-    std::printf("    %-18s measured %8.3f ms  estimated %8.3f ms  "
-                "error %+6.1f%%\n",
-                device::command_kind_name(k),
-                static_cast<double>(measured->value) * 1e-6,
-                static_cast<double>(estimated->value) * 1e-6, err * 100.0);
-  }
   std::printf("\n");
 
-  // ---- part 6: ops-plane overhead on the mixed load ------------------------
+  // ---- part 4: ops-plane overhead on the mixed load ------------------------
   // The same mixed load with the full ops plane live: frame-lineage trace
   // capture armed, the stall watchdog polling, and the localhost
   // introspection endpoint bound and scrape-ready. Observability that
   // perturbs the server — in throughput or, worse, in output — is not
-  // deployable; the part-5 enabled lane is the baseline (telemetry on,
+  // deployable; the part-3 enabled lane is the baseline (telemetry on,
   // ops plane off).
   serve::ServerConfig ops_cfg;
   ops_cfg.ops_port = 0;            // ephemeral localhost endpoint
@@ -415,18 +306,10 @@ int main(int argc, char** argv) {
   json.add("das_serving", "sequential_fps", sequential_fps, "fps");
   json.add("das_serving", "server_fps", das_report.aggregate_fps(), "fps");
   json.add("das_serving", "speedup", das_ratio, "x");
-  json.add("vbf_batching", "unbatched_fps", unbatched.aggregate_fps(), "fps");
-  json.add("vbf_batching", "batched_fps", batched.aggregate_fps(), "fps");
-  json.add("vbf_batching", "speedup", batch_ratio, "x");
   json.add("served_vs_solo", "das_max_diff", static_cast<double>(das_diff),
            "dB");
   json.add("served_vs_solo", "vbf_max_diff", static_cast<double>(vbf_diff),
            "dB");
-  json.add("backends", "cpu_preferred_batch",
-           static_cast<double>(cpu_report.batches.preferred_batch), "frames");
-  json.add("backends", "accel_preferred_batch",
-           static_cast<double>(accel_report.batches.preferred_batch),
-           "frames");
   json.add("telemetry", "enabled_fps", tel_on_report.aggregate_fps(), "fps");
   json.add("telemetry", "disabled_fps", tel_off_report.aggregate_fps(),
            "fps");
@@ -445,16 +328,7 @@ int main(int argc, char** argv) {
 
   // Gates. The concurrency ratio needs real cores; on single-core hosts the
   // server cannot beat sequential and the gate is informational only.
-  bool ok = match && backend_diff == 0.0f && tel_diff == 0.0f &&
-            ops_diff == 0.0f;
-  if (accel_report.batches.preferred_batch <
-      cpu_report.batches.preferred_batch) {
-    // The dispatch overhead should never make shallower batching look
-    // cheaper; a flip means the cost models disagree with their design.
-    std::printf("WARNING: accel cost model preferred a shallower batch than "
-                "cpu\n");
-    ok = false;
-  }
+  bool ok = match && tel_diff == 0.0f && ops_diff == 0.0f;
   if (hardware_threads() >= 4) {
     if (das_ratio < 3.0) {
       std::printf("WARNING: concurrent DAS serving below 3x sequential\n");
@@ -464,12 +338,6 @@ int main(int argc, char** argv) {
     std::printf("note: %zu pool thread(s) — concurrency gate skipped "
                 "(needs >= 4 cores)\n",
                 hardware_threads());
-  }
-  if (hardware_threads() >= 4 && batch_ratio <= 1.0) {
-    // Stacking amortizes per-pass fixed cost; its pool fan-out share only
-    // exists with real worker threads, so the gate needs cores too.
-    std::printf("WARNING: batched inference did not beat one-at-a-time\n");
-    ok = false;
   }
   if (hardware_threads() >= 4) {
     if (telemetry_ratio < 0.97) {

@@ -4,7 +4,7 @@
 // cysts drifting laterally while the tissue breathes axially.
 //
 //   ./realtime_demo [--frames N] [--angles N] [--out DIR] [--full]
-//                   [--backend cpu|accel] [--metrics]
+//                   [--metrics]
 //
 // The per-stage latency report at the end is the runtime's answer to the
 // paper's real-time question: after the first frame builds the ToF plan,
@@ -22,7 +22,6 @@
 #include "beamform/compounding.hpp"
 #include "beamform/das.hpp"
 #include "common/rng.hpp"
-#include "accel/accel_device.hpp"
 #include "io/writers.hpp"
 #include "runtime/pipeline.hpp"
 #include "serve/async_sink.hpp"
@@ -35,7 +34,7 @@ namespace {
 void print_usage(const char* argv0) {
   std::printf(
       "usage: %s [--frames N] [--angles N] [--out DIR] [--full]\n"
-      "       [--backend cpu|accel] [--metrics] [--help]\n"
+      "       [--metrics] [--help]\n"
       "  --frames N    cine frames to stream (default 24)\n"
       "  --angles N    steered plane waves compounded per frame (default 1;\n"
       "                N > 1 runs coherent plane-wave compounding)\n"
@@ -43,8 +42,6 @@ void print_usage(const char* argv0) {
       "                realtime_out)\n"
       "  --full        paper-scale frame (128 channels, 368 x 128 grid)\n"
       "                instead of the reduced demo scale\n"
-      "  --backend B   device backend: cpu (reference) or accel (FPGA cycle\n"
-      "                model; identical pixels, modeled latency estimates)\n"
       "  --metrics     print the telemetry table at exit and write\n"
       "                telemetry.json + Chrome trace.json into the output\n"
       "                directory\n"
@@ -61,7 +58,6 @@ int main(int argc, char** argv) {
   std::string out_dir = "realtime_out";
   bool full = false;
   bool metrics = false;
-  std::string backend = "cpu";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {
       print_usage(argv[0]);
@@ -85,13 +81,6 @@ int main(int argc, char** argv) {
       full = true;
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       metrics = true;
-    } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      backend = argv[++i];
-      if (backend != "cpu" && backend != "accel") {
-        std::fprintf(stderr, "%s: --backend must be 'cpu' or 'accel'\n",
-                     argv[0]);
-        return 1;
-      }
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
       print_usage(argv[0]);
@@ -130,18 +119,16 @@ int main(int argc, char** argv) {
 
   rt::PipelineConfig cfg;
   cfg.grid = grid;
-  if (backend == "accel")
-    cfg.device = std::make_shared<accel::AccelDevice>();
   rt::Pipeline pipeline(source, std::make_shared<bf::DasBeamformer>(probe),
                         cfg);
 
   std::printf("streaming %lld cine frames (%lld channels, %lld x %lld "
-              "grid, %lld angle%s/frame, %s backend)...\n",
+              "grid, %lld angle%s/frame)...\n",
               static_cast<long long>(frames),
               static_cast<long long>(probe.num_elements),
               static_cast<long long>(grid.nz),
               static_cast<long long>(grid.nx), static_cast<long long>(angles),
-              angles == 1 ? "" : "s", backend.c_str());
+              angles == 1 ? "" : "s");
   const auto write_frame = [&](std::int64_t index, const Tensor& db) {
     char name[64];
     std::snprintf(name, sizeof(name), "/frame_%03lld.pgm",

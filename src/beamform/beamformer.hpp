@@ -45,26 +45,23 @@ class Beamformer {
   }
 };
 
-/// Capability interface for beamformers whose per-depth-row computation is
-/// independent, so several frames' cubes can be stacked along the depth
-/// axis and formed in one pass (the serving layer's cross-session
-/// inference batcher dispatches through this). Contract: beamform_batch
-/// returns exactly what beamform would return per cube, bit for bit — the
-/// batch only amortizes per-pass setup (GEMM packing, graph allocation,
-/// thread fan-out). Methods with cross-row stages (e.g. a per-column
-/// Hilbert transform over the whole image) must not implement this.
+/// A batch entry point nothing in src/ calls. It stays only because
+/// perf/'s TracedBatched decorator and its self-test name it, and goes once
+/// the benchmark drops TracedBatched (ROADMAP direction 1).
 class BatchedBeamformer : public Beamformer {
  public:
-  /// Forms every cube's IQ image in one pass. All cubes must share the
-  /// lateral extent and channel count; depth extents may differ.
+  /// beamform() once per cube, in order. Stays only for perf/'s
+  /// TracedBatched; goes with it (ROADMAP direction 1).
   virtual std::vector<Tensor> beamform_batch(
-      const std::vector<const us::TofCube*>& cubes) const = 0;
+      const std::vector<const us::TofCube*>& cubes) const {
+    std::vector<Tensor> iqs;
+    iqs.reserve(cubes.size());
+    for (const us::TofCube* cube : cubes) iqs.push_back(beamform(*cube));
+    return iqs;
+  }
 
-  /// Encodes an estimate-only command-list probe of one beamform_batch
-  /// pass over `nz_total` stacked depth rows (commands carry null data
-  /// pointers — price them, never submit them). Returns false when the
-  /// method cannot describe its cost structurally; the serving layer then
-  /// falls back to structural (cost-blind) batch sizing.
+  /// Declines (returns false) without encoding anything. Stays only for
+  /// perf/'s TracedBatched; goes with it (ROADMAP direction 1).
   virtual bool encode_cost_probe(device::CommandEncoder& encoder,
                                  std::int64_t nz_total) const {
     (void)encoder;

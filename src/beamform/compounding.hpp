@@ -47,10 +47,10 @@ Tensor compound_acquisitions(const std::vector<us::Acquisition>& acqs,
 /// Coherently compounds per-angle ToF cubes into `out`: the elementwise
 /// mean over the cubes, summed in list order (deterministic regardless of
 /// thread count). All cubes must share shape and analytic flavor. The
-/// streaming frame graph uses this to fold N parallel ToF nodes into the
-/// single cube its beamform node consumes; for linear beamformers (DAS)
-/// cube-domain compounding is exactly image-domain compounding, and for
-/// learned models it is the compound-then-beamform architecture.
+/// streaming frame processor uses this to fold a frame's per-angle cubes
+/// into the single cube its beamformer consumes; for linear beamformers
+/// (DAS) cube-domain compounding is exactly image-domain compounding, and
+/// for learned models it is the compound-then-beamform architecture.
 void compound_cubes(const std::vector<const us::TofCube*>& cubes,
                     us::TofCube& out);
 

@@ -43,7 +43,7 @@ Tensor DasBeamformer::beamform_rf(const us::TofCube& cube) const {
   const WeightContext ctx{apod, cube.grid};
 
   Tensor sum_re({nz, nx});
-  device::current().submit(
+  device::cpu().submit(
       device::CommandEncoder()
           .encode(device::DasApplyCmd{cube.real.raw(), nullptr, sum_re.raw(),
                                       nz, nx, nch, &ctx, WeightContext::fill})
@@ -64,7 +64,7 @@ Tensor DasBeamformer::beamform(const us::TofCube& cube) const {
   const Apodization apod(probe_, apod_params_);
   const WeightContext ctx{apod, cube.grid};
   Tensor iq({nz, nx, 2});
-  device::current().submit(
+  device::cpu().submit(
       device::CommandEncoder()
           .encode(device::DasApplyCmd{cube.real.raw(), cube.imag.raw(),
                                       iq.raw(), nz, nx, nch, &ctx,

@@ -241,12 +241,6 @@ ScopedSerial::ScopedSerial() : previous_(in_parallel_region) {
 
 ScopedSerial::~ScopedSerial() { in_parallel_region = previous_; }
 
-ScopedParallel::ScopedParallel() : previous_(in_parallel_region) {
-  in_parallel_region = false;
-}
-
-ScopedParallel::~ScopedParallel() { in_parallel_region = previous_; }
-
 void set_thread_count(std::size_t n) {
   // Resizing from inside a parallel_for body would self-deadlock: resize
   // blocks on the job slot held by the very run() waiting on this body.

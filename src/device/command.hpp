@@ -3,10 +3,8 @@
 // The GEMM family behind the tensor/nn/quant matmuls, the SAME-conv2d
 // forward/backward kernels and the DAS apply are expressed as plain-struct
 // commands over raw pointers and dimensions. A CommandEncoder records
-// commands into a CommandList; a device::Device consumes the list, either
-// executing it (CpuDevice, AccelDevice) or pricing it (estimate_seconds,
-// which reads only the dimensions — commands encoded with null pointers
-// are legal as estimate-only cost probes and must never be submitted).
+// commands into a CommandList; a device::Device executes the list. Every
+// operand pointer must be set: CpuDevice rejects a command with a null one.
 //
 // The command structs sit below every compute module: they depend only on
 // kernels/ (Conv2dShape), so tensor, dsp, nn, beamform, runtime and serve
@@ -112,7 +110,10 @@ using Command =
 using CommandList = std::vector<Command>;
 
 /// Records commands in submission order. The encoder is cheap and
-/// stack-local by design: encode, finish(), submit.
+/// stack-local by design: encode, finish(), submit. perf/'s TracedBatched
+/// also names it (through BatchedBeamformer::encode_cost_probe), which keeps
+/// device/ from folding into direct kernel calls until the benchmark drops
+/// that decorator (ROADMAP direction 1).
 class CommandEncoder {
  public:
   CommandEncoder& encode(Command cmd) {

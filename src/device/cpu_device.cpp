@@ -13,7 +13,7 @@ namespace {
 
 void run(const GemmCmd& cmd) {
   TVBF_REQUIRE(cmd.a != nullptr && cmd.b != nullptr && cmd.c != nullptr,
-               "gemm command has null operands (estimate-only probe?)");
+               "gemm command has null operands");
   kernels::gemm(cmd.a, cmd.b, cmd.c, cmd.m, cmd.k, cmd.n);
 }
 
@@ -127,17 +127,6 @@ void run(const DasApplyCmd& cmd) {
 void CpuDevice::execute(const CommandList& list) {
   for (const Command& cmd : list)
     std::visit([](const auto& c) { run(c); }, cmd);
-}
-
-double CpuDevice::estimate_command_seconds(const Command& cmd) {
-  return static_cast<double>(command_macs(cmd)) / kMacsPerSecond +
-         kCommandOverheadSeconds;
-}
-
-double CpuDevice::estimate_list(const CommandList& list) const {
-  double s = kListOverheadSeconds;
-  for (const Command& cmd : list) s += estimate_command_seconds(cmd);
-  return s;
 }
 
 }  // namespace tvbf::device

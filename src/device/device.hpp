@@ -1,25 +1,15 @@
-// Device interface: one backend boundary for every hot-path kernel.
+// Device interface: one backend boundary for the GEMM, conv and DAS-sum
+// kernels that tensor_ops, the nn ops and DAS still encode as commands.
 //
-// A Device consumes CommandLists (see command.hpp) two ways: submit()
-// executes the list synchronously, estimate_seconds() prices it from the
-// command dimensions alone. CpuDevice is the reference backend — it runs
-// the exact blocked kernels the callers used to invoke directly, so
-// routing through it is bit-identical to the pre-refactor direct calls.
-// AccelDevice executes on CPU too (identical output) but prices lists with
-// the accel/ cycle model, which the serving layer uses for cost-aware
-// batch sizing.
-//
-// Routing: compute entry points (tensor_ops, nn ops, DAS) are free
-// functions, so the active backend is a thread-local — current() returns
-// the innermost ScopedDevice on this thread, falling back to the
-// process-wide CpuDevice (cpu()). The runtime/serving layers install a
-// ScopedDevice around each stage they drive, which is how a per-session
-// PipelineConfig::device reaches the kernels under it.
+// A Device executes CommandLists (see command.hpp) synchronously through
+// submit(). CpuDevice is the only backend — it runs the exact blocked
+// kernels the callers used to invoke directly, so routing through it is
+// bit-identical to direct calls. Callers submit to the process-wide
+// instance, cpu().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "device/command.hpp"
@@ -29,8 +19,7 @@ namespace tvbf::device {
 /// Abstract command-list backend.
 class Device {
  public:
-  /// Lifetime usage counters (lists/commands submitted for execution;
-  /// estimate-only probes are not counted).
+  /// Lifetime usage counters (lists/commands submitted for execution).
   struct Stats {
     std::int64_t lists = 0;
     std::int64_t commands = 0;
@@ -44,13 +33,6 @@ class Device {
   /// (backends may fan individual commands out across the common pool).
   void submit(const CommandList& list);
 
-  /// Predicted wall-clock seconds to execute `list` on this backend. Pure
-  /// dimension arithmetic: safe on lists whose pointers are null (cost
-  /// probes) and deterministic across hosts.
-  double estimate_seconds(const CommandList& list) const {
-    return estimate_list(list);
-  }
-
   Stats stats() const {
     return {lists_.load(std::memory_order_relaxed),
             commands_.load(std::memory_order_relaxed)};
@@ -58,17 +40,11 @@ class Device {
 
  protected:
   virtual void execute(const CommandList& list) = 0;
-  virtual double estimate_list(const CommandList& list) const = 0;
 
  private:
   std::atomic<std::int64_t> lists_{0};
   std::atomic<std::int64_t> commands_{0};
 };
-
-/// Multiply-accumulate count of one command / list (shared by the backend
-/// cost models and tests).
-std::int64_t command_macs(const Command& cmd);
-std::int64_t list_macs(const CommandList& list);
 
 /// Number of Command alternatives (the variant size). Telemetry attributes
 /// each submit() to the kind of the list's first command.
@@ -78,26 +54,7 @@ inline constexpr std::size_t kNumCommandKinds = std::variant_size_v<Command>;
 /// "gemm", "das_apply"); "unknown" past the end.
 const char* command_kind_name(std::size_t kind);
 
-/// The process-wide reference CpuDevice every thread falls back to.
+/// The process-wide reference CpuDevice.
 Device& cpu();
-
-/// cpu() as a non-owning shared_ptr, for configs that hold device handles.
-std::shared_ptr<Device> cpu_shared();
-
-/// The calling thread's active device: the innermost live ScopedDevice,
-/// else cpu().
-Device& current();
-
-/// RAII thread-local backend override (nests; restores on destruction).
-class ScopedDevice {
- public:
-  explicit ScopedDevice(Device& device);
-  ~ScopedDevice();
-  ScopedDevice(const ScopedDevice&) = delete;
-  ScopedDevice& operator=(const ScopedDevice&) = delete;
-
- private:
-  Device* previous_;
-};
 
 }  // namespace tvbf::device

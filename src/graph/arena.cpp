@@ -13,7 +13,7 @@ std::size_t bytes_of(const Tensor& t) {
 }
 
 // Process-wide mirrors of the per-arena Stats, aggregated across every
-// BufferArena instance (each session's graph scratch has its own arena).
+// BufferArena instance (each stream's frame processor has its own arena).
 struct ArenaInstruments {
   telemetry::Counter& reuses =
       telemetry::Registry::instance().counter("arena.reuses");

@@ -1,6 +1,6 @@
 // Reusable per-frame buffer arena.
 //
-// Streaming graphs need short-lived tensors whose shapes repeat every frame
+// Streaming frames need short-lived tensors whose shapes repeat every frame
 // (one ToF cube plane per steering angle, scratch IQ planes). Allocating
 // them per frame churns the allocator and fragments under multi-session
 // load; the arena recycles released buffers by shape instead. Contents of a

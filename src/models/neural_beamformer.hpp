@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "beamform/beamformer.hpp"
 #include "models/fcnn.hpp"
@@ -21,10 +20,7 @@ namespace tvbf::models {
 /// [-1, 1] (the engine's loader scales each slice of rows as it loads it),
 /// or, through a plan that reads RF directly, on the same rows gathered
 /// from the acquired RF without the cube; the network output is already an
-/// IQ image. Batch-capable: the per-depth-row
-/// transformer lets several frames stack into one forward pass (cubes are
-/// normalized per frame first, so batched outputs are bit-identical to solo
-/// beamform() calls).
+/// IQ image. A bf::BatchedBeamformer only for perf/ (see that class).
 class TinyVbfBeamformer : public bf::BatchedBeamformer {
  public:
   explicit TinyVbfBeamformer(std::shared_ptr<const TinyVbf> model);
@@ -34,10 +30,6 @@ class TinyVbfBeamformer : public bf::BatchedBeamformer {
   /// Accepts plans that read RF directly (see infer_through).
   std::optional<Tensor> beamform_through(
       const us::TofPlan& plan, const us::Acquisition& acq) const override;
-  std::vector<Tensor> beamform_batch(
-      const std::vector<const us::TofCube*>& cubes) const override;
-  bool encode_cost_probe(device::CommandEncoder& encoder,
-                         std::int64_t nz_total) const override;
 
  private:
   std::shared_ptr<const TinyVbf> model_;
@@ -87,31 +79,8 @@ std::optional<Tensor> infer_through(
 /// preprocessing cannot diverge).
 Tensor normalized_input(const us::TofCube& cube);
 
-/// Shared plumbing of every batch-of-frames entry point: stacks the
-/// per-frame inputs along the depth axis, runs `infer` once on the stacked
-/// tensor, and splits the output back per frame. Single-frame batches skip
-/// the stack/split copies.
-std::vector<Tensor> stacked_forward(
-    const std::vector<const Tensor*>& inputs,
-    const std::function<Tensor(const Tensor&)>& infer);
-
-/// Shared body of the batch-capable beamformer adapters: normalizes each
-/// cube per frame (so batched outputs stay bit-identical to solo
-/// beamform() calls) and hands the normalized tensors to `infer_batch`.
-std::vector<Tensor> beamform_batch_normalized(
-    const std::vector<const us::TofCube*>& cubes,
-    const std::function<std::vector<Tensor>(const std::vector<const Tensor*>&)>&
-        infer_batch);
-
 /// Converts a beamformed RF image (nz, nx) to IQ (nz, nx, 2) via per-column
 /// analytic signal.
 Tensor rf_image_to_iq(const Tensor& rf);
-
-/// Encodes the matmul schedule of one Tiny-VBF forward pass over nz_total
-/// stacked depth rows as an estimate-only cost probe (null data pointers).
-/// Shared by the float and quantized beamformer adapters so both report
-/// the same command structure to the device cost models.
-void encode_tiny_vbf_probe(const TinyVbfConfig& config, std::int64_t nz_total,
-                           device::CommandEncoder& encoder);
 
 }  // namespace tvbf::models

@@ -1,6 +1,5 @@
 #include "models/tiny_vbf.hpp"
 
-#include "models/neural_beamformer.hpp"
 #include "models/tiny_vbf_engine.hpp"
 
 namespace tvbf::models {
@@ -93,15 +92,6 @@ Tensor TinyVbf::infer(const Shape& shape, const RowLoader& load) const {
 Tensor TinyVbf::infer(const Shape& shape, const RowLayout& layout,
                       const RowLoader& load) const {
   return run_tiny_vbf(config_, weights_of(*this), shape, layout, load);
-}
-
-std::vector<Tensor> TinyVbf::infer_batch(
-    const std::vector<const Tensor*>& inputs) const {
-  // Frames stack along the depth axis: the network treats nz as a pure
-  // batch dimension (every op is per depth row), so the stacked pass is
-  // row-wise identical to per-frame passes.
-  return stacked_forward(inputs,
-                         [this](const Tensor& stacked) { return infer(stacked); });
 }
 
 std::vector<nn::Variable> TinyVbf::parameters() const {

@@ -85,14 +85,6 @@ class TinyVbf : public nn::Module {
   Tensor infer(const Shape& shape, const RowLayout& layout,
                const RowLoader& load) const;
 
-  /// Batch-of-frames inference: stacks the per-frame inputs (nz_i, nx, nch)
-  /// along the depth axis, runs one infer() over the stack, and splits the
-  /// IQ output back per frame. Depth rows are independent in this
-  /// architecture (attention runs across lateral patches within a row), so
-  /// each result is bit-identical to infer() on that frame alone.
-  std::vector<Tensor> infer_batch(
-      const std::vector<const Tensor*>& inputs) const;
-
   std::vector<nn::Variable> parameters() const override;
   const TinyVbfConfig& config() const { return config_; }
 

@@ -36,7 +36,7 @@ Variable conv2d_same(const Variable& input, const Variable& kernel,
   const std::int64_t H = in.dim(0), W = in.dim(1);
   const std::int64_t Co = k.dim(3);
   Tensor out({H, W, Co});
-  device::current().submit(
+  device::cpu().submit(
       device::CommandEncoder()
           .encode(device::Conv2dForwardCmd{in.raw(), k.raw(), out.raw(),
                                            conv_shape(in, k)})
@@ -59,7 +59,7 @@ Variable conv2d_same(const Variable& input, const Variable& kernel,
         if (n.parents[0]->requires_grad)
           enc.encode(device::Conv2dBackwardInputCmd{
               k.raw(), dy, n.parents[0]->ensure_grad().raw(), s});
-        if (!enc.empty()) device::current().submit(enc.finish());
+        if (!enc.empty()) device::cpu().submit(enc.finish());
       },
       "conv2d_same");
 }

@@ -44,7 +44,7 @@ Variable batched_matmul(const Variable& a, const Variable& b) {
           if (broadcast) {
             // dB = sum_b A[b]^T dC[b] = A_flat^T dC_flat with the batch
             // folded into the rows; threaded over the k rows of dB.
-            device::current().submit(
+            device::cpu().submit(
                 device::CommandEncoder()
                     .gemm_tn(A.raw(), n.grad.raw(), gb.raw(), batch * m, k,
                              nn)

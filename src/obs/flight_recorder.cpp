@@ -18,11 +18,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kSessionAdmit: return "session_admit";
     case EventKind::kSessionRetire: return "session_retire";
     case EventKind::kFrameDrop: return "frame_drop";
-    case EventKind::kGateParked: return "gate_parked";
-    case EventKind::kGateQuorumFired: return "gate_quorum_fired";
-    case EventKind::kGateIdleFlush: return "gate_idle_flush";
-    case EventKind::kGateRetireFlush: return "gate_retire_flush";
-    case EventKind::kDeviceOverEstimate: return "device_over_estimate";
     case EventKind::kWatchdogObserve: return "watchdog_observe";
     case EventKind::kWatchdogTrip: return "watchdog_trip";
     case EventKind::kMark: return "mark";
@@ -48,7 +43,7 @@ constexpr std::size_t kDetailChars = kDetailWords * 8;  // 31 chars + NUL
 }  // namespace
 
 FlightRecorder& FlightRecorder::instance() {
-  // Leaked on purpose: record sites (sessions, devices, the watchdog) may
+  // Leaked on purpose: record sites (sessions, the watchdog) may
   // outlive main's static teardown.
   static FlightRecorder* const rec =
       new FlightRecorder(kDefaultCapacity);  // tvbf-check: allow(naked-new)

@@ -4,9 +4,8 @@
 // Metrics aggregate and traces must be armed; the flight recorder is the
 // third leg — it is always recording (no arming step), holds the last N
 // discrete events that explain server behavior (session admit/retire,
-// frame drops, batch-gate resolutions, device submits blowing their cost
-// estimate, watchdog observations and trips), and can be dumped as JSON at
-// any time: from the /dump ops route, on a watchdog trip, or from the
+// frame drops, watchdog observations and trips), and can be dumped as JSON
+// at any time: from the /dump ops route, on a watchdog trip, or from the
 // terminate/signal hook installed by install_crash_dump().
 //
 // record() is wait-free: one fetch_add claims a slot, a per-slot seqlock
@@ -30,11 +29,6 @@ enum class EventKind : std::uint8_t {
   kSessionAdmit = 0,
   kSessionRetire,
   kFrameDrop,
-  kGateParked,
-  kGateQuorumFired,
-  kGateIdleFlush,
-  kGateRetireFlush,
-  kDeviceOverEstimate,
   kWatchdogObserve,
   kWatchdogTrip,
   kMark,  ///< free-form caller annotation

@@ -7,7 +7,7 @@
 //   /healthz   per-session SLO state from ServiceState — 200 while every
 //              session is within its deadline-miss and drop budgets,
 //              503 otherwise, JSON body either way;
-//   /sessions  admitted sessions and batch-gate parking lots as JSON;
+//   /sessions  admitted sessions (frames, drops, SLO state) as JSON;
 //   /dump      the flight-recorder ring plus the trace export, the same
 //              body the crash hook writes.
 //

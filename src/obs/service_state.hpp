@@ -1,15 +1,16 @@
-// Live serving state the ops plane introspects: per-session SLO health,
-// batch-gate parking, and per-thread last activity.
+// Live serving state the ops plane introspects: per-session SLO health and
+// per-thread last activity.
 //
 // The serving layer pushes tiny updates here while the ops plane is
-// active (a heartbeat per delivered frame, a gate update per parking-lot
-// change); the watchdog and the /healthz and /sessions ops routes read
-// coherent snapshots back. One process-wide instance, reset() at the
-// start of each Server::run — the ops plane observes the server that is
-// currently running, exactly like the telemetry registry.
+// active (a heartbeat per delivered frame, a drop, a retirement); the
+// watchdog and the /healthz and /sessions ops routes read coherent
+// snapshots back. One process-wide instance, reset() at the start of each
+// Server::run — the ops plane observes the server that is currently
+// running, exactly like the telemetry registry, and Server::run admits
+// one ops-plane run at a time.
 //
-// Everything is mutex-guarded except thread_note(), which worker threads
-// call per node: that path is a per-thread seqlock slot (two relaxed
+// Everything is mutex-guarded except thread_note(), which server workers
+// call per frame: that path is a per-thread seqlock slot (two relaxed
 // stores and a clock read) so it stays off every lock.
 #pragma once
 
@@ -43,18 +44,10 @@ struct SessionState {
   }
 };
 
-/// One batch domain's parking lot.
-struct GateState {
-  std::string model;
-  std::size_t parked = 0;
-  std::size_t quorum = 0;
-  double parked_age_s = 0.0;  ///< since the lot last became non-empty
-};
-
 /// One worker thread's most recent activity (diagnosis, not profiling).
 struct ThreadNote {
   std::size_t thread = 0;  ///< telemetry::thread_index()
-  std::string what;        ///< last node/stage label the thread stamped
+  std::string what;        ///< last stage label the thread stamped
   double age_s = 0.0;
 };
 
@@ -63,7 +56,7 @@ class ServiceState {
  public:
   static ServiceState& instance();
 
-  /// Forgets every session, gate and thread note (new run / tests).
+  /// Forgets every session and thread note (new run / tests).
   void reset();
 
   void admit(int id, std::string source, std::string beamformer,
@@ -73,23 +66,17 @@ class ServiceState {
   void frame_dropped(int id);
   void retire(int id);
 
-  /// Replaces one batch domain's parking-lot state (keyed by `domain`,
-  /// any stable per-domain address).
-  void gate_update(const void* domain, const std::string& model,
-                   std::size_t parked, std::size_t quorum);
-
   std::vector<SessionState> sessions() const;
-  std::vector<GateState> gates() const;
   /// Every admitted session healthy()?
   bool healthy() const;
 
   /// {"healthy": ..., "sessions": [...]} for the /healthz route.
   std::string healthz_json() const;
-  /// {"sessions": [...], "gates": [...]} for the /sessions route.
+  /// {"sessions": [...]} for the /sessions route.
   std::string sessions_json() const;
 
   /// Stamps the calling thread's activity slot (lock-free; `what` should
-  /// be short and is copied). Workers call this per node; the watchdog
+  /// be short and is copied). Workers call this per frame; the watchdog
   /// reports each thread's last stamp and its age on a stall.
   void thread_note(const char* what);
   std::vector<ThreadNote> thread_notes() const;

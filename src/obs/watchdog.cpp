@@ -17,20 +17,11 @@ std::string StallReport::describe() const {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
                 "stall: no progress for %.2fs with work pending%s\n"
-                "  nodes_executed=%lld frames_delivered=%lld "
-                "ready_queue=%lld in_flight=%lld\n",
+                "  frames_delivered=%lld in_flight=%lld\n",
                 stalled_s, pending_override ? " (injected)" : "",
-                static_cast<long long>(nodes_executed),
                 static_cast<long long>(frames_delivered),
-                static_cast<long long>(ready_queue),
                 static_cast<long long>(in_flight));
   std::string out = buf;
-  for (const GateState& g : gates) {
-    std::snprintf(buf, sizeof(buf),
-                  "  gate model=%s parked=%zu quorum=%zu parked_age=%.2fs\n",
-                  g.model.c_str(), g.parked, g.quorum, g.parked_age_s);
-    out += buf;
-  }
   for (const ThreadNote& t : threads) {
     std::snprintf(buf, sizeof(buf), "  thread %zu: last \"%s\" %.2fs ago\n",
                   t.thread, t.what.c_str(), t.age_s);
@@ -42,12 +33,8 @@ std::string StallReport::describe() const {
 struct Watchdog::Impl {
   Options options;
 
-  telemetry::Counter& nodes =
-      telemetry::Registry::instance().counter("graph.nodes_executed");
   telemetry::Counter& frames =
       telemetry::Registry::instance().counter("serve.frames");
-  telemetry::Gauge& ready = telemetry::Registry::instance().gauge(
-      "graph.ready_queue");
   telemetry::Gauge& in_flight =
       telemetry::Registry::instance().gauge("serve.in_flight");
 
@@ -65,7 +52,7 @@ struct Watchdog::Impl {
 
 void Watchdog::Impl::loop() {
   using Clock = std::chrono::steady_clock;
-  std::int64_t last_progress = nodes.value() + frames.value();
+  std::int64_t last_progress = frames.value();
   Clock::time_point progress_at = Clock::now();
   bool armed = true;
   std::unique_lock<std::mutex> lock(mu);
@@ -75,11 +62,10 @@ void Watchdog::Impl::loop() {
     if (!run) break;
     lock.unlock();
 
-    const std::int64_t progress = nodes.value() + frames.value();
+    const std::int64_t progress = frames.value();
     const bool injected =
         options.pending_override && options.pending_override();
-    const bool pending =
-        ready.value() > 0 || in_flight.value() > 0 || injected;
+    const bool pending = in_flight.value() > 0 || injected;
     const Clock::time_point now = Clock::now();
     if (progress != last_progress) {
       last_progress = progress;
@@ -89,22 +75,19 @@ void Watchdog::Impl::loop() {
       const double stalled_s =
           std::chrono::duration<double>(now - progress_at).count();
       FlightRecorder::instance().record(EventKind::kWatchdogObserve, -1,
-                                        ready.value(), in_flight.value(),
+                                        in_flight.value(), 0,
                                         injected ? "injected" : nullptr);
       if (armed && stalled_s >= options.stall_s) {
         armed = false;
         StallReport report;
         report.stalled_s = stalled_s;
-        report.nodes_executed = nodes.value();
         report.frames_delivered = frames.value();
-        report.ready_queue = ready.value();
         report.in_flight = in_flight.value();
         report.pending_override = injected;
         report.threads = ServiceState::instance().thread_notes();
-        report.gates = ServiceState::instance().gates();
         FlightRecorder::instance().record(
-            EventKind::kWatchdogTrip, -1, report.ready_queue,
-            report.in_flight, injected ? "injected" : nullptr);
+            EventKind::kWatchdogTrip, -1, report.in_flight, 0,
+            injected ? "injected" : nullptr);
         {
           const std::lock_guard<std::mutex> report_lock(report_mu);
           last_report = report;

@@ -1,12 +1,12 @@
 // Stall watchdog: a monitor thread that notices when the serving stack has
 // work but stops making progress, and says why.
 //
-// Progress is counter advancement (graph.nodes_executed + serve.frames);
-// pending work is gauge level (graph.ready_queue + serve.in_flight) or the
-// test-only pending_override. A stall is "pending work and no progress for
-// stall_s": the watchdog then assembles a StallReport — last per-thread
-// activity stamps with ages, the gate parking-lot state, queue levels —
-// records a kWatchdogTrip flight event, optionally writes the flight dump,
+// Progress is delivered frames (the serve.frames counter); pending work is
+// frames acquired but not yet delivered or dropped (the serve.in_flight
+// gauge) or the test-only pending_override. A stall is "pending work and no
+// progress for stall_s": the watchdog then assembles a StallReport — last
+// per-thread activity stamps with ages, the in-flight level — records a
+// kWatchdogTrip flight event, optionally writes the flight dump,
 // and invokes on_trip. One trip per stall episode: the watchdog re-arms
 // only after progress resumes, so a wedged server produces one diagnosis,
 // not one per period.
@@ -28,13 +28,10 @@ namespace tvbf::obs {
 /// Everything the watchdog knows at the moment it declares a stall.
 struct StallReport {
   double stalled_s = 0.0;  ///< time since the last observed progress
-  std::int64_t nodes_executed = 0;
   std::int64_t frames_delivered = 0;
-  std::int64_t ready_queue = 0;  ///< graph.ready_queue at trip time
-  std::int64_t in_flight = 0;    ///< serve.in_flight at trip time
+  std::int64_t in_flight = 0;     ///< serve.in_flight at trip time
   bool pending_override = false;  ///< trip forced by the injection hook
   std::vector<ThreadNote> threads;
-  std::vector<GateState> gates;
 
   /// Multi-line human-readable diagnosis.
   std::string describe() const;
@@ -49,8 +46,8 @@ class Watchdog {
     /// Written on every trip when non-empty (flight dump + trace export).
     std::string dump_path;
     /// Fault-injection hook: when set and returning true, the watchdog
-    /// treats work as pending even with idle queues. Lets tests trip the
-    /// watchdog without wedging a real executor.
+    /// treats work as pending even with no frame in flight. Lets tests
+    /// trip the watchdog without wedging a real server.
     std::function<bool()> pending_override;
     /// Called from the monitor thread on each trip.
     std::function<void(const StallReport&)> on_trip;

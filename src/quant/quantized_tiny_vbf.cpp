@@ -101,14 +101,6 @@ Tensor QuantizedTinyVbf::infer(const Shape& shape,
                               rounding());
 }
 
-std::vector<Tensor> QuantizedTinyVbf::infer_batch(
-    const std::vector<const Tensor*>& inputs) const {
-  // Same depth-axis stacking as TinyVbf::infer_batch: every fixed-point
-  // stage is per depth row, so batched results match solo infer() exactly.
-  return models::stacked_forward(
-      inputs, [this](const Tensor& stacked) { return infer(stacked); });
-}
-
 QuantizedVbfBeamformer::QuantizedVbfBeamformer(
     std::shared_ptr<const QuantizedTinyVbf> model)
     : model_(std::move(model)) {
@@ -131,20 +123,6 @@ std::optional<Tensor> QuantizedVbfBeamformer::beamform_through(
              const models::RowLoader& load) {
         return model_->infer(shape, layout, load);
       });
-}
-
-std::vector<Tensor> QuantizedVbfBeamformer::beamform_batch(
-    const std::vector<const us::TofCube*>& cubes) const {
-  return models::beamform_batch_normalized(
-      cubes, [this](const std::vector<const Tensor*>& inputs) {
-        return model_->infer_batch(inputs);
-      });
-}
-
-bool QuantizedVbfBeamformer::encode_cost_probe(
-    device::CommandEncoder& encoder, std::int64_t nz_total) const {
-  models::encode_tiny_vbf_probe(model_->config(), nz_total, encoder);
-  return true;
 }
 
 std::int64_t QuantizedTinyVbf::weight_storage_bits() const {

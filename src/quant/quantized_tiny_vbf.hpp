@@ -38,14 +38,6 @@ class QuantizedTinyVbf {
   Tensor infer(const Shape& shape, const models::RowLayout& layout,
                const models::RowLoader& load) const;
 
-  /// Batch-of-frames fixed-point inference: stacks the per-frame inputs
-  /// along the depth axis, runs one infer() over the stack and splits the
-  /// IQ output per frame. Every stage (dense, layer norm, softmax, fake
-  /// quantization) is per depth row, so each result is bit-identical to
-  /// infer() on that frame alone.
-  std::vector<Tensor> infer_batch(
-      const std::vector<const Tensor*>& inputs) const;
-
   const QuantScheme& scheme() const { return scheme_; }
   const models::TinyVbfConfig& config() const { return config_; }
 
@@ -79,9 +71,8 @@ class QuantizedTinyVbf {
 };
 
 /// QuantizedTinyVbf through the common Beamformer interface, mirroring
-/// models::TinyVbfBeamformer (same [-1, 1] cube normalization). Batch-
-/// capable, so the serving layer's cross-session batcher can stack frames
-/// through the fixed-point datapath in one pass.
+/// models::TinyVbfBeamformer (same [-1, 1] cube normalization). A
+/// bf::BatchedBeamformer only for perf/ (see that class).
 class QuantizedVbfBeamformer : public bf::BatchedBeamformer {
  public:
   explicit QuantizedVbfBeamformer(std::shared_ptr<const QuantizedTinyVbf> model);
@@ -91,12 +82,6 @@ class QuantizedVbfBeamformer : public bf::BatchedBeamformer {
   /// Accepts plans that read RF directly (see models::infer_through).
   std::optional<Tensor> beamform_through(
       const us::TofPlan& plan, const us::Acquisition& acq) const override;
-  std::vector<Tensor> beamform_batch(
-      const std::vector<const us::TofCube*>& cubes) const override;
-  /// Same matmul schedule as the float adapter: fake quantization rides
-  /// the same GEMMs, so the cost probe is shared.
-  bool encode_cost_probe(device::CommandEncoder& encoder,
-                         std::int64_t nz_total) const override;
 
  private:
   std::shared_ptr<const QuantizedTinyVbf> model_;

@@ -19,8 +19,8 @@ namespace tvbf::rt {
 
 /// One unit of work flowing through the pipeline. A frame normally holds a
 /// single plane-wave acquisition; for coherent compounding it carries one
-/// steered transmit per angle (`acq` plus `extra`), which the frame graph
-/// ToF-corrects in parallel and folds through one compound node.
+/// steered transmit per angle (`acq` plus `extra`), which the frame
+/// processor ToF-corrects angle by angle and folds into one cube.
 struct Frame {
   std::int64_t index = 0;  ///< 0-based position in the stream
   double time_s = 0.0;     ///< acquisition timestamp within the cine

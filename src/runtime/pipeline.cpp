@@ -10,7 +10,6 @@
 
 #include "beamform/compounding.hpp"
 #include "common/timer.hpp"
-#include "device/device.hpp"
 #include "dsp/hilbert.hpp"
 #include "us/plan_cache.hpp"
 #include "telemetry/telemetry.hpp"
@@ -62,20 +61,16 @@ const StageStats& PipelineReport::stage(const std::string& name) const {
 
 FrameProcessor::FrameProcessor(std::shared_ptr<const bf::Beamformer> beamformer,
                                PipelineConfig config)
-    : beamformer_(std::move(beamformer)),
-      config_(std::move(config)),
-      device_(config_.device != nullptr ? config_.device.get()
-                                        : &device::cpu()) {
+    : beamformer_(std::move(beamformer)), config_(std::move(config)) {
   TVBF_REQUIRE(beamformer_ != nullptr, "frame processor needs a beamformer");
   config_.grid.validate();
   TVBF_REQUIRE(config_.dynamic_range_db > 0.0,
                "dynamic range must be positive");
 }
 
-void FrameProcessor::prepare(const Frame& frame, bool beamforms) {
+void FrameProcessor::prepare(const Frame& frame) {
   num_angles_ = frame.num_acquisitions();
   times_ = StageTimes{};
-  angle_tof_s_.assign(num_angles_, 0.0);
   workspaces_.resize(num_angles_);
   plans_.assign(num_angles_, nullptr);
   // One cached plan per steering angle; holding the shared_ptrs keeps the
@@ -83,7 +78,7 @@ void FrameProcessor::prepare(const Frame& frame, bool beamforms) {
   for (std::size_t i = 0; i < num_angles_; ++i)
     plans_[i] = us::PlanCache::instance().get_for(
         frame.acquisition(i), config_.grid, config_.tof.interp);
-  deferred_ = beamforms && num_angles_ == 1 && !config_.tof.analytic &&
+  deferred_ = num_angles_ == 1 && !config_.tof.analytic &&
                       plans_[0]->reads_rf()
                   ? &frame.acq
                   : nullptr;
@@ -103,35 +98,16 @@ void FrameProcessor::prepare(const Frame& frame, bool beamforms) {
 }
 
 void FrameProcessor::apply_tof_angle(const Frame& frame, std::size_t angle) {
-  TVBF_REQUIRE(angle < num_angles_, "angle index out of range");
   if (deferred_ != nullptr) return;
-  // The stage may run on any scheduler/executor thread: route its kernels
-  // (the plan's gather command) through this stream's backend.
-  const device::ScopedDevice scope(*device_);
   Timer t;
   us::TofCube& target = num_angles_ > 1 ? slots_[angle] : cube_;
   plans_[angle]->apply(frame.acquisition(angle), config_.tof.analytic, target,
                        &workspaces_[angle]);
-  angle_tof_s_[angle] = t.seconds();
-}
-
-void FrameProcessor::apply_deferred() {
-  if (deferred_ == nullptr) return;
-  Timer t;
-  plans_[0]->apply(*deferred_, /*analytic=*/false, cube_, &workspaces_[0]);
-  deferred_ = nullptr;
   times_.tof_s += t.seconds();
-}
-
-const us::TofCube& FrameProcessor::cube() {
-  apply_deferred();
-  return cube_;
 }
 
 void FrameProcessor::compound() {
   Timer t;
-  times_.tof_s = 0.0;
-  for (const double s : angle_tof_s_) times_.tof_s += s;
   if (num_angles_ > 1) {
     std::vector<const us::TofCube*> cubes;
     cubes.reserve(slots_.size());
@@ -147,16 +123,19 @@ void FrameProcessor::compound() {
 }
 
 void FrameProcessor::beamform() {
-  const device::ScopedDevice scope(*device_);
   if (deferred_ != nullptr) {
     Timer t;
-    if (std::optional<Tensor> iq =
-            beamformer_->beamform_through(*plans_[0], *deferred_)) {
+    std::optional<Tensor> iq =
+        beamformer_->beamform_through(*plans_[0], *deferred_);
+    if (iq) {
       iq_ = std::move(*iq);
       times_.beamform_s = t.seconds();
       return;
     }
-    apply_deferred();
+    // Declined: apply the plan after all, timed as the tof stage.
+    t.reset();
+    plans_[0]->apply(*deferred_, /*analytic=*/false, cube_, &workspaces_[0]);
+    times_.tof_s += t.seconds();
   }
   Timer t;
   iq_ = beamformer_->beamform(cube_);
@@ -168,10 +147,9 @@ FrameOutput FrameProcessor::finish(const Frame& frame) {
   envelope_ = dsp::envelope_iq(iq_);
   db_ = dsp::log_compress(envelope_, config_.dynamic_range_db);
   times_.post_s = t.seconds();
-  // The frame's stage set is complete here, in every scheduling mode.
-  // Zero durations are stages this frame did not run locally (batched
-  // sessions beamform in the cross-session stacked pass) — recording them
-  // would pollute the distributions.
+  // Zero durations are stages this frame did not run (a fused frame's tof,
+  // a single angle's compound) — recording them would pollute the
+  // distributions.
   StageInstruments& si = stage_instruments();
   if (times_.tof_s > 0.0) si.tof.record(times_.tof_s);
   if (times_.compound_s > 0.0) si.compound.record(times_.compound_s);
@@ -179,11 +157,6 @@ FrameOutput FrameProcessor::finish(const Frame& frame) {
   if (times_.post_s > 0.0) si.post.record(times_.post_s);
   return FrameOutput{frame.index, frame.time_s, iq_, envelope_, db_,
                      frame.trace_id};
-}
-
-FrameOutput FrameProcessor::finish(const Frame& frame, Tensor iq) {
-  iq_ = std::move(iq);
-  return finish(frame);
 }
 
 FrameOutput FrameProcessor::process(const Frame& frame) {

@@ -6,7 +6,8 @@
 // FrameProcessor). A producer thread acquires the next frame (simulated or
 // replayed) while the driving thread processes the current one, both sides
 // sharing the process-wide thread pool. Per-stage latency statistics and
-// plan-cache counters come back in a PipelineReport.
+// plan-cache counters come back in a PipelineReport. serve::Server walks
+// each session's frames through the same FrameProcessor::process.
 #pragma once
 
 #include <functional>
@@ -20,10 +21,6 @@
 #include "runtime/frame_source.hpp"
 #include "us/tof_plan.hpp"
 
-namespace tvbf::device {
-class Device;
-}  // namespace tvbf::device
-
 namespace tvbf::rt {
 
 /// Pipeline controls.
@@ -31,13 +28,6 @@ struct PipelineConfig {
   us::ImagingGrid grid;
   us::TofParams tof;  ///< interp flavor + cube kind the beamformer needs
   double dynamic_range_db = 60.0;
-  /// Backend executing this stream's kernels (ToF gather, beamform, the
-  /// model matmuls): the FrameProcessor installs it as the thread's
-  /// device::ScopedDevice around each compute stage. Null selects the
-  /// process-wide CPU reference device. Every stock backend produces
-  /// bit-identical output; they differ in the cost model the serving
-  /// layer's batcher consults.
-  std::shared_ptr<device::Device> device;
 };
 
 /// Latency accumulator for one pipeline stage.
@@ -87,29 +77,20 @@ struct FrameOutput {
 /// Reusable per-frame processing state for one stream: the cached per-angle
 /// ToF plan handles, per-angle cube slots (arena-recycled), the compounded
 /// cube + channel workspaces and the output image tensors. Pipeline drives
-/// one FrameProcessor internally through process(); the serving layer
-/// (src/serve) owns one per session and steps it from its frame graph.
-///
-/// Stepping is exposed at graph-node granularity so a frame graph can run
-/// the stages by readiness: prepare() latches one frame's plans and slots,
-/// then apply_tof_angle() is safe to call concurrently for DISTINCT angle
-/// indices, and compound() / beamform() / finish() complete the frame in
-/// order. Everything else is not thread-safe — one frame is stepped by one
-/// logical owner at a time.
+/// one FrameProcessor through process(); the serving layer (src/serve) owns
+/// one per session and walks each of its frames through process() the same
+/// way. Not thread-safe: one frame at a time, from one thread at a time.
 ///
 /// A single-angle RF frame whose cached plan reads RF directly
-/// (us::TofPlan::reads_rf) defers its cube when this processor's beamform()
-/// forms the frame: the ToF step does nothing, and beamform() offers the
-/// plan and the acquisition to the beamformer (bf::Beamformer::
-/// beamform_through), which forms the image without the cube. If it
-/// declines, beamform() applies the plan first; cube() applies it on
-/// demand too.
+/// (us::TofPlan::reads_rf) defers its cube: the ToF step does nothing, and
+/// the beamform step offers the plan and the acquisition to the beamformer
+/// (bf::Beamformer::beamform_through), which forms the image without the
+/// cube. If it declines, the plan is applied first, timed as the tof stage.
 class FrameProcessor {
  public:
-  /// Wall-clock seconds spent per stage by the last step. `tof_s` is the
-  /// sum over the frame's angles (the work done, not the critical path); it
-  /// is 0 for a frame formed without its cube, whose gather counts in
-  /// `beamform_s`.
+  /// Wall-clock seconds spent per stage by the last frame. `tof_s` is the
+  /// sum over the frame's angles; it is 0 for a frame formed without its
+  /// cube, whose gather counts in `beamform_s`.
   struct StageTimes {
     double tof_s = 0.0;
     double compound_s = 0.0;
@@ -128,54 +109,30 @@ class FrameProcessor {
   /// holds the step's stage times.
   FrameOutput process(const Frame& frame);
 
-  // ---- graph-node stepping -------------------------------------------------
-
-  /// Latches `frame`: fetches one cached plan per steering angle and
-  /// acquires per-angle cube slots from the arena (multi-angle only).
-  /// `beamforms` says whether this processor's beamform() will form the
-  /// frame; only then may the frame defer its cube (see above). The frame
-  /// must stay alive until it is finished.
-  void prepare(const Frame& frame, bool beamforms = true);
-
-  /// ToF-corrects acquisition `angle` of the prepared frame into its slot
-  /// (or straight into the processor cube for single-angle frames; nothing
-  /// for a deferred cube). Thread-safe across distinct angles of one
-  /// prepared frame.
-  void apply_tof_angle(const Frame& frame, std::size_t angle);
-
-  /// Folds the per-angle slots into the processor cube (coherent mean) and
-  /// releases the slots back to the arena. Single-angle: no-op on the
-  /// data.
-  void compound();
-
-  /// Forms the IQ image (stores it): through the plan for a deferred cube
-  /// the beamformer accepts, else from the compounded cube.
-  void beamform();
-
-  /// Envelope/log-compression over the stored IQ image.
-  FrameOutput finish(const Frame& frame);
-
-  /// finish() on an externally produced IQ image (batched inference).
-  FrameOutput finish(const Frame& frame, Tensor iq);
-
-  /// The compounded cube of the frame being stepped, applying a deferred
-  /// plan first (while the frame is alive).
-  const us::TofCube& cube();
-  /// Per-stage times of the frame most recently stepped to finish().
+  /// Per-stage times of the frame most recently processed.
   const StageTimes& last_times() const { return times_; }
 
   const PipelineConfig& config() const { return config_; }
   const bf::Beamformer& beamformer() const { return *beamformer_; }
-  /// The stream's resolved backend (config().device or the CPU default).
-  device::Device& device() const { return *device_; }
 
  private:
+  /// Latches `frame`: fetches one cached plan per steering angle and
+  /// acquires per-angle cube slots from the arena (multi-angle only).
+  void prepare(const Frame& frame);
+  /// ToF-corrects acquisition `angle` into its slot (or straight into the
+  /// processor cube for single-angle frames; nothing for a deferred cube).
+  void apply_tof_angle(const Frame& frame, std::size_t angle);
+  /// Folds the per-angle slots into the processor cube (coherent mean) and
+  /// releases the slots back to the arena. Single-angle: no-op.
+  void compound();
+  /// Forms the IQ image: through the plan for a deferred cube the
+  /// beamformer accepts, else from the compounded cube.
+  void beamform();
+  /// Envelope/log-compression over the IQ image.
+  FrameOutput finish(const Frame& frame);
+
   std::shared_ptr<const bf::Beamformer> beamformer_;
   PipelineConfig config_;
-  device::Device* device_ = nullptr;  ///< resolved once in the constructor
-
-  /// Applies the deferred plan into cube_, timed as the tof stage.
-  void apply_deferred();
 
   // Frame state. The ToF cubes, channel workspaces and angle slots — the
   // large buffers — are reused across frames (slots recycle through the
@@ -186,7 +143,6 @@ class FrameProcessor {
   std::vector<us::ChannelWorkspace> workspaces_;
   std::vector<us::TofCube> slots_;  ///< per-angle cubes (multi-angle only)
   graph::BufferArena arena_;
-  std::vector<double> angle_tof_s_;
   /// The prepared frame's acquisition while its cube is deferred, else
   /// null.
   const us::Acquisition* deferred_ = nullptr;

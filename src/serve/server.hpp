@@ -2,31 +2,20 @@
 //
 // The Server admits N concurrent sessions and drives them to completion
 // over shared resources: each session gets a producer thread (acquisition
-// prefetch with bounded in-flight frames and a backpressure policy), and
-// sessions sharing a batch-capable learned beamformer have their frames
-// stacked through one cross-session forward pass per dispatch
-// (InferenceBatcher).
+// prefetch with bounded in-flight frames and a backpressure policy), and a
+// set of min(sessions, pool threads) workers walks the frames. A worker
+// takes the next ready frame of a session that has no frame in flight,
+// round-robin over the sessions, and runs the session's
+// rt::FrameProcessor::process and sink on it — the walk a solo
+// rt::Pipeline::run does.
 //
-// Each session's frame is a graph::FrameGraph (prepare -> one ToF node per
-// steering angle -> compound -> beamform -> deliver), and one shared
-// graph::Executor drains ready nodes across ALL sessions by readiness: a
-// session parked behind the cross-session inference gate never blocks
-// another session's ToF work, and multi-angle frames ToF-correct their
-// transmits in parallel. Cross-session batching is an ordinary graph node:
-// a batched session's gate node parks until enough sessions sharing its
-// model are ready (quorum = min(max_batch, live sessions)), then one
-// stacked forward pass fires and every parked graph resumes; the
-// executor's idle hook and session retirement flush partial groups so
-// parked frames never stall.
-//
-// The executor runs min(sessions, pool threads) workers, in one of two
-// stage-parallelism modes picked per run:
+// Stage parallelism is picked per run:
 //
 //  - throughput, when there are at least as many sessions as pool threads
-//    (enough streams to fill the cores): each node runs serially on its
-//    worker thread (common::ScopedSerial), so concurrent sessions scale
-//    across cores instead of contending for the pool's single job slot
-//    (batched forward passes still fan out — common::ScopedParallel);
+//    (enough streams to fill the cores): each worker holds a
+//    common::ScopedSerial, so a frame's parallel_fors run inline and
+//    concurrent sessions scale across cores instead of contending for the
+//    pool's single job slot;
 //  - latency, otherwise: stages fan out on the shared pool via
 //    parallel_for, with pool-slot admission tagged by session id so the
 //    fair-share rotation keeps any one session from starving the rest
@@ -45,7 +34,6 @@
 #include <vector>
 
 #include "obs/watchdog.hpp"
-#include "serve/inference_batcher.hpp"
 #include "serve/session.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -56,15 +44,6 @@ struct ServerConfig {
   /// Per-session bound on acquired-but-unprocessed frames (>= 1).
   std::size_t max_in_flight = 2;
   Backpressure backpressure = Backpressure::kBlock;
-  /// Batch frames of sessions sharing a bf::BatchedBeamformer through one
-  /// forward pass. Off, those sessions are scheduled like any other.
-  bool batch_inference = true;
-  std::size_t max_batch = 16;  ///< cap on one cross-session batch
-  /// Cap the batch quorum further by InferenceBatcher::preferred_batch
-  /// (device cost estimates, marginal-gain rule). Off, the quorum is the
-  /// structural min(max_batch, live sessions) — useful for A/B lanes that
-  /// must differ only in max_batch.
-  bool cost_aware_batching = true;
   /// With a sink set and a positive period, run() keeps a background
   /// sampler thread that emits a telemetry Registry snapshot to the sink
   /// every period (plus one final snapshot as the run finishes). The sink
@@ -76,6 +55,8 @@ struct ServerConfig {
   /// Localhost introspection endpoint (obs::OpsServer: /metrics, /healthz,
   /// /sessions, /dump) served for the duration of run(). -1 = off;
   /// 0 = ephemeral port, readable via Server::ops_port() while running.
+  /// The ops plane (this endpoint or the watchdog) feeds process-wide
+  /// state, so only one run with an ops plane may be live per process.
   int ops_port = -1;
   /// Stall watchdog: trips after this many seconds of pending work with no
   /// progress (see obs::Watchdog). <= 0 = off.
@@ -95,7 +76,6 @@ struct ServerReport {
   std::int64_t frames = 0;   ///< across all sessions
   std::int64_t dropped = 0;  ///< across all sessions
   std::vector<SessionReport> sessions;
-  InferenceBatcher::Stats batches;
   std::uint64_t plan_cache_hits = 0;    ///< delta over this run
   std::uint64_t plan_cache_misses = 0;  ///< delta over this run
 
@@ -107,10 +87,10 @@ struct ServerReport {
 /// Tunes the process allocator for steady-state serving (glibc: raises the
 /// malloc mmap/trim thresholds so frame-sized tensors recycle through the
 /// heap instead of being mmapped and unmapped — page faults + kernel
-/// zeroing — on every allocation). Stacked batch tensors cross the default
-/// 128 KiB threshold long before solo frames do, so serving processes
-/// should call this once at startup, as bench_serve and serve_demo do.
-/// No-op on non-glibc platforms.
+/// zeroing — on every allocation). Cubes, slot rows and engine workspaces
+/// cross the default 128 KiB threshold, so serving processes should call
+/// this once at startup, as bench_serve and serve_demo do. No-op on
+/// non-glibc platforms.
 void tune_allocator();
 
 /// Admits sessions, then drives them all concurrently in run().
@@ -127,7 +107,9 @@ class Server {
 
   /// Runs every session's source dry and returns the aggregate report.
   /// Single-shot: a Server instance runs once. The first exception from
-  /// any source, stage or sink stops all sessions and propagates.
+  /// any source, stage or sink stops all sessions and propagates. Throws
+  /// InvalidArgument, before starting any thread, when this run has an
+  /// ops plane and another server's run with one is live.
   ServerReport run();
 
   /// Port the ops endpoint is bound to while run() is live (the ephemeral

@@ -12,16 +12,13 @@ const rt::StageStats& SessionReport::stage(const std::string& name) const {
   throw InvalidArgument("no session stage named '" + name + "'");
 }
 
-Session::Session(int id, SessionConfig config, bool batching_enabled)
+Session::Session(int id, SessionConfig config)
     : frame_latency(telemetry::Registry::instance().histogram(
           "serve.session." + std::to_string(id) + ".frame_s")),
       id_(id),
       config_(std::move(config)),
       processor_(config_.beamformer, config_.pipeline) {
   TVBF_REQUIRE(config_.source != nullptr, "session needs a frame source");
-  if (batching_enabled)
-    batched_ = dynamic_cast<const bf::BatchedBeamformer*>(
-        config_.beamformer.get());
 }
 
 SessionReport Session::report() const {

@@ -5,18 +5,17 @@
 // workspace, output tensors) through a rt::FrameProcessor — exactly the
 // state a solo rt::Pipeline would own, so a served session produces
 // bit-identical frames to running its source through Pipeline::run alone.
-// The Server schedules sessions; a Session itself is passive state plus a
-// bounded ready-frame queue filled by the session's producer thread.
+// The Server's workers walk a session's frames one at a time; a Session
+// itself is passive state plus a bounded ready-frame queue filled by the
+// session's producer thread.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "graph/frame_graph.hpp"
 #include "runtime/frame_source.hpp"
 #include "runtime/pipeline.hpp"
 #include "telemetry/telemetry.hpp"
@@ -36,7 +35,7 @@ struct SessionConfig {
   /// Grid/ToF flavor/dynamic range/backend for this stream.
   rt::PipelineConfig pipeline;
   /// Invoked once per processed frame, in frame order, from a server
-  /// scheduler thread (at most one frame of a session is in flight at a
+  /// worker thread (at most one frame of a session is in flight at a
   /// time). The FrameOutput references session-owned buffers overwritten
   /// by the session's next frame.
   rt::Pipeline::Sink sink;
@@ -65,25 +64,17 @@ struct SessionReport {
 };
 
 /// Server-internal session state. Locking discipline: `ready`, `busy`,
-/// `exhausted`, `dropped` and the scheduler-side stage stats mutate only
-/// under the server mutex; `source_stats` belongs to the producer thread
-/// until it is joined; `processor` belongs to whichever scheduler thread
-/// currently holds `busy`.
+/// `exhausted`, `retired`, `frames`, `dropped` and the worker-side stage
+/// stats mutate only under the server mutex; `source_stats` belongs to the
+/// producer thread until it is joined; `processor` belongs to whichever
+/// worker currently holds `busy`.
 class Session {
  public:
-  Session(int id, SessionConfig config, bool batching_enabled);
+  Session(int id, SessionConfig config);
 
   int id() const { return id_; }
   const SessionConfig& config() const { return config_; }
   rt::FrameProcessor& processor() { return processor_; }
-  /// The session's resolved backend (pipeline.device or the CPU default);
-  /// its cost model drives the batch gate's quorum sizing.
-  device::Device& device() const { return processor_.device(); }
-
-  /// Non-null when the beamformer is batch-capable and server-side
-  /// batching is on: the session's frames then flow through the
-  /// cross-session InferenceBatcher instead of its own beamform node.
-  const bf::BatchedBeamformer* batched() const { return batched_; }
 
   /// True once the producer is done and every frame has been processed.
   bool done() const { return exhausted && ready.empty() && !busy; }
@@ -93,7 +84,8 @@ class Session {
   // ---- scheduler state (see locking discipline above) ----
   std::deque<rt::Frame> ready;  ///< acquired frames awaiting processing
   bool exhausted = false;       ///< producer ran the source dry
-  bool busy = false;            ///< a scheduler thread holds a frame
+  bool busy = false;            ///< a worker holds one of its frames
+  bool retired = false;         ///< retirement reported
   std::int64_t frames = 0;
   std::int64_t dropped = 0;
   rt::StageStats source_stats{.name = "source"};
@@ -103,29 +95,16 @@ class Session {
   rt::StageStats post_stats{.name = "postprocess"};
   rt::StageStats sink_stats{.name = "sink"};
 
-  // ---- frame-graph scratch (owned by the graph while `busy`) ----
-  rt::Frame frame;          ///< frame currently flowing through the graph
-  graph::FrameGraph graph;  ///< stage graph, rebuilt on angle-count change
-  std::size_t graph_angles = 0;    ///< angle count `graph` was built for
-  graph::NodeId batch_node = 0;    ///< gate node id (batched sessions)
-  Tensor batched_iq;               ///< IQ delivered by a cross-session fire
-  double forward_each_s = 0.0;     ///< per-frame share of the batch forward
-  double sink_s = 0.0;             ///< sink time of the frame in flight
-  bool retired = false;            ///< retirement reported to the domain
-
   // ---- telemetry ----
   /// Per-session frame latency ("serve.session.<id>.frame_s"): dispatch
   /// (leaving the ready queue) to delivery. Registered at admission; the
   /// registry keeps the reference valid for the process lifetime.
   telemetry::LatencyHistogram& frame_latency;
-  /// When the in-flight frame left the ready queue.
-  std::chrono::steady_clock::time_point dispatch_time{};
 
  private:
   int id_ = -1;
   SessionConfig config_;
   rt::FrameProcessor processor_;
-  const bf::BatchedBeamformer* batched_ = nullptr;
 };
 
 }  // namespace tvbf::serve

@@ -1,4 +1,4 @@
-// Frame-graph trace capture: a fixed-capacity lock-free buffer of
+// Frame trace capture: a fixed-capacity lock-free buffer of
 // begin/end spans exported as Chrome trace_event JSON (load trace.json at
 // chrome://tracing or https://ui.perfetto.dev).
 //
@@ -16,8 +16,7 @@
 // calling thread's ambient ScopedFlow or one passed explicitly — and the
 // export emits Chrome flow events (ph "s"/"t"/"f" sharing one id) binding
 // all spans of a frame into a connected chain, so one frame's path across
-// producer, graph nodes, batch gate and sink renders as arrows in
-// about:tracing.
+// producer, processing and sink renders as arrows in about:tracing.
 #pragma once
 
 #include <atomic>
@@ -112,8 +111,8 @@ void trace_record(const char* name,
                   std::chrono::steady_clock::time_point end);
 
 /// Records one span tagged with an explicit flow id — for work done on
-/// behalf of a frame from outside its ambient scope (e.g. the stacked
-/// batch forward recording one step per member frame).
+/// behalf of a frame from outside its ambient scope (e.g. the server's
+/// producer timing an acquisition whose id the source just minted).
 void trace_record_flow(const char* name,
                        std::chrono::steady_clock::time_point begin,
                        std::chrono::steady_clock::time_point end,
@@ -139,7 +138,7 @@ std::uint64_t current_flow();
 
 /// RAII: installs `flow` as the calling thread's ambient lineage id and
 /// restores the previous one on destruction. Install around each unit of
-/// per-frame work (a graph node body, a sink write) so every span recorded
+/// per-frame work (a frame's processing, a sink write) so every span recorded
 /// inside joins that frame's chain.
 class ScopedFlow {
  public:

@@ -135,7 +135,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                                   to_string(b.shape()));
   const std::int64_t n = b.dim(1);
   Tensor c({m, n});
-  device::current().submit(
+  device::cpu().submit(
       device::CommandEncoder().gemm(a.raw(), b.raw(), c.raw(), m, k, n)
           .finish());
   return c;
@@ -163,7 +163,7 @@ Tensor batched_matmul(const Tensor& a, const Tensor& b) {
   } else {
     enc.batched_gemm(a.raw(), b.raw(), c.raw(), B, m, k, n);
   }
-  device::current().submit(enc.finish());
+  device::cpu().submit(enc.finish());
   return c;
 }
 
@@ -244,32 +244,6 @@ Tensor concat0(const Tensor& a, const Tensor& b) {
   Tensor c(s);
   std::copy(a.data().begin(), a.data().end(), c.raw());
   std::copy(b.data().begin(), b.data().end(), c.raw() + a.size());
-  return c;
-}
-
-Tensor concat0_all(const std::vector<const Tensor*>& parts) {
-  TVBF_REQUIRE(!parts.empty(), "concat0_all needs at least one tensor");
-  const Tensor& first = *parts.front();
-  TVBF_REQUIRE(first.rank() >= 1, "concat0_all needs rank >= 1");
-  std::int64_t rows = 0;
-  for (const Tensor* p : parts) {
-    TVBF_REQUIRE(p != nullptr, "concat0_all got a null tensor");
-    TVBF_REQUIRE(p->rank() == first.rank(), "concat0_all rank mismatch");
-    for (std::int64_t ax = 1; ax < first.rank(); ++ax)
-      TVBF_REQUIRE(p->dim(ax) == first.dim(ax),
-                   "concat0_all trailing shape mismatch: " +
-                       to_string(first.shape()) + " vs " +
-                       to_string(p->shape()));
-    rows += p->dim(0);
-  }
-  Shape s = first.shape();
-  s[0] = rows;
-  Tensor c(s);
-  float* out = c.raw();
-  for (const Tensor* p : parts) {
-    std::copy(p->data().begin(), p->data().end(), out);
-    out += p->size();
-  }
   return c;
 }
 

@@ -1,9 +1,11 @@
 // Fault-injection doubles shared by the runtime and serve suites: a frame
-// source and a beamformer that throw std::runtime_error at a chosen frame.
+// source and a beamformer that throw std::runtime_error at a chosen frame,
+// and a source that hands over one frame with a corrupt transmit time.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -39,6 +41,38 @@ class FailingSource : public rt::FrameSource {
  private:
   std::shared_ptr<rt::FrameSource> inner_;
   std::int64_t fail_at_;
+  std::int64_t calls_ = 0;
+};
+
+/// Forwards to `inner` and hands over frame `corrupt_at` (0-based) with the
+/// t0 of its acquisition `angle` set to NaN, as from a corrupt recording.
+/// The plan cache rejects that frame's key with InvalidArgument.
+class NanT0Source : public rt::FrameSource {
+ public:
+  NanT0Source(std::shared_ptr<rt::FrameSource> inner, std::int64_t corrupt_at,
+              std::size_t angle)
+      : inner_(std::move(inner)), corrupt_at_(corrupt_at), angle_(angle) {}
+
+  std::string name() const override { return "nan_t0"; }
+  const us::Probe& probe() const override { return inner_->probe(); }
+  std::int64_t num_frames() const override { return inner_->num_frames(); }
+  bool next(rt::Frame& frame) override {
+    if (!inner_->next(frame)) return false;
+    if (calls_++ == corrupt_at_) {
+      us::Acquisition& acq = angle_ == 0 ? frame.acq : frame.extra[angle_ - 1];
+      acq.t0 = std::numeric_limits<double>::quiet_NaN();
+    }
+    return true;
+  }
+  void reset() override {
+    inner_->reset();
+    calls_ = 0;
+  }
+
+ private:
+  std::shared_ptr<rt::FrameSource> inner_;
+  std::int64_t corrupt_at_;
+  std::size_t angle_;
   std::int64_t calls_ = 0;
 };
 

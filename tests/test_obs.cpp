@@ -1,9 +1,10 @@
 // Ops-plane tests: flight-recorder ring integrity under concurrent
 // dump/record, ServiceState SLO accounting, the stall watchdog (unit, via
 // the fault-injection hook, and integration, on a genuinely wedged serve),
-// frame-lineage flow chains in the trace export of a served run, and the
-// localhost introspection endpoint queried live over a raw socket. This
-// suite carries the `obs` ctest label and runs under the tsan CI preset.
+// frame-lineage flow chains in the trace export of a served run, the
+// localhost introspection endpoint queried live over a raw socket, and the
+// one-ops-plane-run-per-process rule. This suite carries the `obs` ctest
+// label and runs under the tsan CI preset.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -15,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "beamform/das.hpp"
+#include "common/error.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/ops_server.hpp"
 #include "obs/service_state.hpp"
@@ -143,7 +146,7 @@ TEST(FlightRecorder, WriteFlightDumpComposesFlightAndTrace) {
 // ---------------------------------------------------------------------------
 // ServiceState
 
-TEST(ServiceState, TracksSloHealthAndGates) {
+TEST(ServiceState, TracksSloHealth) {
   ServiceState& st = ServiceState::instance();
   st.reset();
   EXPECT_TRUE(st.healthy());  // vacuously
@@ -167,19 +170,13 @@ TEST(ServiceState, TracksSloHealthAndGates) {
   EXPECT_TRUE(sessions[1].healthy());
   EXPECT_NEAR(sessions[1].last_frame_s, 99.0, 1e-9);
 
-  st.gate_update(&st, "tiny_vbf", 3, 4);
-  auto gates = st.gates();
-  ASSERT_EQ(gates.size(), 1u);
-  EXPECT_EQ(gates[0].parked, 3u);
-  EXPECT_EQ(gates[0].quorum, 4u);
-
   st.retire(1);
   EXPECT_TRUE(st.sessions()[1].retired);
 
   const std::string healthz = st.healthz_json();
   EXPECT_NE(healthz.find("\"healthy\": false"), std::string::npos);
   const std::string sessions_json = st.sessions_json();
-  EXPECT_NE(sessions_json.find("\"gates\""), std::string::npos);
+  EXPECT_NE(sessions_json.find("\"sessions\""), std::string::npos);
   EXPECT_NE(sessions_json.find("tiny_vbf"), std::string::npos);
   st.reset();
 }
@@ -199,13 +196,14 @@ TEST(ServiceState, DeadlineMissMarksUnhealthy) {
 TEST(ServiceState, ThreadNotesAreVisibleAcrossThreads) {
   ServiceState& st = ServiceState::instance();
   st.reset();
-  std::thread worker([&st] { st.thread_note("tof[0]"); });
+  std::thread worker([&st] { st.thread_note("serve.frame"); });
   worker.join();
-  st.thread_note("deliver");
+  st.thread_note("serve.sink");
   const auto notes = st.thread_notes();
   std::set<std::string> whats;
   for (const auto& n : notes) whats.insert(n.what);
-  EXPECT_TRUE(whats.count("tof[0]") == 1 || whats.count("deliver") == 1);
+  EXPECT_TRUE(whats.count("serve.frame") == 1 ||
+              whats.count("serve.sink") == 1);
   st.reset();
   EXPECT_TRUE(st.thread_notes().empty());
 }
@@ -242,7 +240,7 @@ TEST(Watchdog, TripsOncePerStallEpisodeAndRearmsOnProgress) {
   EXPECT_EQ(trips.load(std::memory_order_relaxed), 1);
 
   // Progress re-arms; the next stall trips again.
-  telemetry::Registry::instance().counter("graph.nodes_executed").add();
+  telemetry::Registry::instance().counter("serve.frames").add();
   ASSERT_TRUE(wait_for(
       [&] { return trips.load(std::memory_order_relaxed) >= 2; }, 10.0));
   dog.stop();
@@ -256,7 +254,7 @@ TEST(Watchdog, TripsOncePerStallEpisodeAndRearmsOnProgress) {
 TEST(OpsServerUnit, RendersPrometheusExposition) {
   telemetry::Snapshot snap;
   snap.counters.push_back({"serve.frames", 42});
-  snap.gauges.push_back({"graph.ready_queue", 3});
+  snap.gauges.push_back({"serve.in_flight", 3});
   telemetry::HistogramSnapshot h;
   h.name = "serve.frame_s";
   h.count = 2;
@@ -271,7 +269,7 @@ TEST(OpsServerUnit, RendersPrometheusExposition) {
   const std::string text = render_prometheus(snap);
   EXPECT_NE(text.find("# TYPE tvbf_serve_frames counter"), std::string::npos);
   EXPECT_NE(text.find("tvbf_serve_frames 42"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE tvbf_graph_ready_queue gauge"),
+  EXPECT_NE(text.find("# TYPE tvbf_serve_in_flight gauge"),
             std::string::npos);
   EXPECT_NE(text.find("tvbf_serve_frame_s{quantile=\"0.5\"}"),
             std::string::npos);
@@ -506,9 +504,9 @@ TEST_F(ObsServeTest, ServedRunExportsConnectedFrameChains) {
         << "no flow finish for frame " << id;
   }
   EXPECT_NE(json.find("\"bp\": \"e\""), std::string::npos);
-  // The chain reaches from acquisition into the graph nodes.
+  // The chain reaches from acquisition through the frame's processing.
   EXPECT_NE(json.find("serve.acquire"), std::string::npos);
-  EXPECT_NE(json.find("deliver"), std::string::npos);
+  EXPECT_NE(json.find("serve.frame"), std::string::npos);
 }
 
 TEST_F(ObsServeTest, WatchdogFiresOnStalledServe) {
@@ -522,8 +520,8 @@ TEST_F(ObsServeTest, WatchdogFiresOnStalledServe) {
   cfg.watchdog_dump_path = dump_path;
   std::atomic<bool> wedged{false};
   std::atomic<bool> tripped{false};
-  // Injection hook: while the sink holds the deliver node hostage, tell
-  // the watchdog work is pending even if the queue gauges read idle.
+  // Injection hook: while the sink holds frame 0 hostage, tell the
+  // watchdog work is pending even if the in-flight gauge reads idle.
   cfg.watchdog_pending_override = [&wedged] {
     return wedged.load(std::memory_order_relaxed);
   };
@@ -539,8 +537,8 @@ TEST_F(ObsServeTest, WatchdogFiresOnStalledServe) {
        [&](const rt::FrameOutput& f) {
          ++delivered;
          if (f.index == 0) {
-           // Wedge frame 0's deliver node until the watchdog notices (the
-           // executor makes no progress while we sit here).
+           // Wedge frame 0's delivery until the watchdog notices (the
+           // server delivers nothing while we sit here).
            wedged.store(true, std::memory_order_relaxed);
            EXPECT_TRUE(wait_for(
                [&] { return tripped.load(std::memory_order_relaxed); },
@@ -601,6 +599,66 @@ TEST_F(ObsServeTest, OpsEndpointLiveDuringRunAndOutputBitIdentical) {
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t k = 0; k < got.size(); ++k)
     EXPECT_EQ(max_abs_diff(got[k], expected[k]), 0.0f) << "frame " << k;
+}
+
+TEST_F(ObsServeTest, SecondOpsPlaneRunIsRejected) {
+  // ServiceState is process-wide and keyed by session id. Server B's run,
+  // with its own ops plane, is rejected before it starts a thread while
+  // server A's is live; A then delivers every frame and its /healthz lists
+  // only its own session. A server with no ops plane runs beside A.
+  serve::ServerConfig cfg;
+  cfg.ops_port = 0;
+  serve::Server a(cfg);
+  std::atomic<bool> b_rejected{false};
+  std::vector<std::int64_t> delivered;
+  std::string healthz;
+  a.add_session({cine(3), das(), pipeline_config(),
+                 [&](const rt::FrameOutput& f) {
+                   if (f.index == 0) {
+                     EXPECT_TRUE(wait_for(
+                         [&] {
+                           return b_rejected.load(std::memory_order_acquire);
+                         },
+                         20.0));
+                     healthz = http_get(a.ops_port(), "/healthz");
+                   }
+                   delivered.push_back(f.index);
+                 }});
+  std::exception_ptr a_error;
+  std::int64_t a_frames = 0;
+  std::thread runner([&] {
+    try {
+      a_frames = a.run().frames;
+    } catch (...) {
+      a_error = std::current_exception();
+    }
+  });
+  // A's run is live (and holds the claim) once its endpoint is bound.
+  if (wait_for([&] { return a.ops_port() > 0; }, 20.0)) {
+    serve::Server b(cfg);
+    b.add_session({std::make_shared<rt::ReplaySource>(
+                       std::vector<us::Acquisition>{us::simulate_plane_wave(
+                           probe_, us::make_single_point(18e-3), 0.0,
+                           clean_)},
+                       2),
+                   das(), pipeline_config(), {}});
+    EXPECT_THROW(b.run(), InvalidArgument);
+    serve::Server no_ops;
+    no_ops.add_session({cine(2), das(), pipeline_config(), {}});
+    EXPECT_EQ(no_ops.run().frames, 2);
+  } else {
+    ADD_FAILURE() << "server A's ops endpoint never came up";
+  }
+  b_rejected.store(true, std::memory_order_release);
+  runner.join();
+
+  ASSERT_EQ(a_error, nullptr);
+  EXPECT_EQ(a_frames, 3);
+  EXPECT_EQ(delivered, (std::vector<std::int64_t>{0, 1, 2}));
+  EXPECT_NE(healthz.find("\"healthy\": true"), std::string::npos);
+  EXPECT_NE(healthz.find("\"source\": \"cine\""), std::string::npos);
+  EXPECT_EQ(healthz.find("\"replay\""), std::string::npos);
+  EXPECT_EQ(healthz.find("\"id\": "), healthz.rfind("\"id\": "));
 }
 
 }  // namespace

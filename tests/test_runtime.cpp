@@ -988,39 +988,6 @@ TEST_F(FusedFrameTest, OtherFramesTakeTheCubePath) {
   EXPECT_GT(report_.stage("tof").total_s, 0.0);
 }
 
-TEST_F(FusedFrameTest, ProcessorDefersOnlyWhenItBeamforms) {
-  // A caller that beamforms the cube itself (a batched server session)
-  // prepares with beamforms = false: the tof step applies the plan. With
-  // the default, the cube is deferred, and cube() applies it on demand.
-  const us::Probe probe = us::Probe::test_probe(12);
-  PipelineConfig config;
-  config.grid = us::ImagingGrid::reduced(probe, 21, 12, 10e-3, 28e-3);
-  Rng rng(9);
-  const auto model = std::make_shared<const models::TinyVbf>(
-      models::TinyVbfConfig::test(12, 12), rng);
-  FrameProcessor processor(float_vbf(model), config);
-  Frame frame;
-  frame.acq = random_rf(probe, 900, 0.0, 10);
-  const Tensor want = us::tof_correct(frame.acq, config.grid, {}).real;
-
-  processor.prepare(frame, /*beamforms=*/false);
-  processor.apply_tof_angle(frame, 0);
-  processor.compound();
-  EXPECT_GT(processor.last_times().tof_s, 0.0);
-  EXPECT_TRUE(same_bits(processor.cube().real, want));
-
-  // Another frame, so that a cube left from the first one would differ.
-  Frame next;
-  next.acq = random_rf(probe, 900, 0.0, 11);
-  processor.prepare(next);
-  processor.apply_tof_angle(next, 0);
-  processor.compound();
-  EXPECT_EQ(processor.last_times().tof_s, 0.0);
-  EXPECT_TRUE(same_bits(processor.cube().real,
-                        us::tof_correct(next.acq, config.grid, {}).real));
-  EXPECT_GT(processor.last_times().tof_s, 0.0);  // timed as the tof stage
-}
-
 TEST_F(FusedFrameTest, MismatchedT0ThrowsOutOfRun) {
   // A replayed acquisition with a NaN t0 (a corrupt recording): the plan
   // cache rejects its non-finite key in prepare(), before any plan is

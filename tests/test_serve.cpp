@@ -1,6 +1,7 @@
 // Tests for the multi-session imaging server: session scheduling with
-// backpressure, cross-session batched Tiny-VBF inference, the async sink,
-// fair-share pool tagging, and PlanCache single-flight / contention
+// backpressure, served output against solo pipelines (DAS, float and
+// quantized Tiny-VBF, compounded frames), fault propagation, the async
+// sink, fair-share pool tagging, and PlanCache single-flight / contention
 // behavior. This suite carries the `serve` ctest label and runs under the
 // tsan CI preset — it is the concurrency-soundness gate for the serving
 // layer.
@@ -8,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <latch>
 #include <memory>
 #include <mutex>
@@ -15,11 +17,11 @@
 #include <thread>
 #include <vector>
 
+#include "beamform/compounding.hpp"
 #include "beamform/das.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "accel/accel_device.hpp"
 #include "models/neural_beamformer.hpp"
 #include "models/tiny_vbf.hpp"
 #include "quant/quantized_tiny_vbf.hpp"
@@ -27,7 +29,6 @@
 #include "runtime/pipeline.hpp"
 #include "us/plan_cache.hpp"
 #include "serve/async_sink.hpp"
-#include "serve/inference_batcher.hpp"
 #include "serve/server.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -136,9 +137,9 @@ TEST_F(ServeTest, ConcurrentSessionsBitIdenticalToSoloRuns) {
     expected[s] = solo_frames(cine(kFrames, 15e-3 + 2e-3 * s), das(),
                               pipeline_config());
 
-  // Four sessions on a 3-thread pool: three executor workers in
-  // throughput mode (sessions >= pool threads), so the ScopedSerial path
-  // runs concurrently whatever the host's core count.
+  // Four sessions on a 3-thread pool: three workers in throughput mode
+  // (sessions >= pool threads), so the ScopedSerial path runs concurrently
+  // whatever the host's core count.
   set_thread_count(3);
   Server server;
   std::vector<std::vector<Tensor>> got(kSessions);
@@ -170,7 +171,7 @@ TEST_F(ServeTest, MixedGridsAndCubeFlavors) {
   const std::vector<Tensor> expected_rf = solo_frames(replay(2), das(), rf_cfg);
   const std::vector<Tensor> expected_an = solo_frames(replay(2), das(), an_cfg);
 
-  set_thread_count(4);  // two executor workers, whatever the host
+  set_thread_count(4);  // two workers, whatever the host
   Server server;
   std::vector<Tensor> got_rf, got_an;
   server.add_session({replay(2), das(), rf_cfg, capture(got_rf)});
@@ -222,7 +223,7 @@ TEST_F(ServeTest, DropOldestPolicyDropsUnderSlowSink) {
 }
 
 TEST_F(ServeTest, SinkExceptionStopsAllSessionsAndPropagates) {
-  set_thread_count(4);  // two executor workers, whatever the host
+  set_thread_count(4);  // two workers, whatever the host
   Server server;
   server.add_session({replay(50), das(), pipeline_config(),
                       [](const rt::FrameOutput& f) {
@@ -271,6 +272,43 @@ TEST_F(ServeTest, BeamformerExceptionMidCompoundedStreamPropagates) {
   EXPECT_EQ(delivered, (std::vector<std::int64_t>{0, 1}));
 }
 
+TEST_F(ServeTest, NanT0AngleMidCompoundedStreamPropagates) {
+  // Three steered transmits per frame; frame 2 arrives with its middle
+  // angle's t0 set to NaN, which the plan cache rejects while the frame is
+  // processed. A 50-frame DAS session runs beside it. Frames 0 and 1 are
+  // delivered in order, then run() stops both producers, whether the other
+  // one is blocked on a full queue or dropping frames, and rethrows.
+  std::vector<us::Acquisition> angles;
+  for (const double angle : {-0.1, 0.0, 0.1})
+    angles.push_back(us::simulate_plane_wave(
+        probe_, us::make_single_point(18e-3), angle, clean_));
+  for (const Backpressure policy :
+       {Backpressure::kBlock, Backpressure::kDropOldest}) {
+    ServerConfig cfg;
+    cfg.max_in_flight = 8;  // the compounded session never drops a frame
+    cfg.backpressure = policy;
+    Server server(cfg);
+    std::vector<std::int64_t> delivered;
+    server.add_session(
+        {std::make_shared<test::NanT0Source>(
+             std::make_shared<rt::ReplaySource>(angles, 6, 30.0, 3), 2, 1),
+         das(), pipeline_config(),
+         [&](const rt::FrameOutput& f) { delivered.push_back(f.index); }});
+    // Never fails: counts the producer's calls.
+    const auto other = std::make_shared<test::FailingSource>(replay(50), -1);
+    server.add_session({other, das(), pipeline_config(), {}});
+    EXPECT_THROW(server.run(), InvalidArgument)
+        << "backpressure " << static_cast<int>(policy);
+    EXPECT_EQ(delivered, (std::vector<std::int64_t>{0, 1}))
+        << "backpressure " << static_cast<int>(policy);
+    // Both producers are joined: the other source is idle once run() is
+    // out (under TSan a live producer would race this read).
+    const std::int64_t calls = other->calls();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(other->calls(), calls);
+  }
+}
+
 TEST_F(ServeTest, RejectsBadConfigurationAndReuse) {
   ServerConfig no_slots;
   no_slots.max_in_flight = 0;
@@ -306,7 +344,7 @@ TEST_F(ServeTest, IntraFrameParallelismModeMatchesSolo) {
     EXPECT_EQ(max_abs_diff(got[k], expected[k]), 0.0f);
 }
 
-// ---- cross-session batched inference ---------------------------------------
+// ---- Tiny-VBF sessions -----------------------------------------------------
 
 class ServeModelTest : public ServeTest {
  protected:
@@ -321,47 +359,9 @@ class ServeModelTest : public ServeTest {
   std::shared_ptr<models::TinyVbfBeamformer> beamformer_;
 };
 
-TEST_F(ServeModelTest, InferBatchBitIdenticalToPerFrame) {
-  // Different depth extents in one batch; each split result must equal the
-  // solo forward pass bit for bit (depth rows are independent).
-  Rng rng(3);
-  std::vector<Tensor> inputs;
-  for (const std::int64_t nz : {7, 12, 5}) {
-    Tensor t({nz, 32, 16});
-    for (auto& v : t.data()) v = static_cast<float>(rng.normal(0.0, 0.3));
-    inputs.push_back(std::move(t));
-  }
-  std::vector<const Tensor*> ptrs;
-  for (const Tensor& t : inputs) ptrs.push_back(&t);
-
-  const std::vector<Tensor> batched = model_->infer_batch(ptrs);
-  ASSERT_EQ(batched.size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const Tensor solo = model_->infer(inputs[i]);
-    ASSERT_EQ(batched[i].shape(), solo.shape());
-    EXPECT_EQ(max_abs_diff(batched[i], solo), 0.0f) << "frame " << i;
-  }
-}
-
-TEST_F(ServeModelTest, QuantizedInferBatchBitIdenticalToPerFrame) {
-  const auto quantized = std::make_shared<quant::QuantizedTinyVbf>(
-      *model_, quant::QuantScheme::uniform(16));
-  Rng rng(4);
-  std::vector<Tensor> inputs;
-  for (const std::int64_t nz : {6, 9}) {
-    Tensor t({nz, 32, 16});
-    for (auto& v : t.data()) v = static_cast<float>(rng.normal(0.0, 0.3));
-    inputs.push_back(std::move(t));
-  }
-  std::vector<const Tensor*> ptrs;
-  for (const Tensor& t : inputs) ptrs.push_back(&t);
-
-  const std::vector<Tensor> batched = quantized->infer_batch(ptrs);
-  for (std::size_t i = 0; i < inputs.size(); ++i)
-    EXPECT_EQ(max_abs_diff(batched[i], quantized->infer(inputs[i])), 0.0f);
-}
-
-TEST_F(ServeModelTest, BatcherDispatchMatchesPerCubeBeamform) {
+TEST_F(ServeModelTest, DefaultBeamformBatchMatchesPerCubeBeamform) {
+  // bf::BatchedBeamformer's default beamform_batch is beamform() once per
+  // cube, bit for bit, for both Tiny-VBF adapters.
   std::vector<us::TofCube> cubes;
   for (const double z : {15e-3, 18e-3, 21e-3}) {
     const us::Acquisition a = us::simulate_plane_wave(
@@ -371,20 +371,29 @@ TEST_F(ServeModelTest, BatcherDispatchMatchesPerCubeBeamform) {
   std::vector<const us::TofCube*> ptrs;
   for (const us::TofCube& c : cubes) ptrs.push_back(&c);
 
-  InferenceBatcher batcher(2);  // forces chunking: batches of 2 + 1
-  const std::vector<Tensor> batched = batcher.dispatch(*beamformer_, ptrs);
-  ASSERT_EQ(batched.size(), cubes.size());
-  for (std::size_t i = 0; i < cubes.size(); ++i)
-    EXPECT_EQ(max_abs_diff(batched[i], beamformer_->beamform(cubes[i])), 0.0f);
-
-  const InferenceBatcher::Stats stats = batcher.stats();
-  EXPECT_EQ(stats.frames, 3);
-  EXPECT_EQ(stats.batches, 2);
-  EXPECT_EQ(stats.max_batch, 2);
-  EXPECT_NEAR(stats.mean_batch(), 1.5, 1e-12);
+  const quant::QuantizedVbfBeamformer quantized(
+      std::make_shared<quant::QuantizedTinyVbf>(*model_,
+                                                quant::QuantScheme::hybrid2()));
+  for (const bf::BatchedBeamformer* adapter :
+       {static_cast<const bf::BatchedBeamformer*>(beamformer_.get()),
+        static_cast<const bf::BatchedBeamformer*>(&quantized)}) {
+    const std::vector<Tensor> batched = adapter->beamform_batch(ptrs);
+    ASSERT_EQ(batched.size(), cubes.size()) << adapter->name();
+    for (std::size_t i = 0; i < cubes.size(); ++i) {
+      const Tensor solo = adapter->beamform(cubes[i]);
+      ASSERT_EQ(batched[i].shape(), solo.shape()) << adapter->name();
+      EXPECT_EQ(std::memcmp(batched[i].raw(), solo.raw(),
+                            static_cast<std::size_t>(solo.size()) *
+                                sizeof(float)),
+                0)
+          << adapter->name() << ", cube " << i;
+    }
+  }
 }
 
 TEST_F(ServeModelTest, BatchedSessionsBitIdenticalToSoloPipeline) {
+  // Three sessions sharing one batch-capable model: each session's frames
+  // equal its solo pipeline's.
   constexpr int kSessions = 3;
   constexpr std::int64_t kFrames = 3;
   std::vector<std::vector<Tensor>> expected(kSessions);
@@ -392,7 +401,7 @@ TEST_F(ServeModelTest, BatchedSessionsBitIdenticalToSoloPipeline) {
     expected[s] = solo_frames(cine(kFrames, 15e-3 + 2e-3 * s), beamformer_,
                               pipeline_config());
 
-  Server server;  // batching on by default
+  Server server;
   std::vector<std::vector<Tensor>> got(kSessions);
   for (int s = 0; s < kSessions; ++s)
     server.add_session({cine(kFrames, 15e-3 + 2e-3 * s), beamformer_,
@@ -400,9 +409,6 @@ TEST_F(ServeModelTest, BatchedSessionsBitIdenticalToSoloPipeline) {
   const ServerReport report = server.run();
 
   EXPECT_EQ(report.frames, kSessions * kFrames);
-  EXPECT_EQ(report.batches.frames, kSessions * kFrames);
-  EXPECT_GE(report.batches.batches, 1);
-  EXPECT_LE(report.batches.max_batch, kSessions);
   for (int s = 0; s < kSessions; ++s) {
     ASSERT_EQ(got[s].size(), expected[s].size()) << "session " << s;
     for (std::size_t k = 0; k < got[s].size(); ++k)
@@ -411,32 +417,10 @@ TEST_F(ServeModelTest, BatchedSessionsBitIdenticalToSoloPipeline) {
   }
 }
 
-TEST_F(ServeModelTest, UnbatchedServerMatchesBatchedServer) {
-  auto run_server = [&](bool batch) {
-    ServerConfig cfg;
-    cfg.batch_inference = batch;
-    Server server(cfg);
-    std::vector<Tensor> got;
-    server.add_session(
-        {cine(2), beamformer_, pipeline_config(), capture(got)});
-    const ServerReport report = server.run();
-    if (!batch) {
-      EXPECT_EQ(report.batches.frames, 0);
-    }
-    return got;
-  };
-  const std::vector<Tensor> batched = run_server(true);
-  const std::vector<Tensor> unbatched = run_server(false);
-  ASSERT_EQ(batched.size(), unbatched.size());
-  for (std::size_t k = 0; k < batched.size(); ++k)
-    EXPECT_EQ(max_abs_diff(batched[k], unbatched[k]), 0.0f);
-}
-
-TEST_F(ServeModelTest, CompactGridFusesOnlyUnbatchedSessions) {
-  // Columns on the elements: the plan reads RF directly. An unbatched
-  // session forms its frames without the cube (its tof stage reads 0); a
-  // batched one keeps applying the plan in its tof nodes, because its cube
-  // feeds the stacked pass. Both equal the solo pipeline bit for bit.
+TEST_F(ServeModelTest, CompactGridFusesEverySession) {
+  // Columns on the elements: the plan reads RF directly, so every session
+  // forms its frames without the cube (its tof stage reads 0), bit for bit
+  // the solo pipeline.
   rt::PipelineConfig cfg = pipeline_config();
   cfg.grid = us::ImagingGrid::reduced(probe_, 40, probe_.num_elements, 12e-3,
                                       24e-3);
@@ -445,66 +429,25 @@ TEST_F(ServeModelTest, CompactGridFusesOnlyUnbatchedSessions) {
   const auto beamformer = std::make_shared<models::TinyVbfBeamformer>(
       std::make_shared<models::TinyVbf>(models::TinyVbfConfig::test(16, 16),
                                         rng));
-  const std::vector<Tensor> expected = solo_frames(cine(3), beamformer, cfg);
-  for (const bool batch : {false, true}) {
-    ServerConfig server_cfg;
-    server_cfg.batch_inference = batch;
-    Server server(server_cfg);
-    std::vector<Tensor> got;
-    server.add_session({cine(3), beamformer, cfg, capture(got)});
-    const ServerReport report = server.run();
-    ASSERT_EQ(got.size(), expected.size()) << "batch " << batch;
-    for (std::size_t k = 0; k < got.size(); ++k)
-      EXPECT_EQ(max_abs_diff(got[k], expected[k]), 0.0f)
-          << "batch " << batch << ", frame " << k;
-    EXPECT_EQ(report.batches.frames, batch ? 3 : 0);
-    const double tof_s = report.sessions[0].stage("tof").total_s;
-    if (batch) {
-      EXPECT_GT(tof_s, 0.0);
-    } else {
-      EXPECT_EQ(tof_s, 0.0);
-    }
-  }
-}
-
-TEST_F(ServeModelTest, AccelBackendPrefersDeeperBatchesWithIdenticalOutput) {
-  // Same sessions on the CPU reference backend and the accelerator cycle
-  // model: pixels must be bit-identical (backends only differ in cost
-  // estimates), while the cost-aware gate must plan a deeper batch under
-  // the accelerator's host-DMA dispatch overhead. Both preferred batches
-  // are pure dimension arithmetic, hence exact values are deterministic
-  // regardless of scheduling noise.
   constexpr int kSessions = 2;
-  constexpr std::int64_t kFrames = 3;
-  auto run_backend = [&](std::shared_ptr<device::Device> dev,
-                         std::vector<std::vector<Tensor>>& got) {
-    rt::PipelineConfig cfg = pipeline_config();
-    cfg.device = std::move(dev);
-    Server server;
-    got.assign(kSessions, {});
-    for (int s = 0; s < kSessions; ++s)
-      server.add_session(
-          {cine(kFrames, 15e-3 + 2e-3 * s), beamformer_, cfg,
-           capture(got[s])});
-    return server.run();
-  };
-
-  std::vector<std::vector<Tensor>> on_cpu, on_accel;
-  const ServerReport cpu_report = run_backend(nullptr, on_cpu);
-  const ServerReport accel_report =
-      run_backend(std::make_shared<accel::AccelDevice>(), on_accel);
-
-  EXPECT_EQ(cpu_report.frames, kSessions * kFrames);
-  EXPECT_EQ(accel_report.frames, kSessions * kFrames);
+  std::vector<std::vector<Tensor>> expected(kSessions);
+  for (int s = 0; s < kSessions; ++s)
+    expected[s] = solo_frames(cine(3, 15e-3 + 3e-3 * s), beamformer, cfg);
+  Server server;
+  std::vector<std::vector<Tensor>> got(kSessions);
+  for (int s = 0; s < kSessions; ++s)
+    server.add_session(
+        {cine(3, 15e-3 + 3e-3 * s), beamformer, cfg, capture(got[s])});
+  const ServerReport report = server.run();
   for (int s = 0; s < kSessions; ++s) {
-    ASSERT_EQ(on_accel[s].size(), on_cpu[s].size()) << "session " << s;
-    for (std::size_t k = 0; k < on_cpu[s].size(); ++k)
-      EXPECT_EQ(max_abs_diff(on_accel[s][k], on_cpu[s][k]), 0.0f)
-          << "session " << s << " frame " << k;
+    ASSERT_EQ(got[s].size(), expected[s].size()) << "session " << s;
+    for (std::size_t k = 0; k < got[s].size(); ++k)
+      EXPECT_EQ(max_abs_diff(got[s][k], expected[s][k]), 0.0f)
+          << "session " << s << ", frame " << k;
+    EXPECT_EQ(report.sessions[s].stage("tof").total_s, 0.0) << "session " << s;
+    EXPECT_GT(report.sessions[s].stage("beamform").total_s, 0.0)
+        << "session " << s;
   }
-  EXPECT_GE(cpu_report.batches.preferred_batch, 1);
-  EXPECT_GT(accel_report.batches.preferred_batch,
-            cpu_report.batches.preferred_batch);
 }
 
 TEST_F(ServeModelTest, MixedDasAndBatchedModelSessions) {
@@ -513,7 +456,7 @@ TEST_F(ServeModelTest, MixedDasAndBatchedModelSessions) {
   const std::vector<Tensor> expected_vbf =
       solo_frames(cine(3, 16e-3), beamformer_, pipeline_config());
 
-  set_thread_count(4);  // two executor workers, whatever the host
+  set_thread_count(4);  // two workers, whatever the host
   Server server;
   std::vector<Tensor> got_das, got_vbf;
   server.add_session({cine(3), das(), pipeline_config(), capture(got_das)});
@@ -739,6 +682,125 @@ TEST_F(ServeTest, TaggedConcurrentParallelForsComputeCorrectly) {
   const auto n = static_cast<std::int64_t>(kN);
   for (int c = 0; c < kClients; ++c)
     EXPECT_EQ(sums[c], n * (n - 1) / 2 + n * c);
+}
+
+// ---- served sessions vs solo pipelines, compounded frames ------------------
+
+class GraphIdentityTest : public ::testing::Test {
+ protected:
+  void SetUp() override { us::PlanCache::instance().clear(); }
+  void TearDown() override { us::PlanCache::instance().clear(); }
+
+  /// Cine source; `angles > 1` yields compounded multi-angle frames.
+  std::shared_ptr<rt::CineSource> cine(std::int64_t frames,
+                                       std::int64_t angles) const {
+    us::Region region{-4e-3, 4e-3, 12e-3, 24e-3};
+    rt::CineParams p;
+    p.num_frames = frames;
+    p.frame_rate_hz = 10.0;
+    p.lateral_speed_m_s = 5e-3;
+    p.axial_amplitude_m = 0.4e-3;
+    p.sim = clean_;
+    if (angles > 1) {
+      bf::CompoundingParams compounding;
+      compounding.num_angles = angles;
+      p.compound_angles_rad = compounding.angles();
+    }
+    return std::make_shared<rt::CineSource>(
+        probe_, us::make_single_point(18e-3, 0.0, region), p);
+  }
+
+  /// B-mode frames of a solo Pipeline::run over cine(frames, angles).
+  std::vector<Tensor> solo(std::shared_ptr<const bf::Beamformer> beamformer,
+                           std::int64_t frames, std::int64_t angles) const {
+    rt::PipelineConfig cfg;
+    cfg.grid = grid_;
+    std::vector<Tensor> out;
+    rt::Pipeline pipeline(cine(frames, angles), std::move(beamformer), cfg);
+    pipeline.run([&](const rt::FrameOutput& f) { out.push_back(f.db); });
+    return out;
+  }
+
+  std::shared_ptr<models::TinyVbf> model() const {
+    Rng rng(7);
+    return std::make_shared<models::TinyVbf>(
+        models::TinyVbfConfig::test(16, 32), rng);
+  }
+
+  us::Probe probe_ = us::Probe::test_probe(16);
+  us::SimParams clean_ = [] {
+    us::SimParams p = us::SimParams::in_silico();
+    p.add_noise = false;
+    p.max_depth = 26e-3;
+    return p;
+  }();
+  us::ImagingGrid grid_ =
+      us::ImagingGrid::reduced(probe_, 40, 32, 12e-3, 24e-3);
+};
+
+TEST_F(GraphIdentityTest, ServerGraphMatchesSoloPipelinesMixedSessions) {
+  // Mixed DAS + float VBF + quantized sessions, compounded frames: the
+  // server's workers must reproduce each session's solo pipeline exactly.
+  const auto shared_model = model();
+  const auto das = std::make_shared<bf::DasBeamformer>(probe_);
+  const auto vbf = std::make_shared<models::TinyVbfBeamformer>(shared_model);
+  const auto quantized = std::make_shared<quant::QuantizedVbfBeamformer>(
+      std::make_shared<quant::QuantizedTinyVbf>(*shared_model,
+                                                quant::QuantScheme::uniform(16)));
+  const std::vector<std::shared_ptr<const bf::Beamformer>> beamformers = {
+      das, vbf, vbf, quantized};
+
+  Server server;
+  std::vector<std::vector<Tensor>> served(beamformers.size());
+  for (std::size_t s = 0; s < beamformers.size(); ++s) {
+    rt::PipelineConfig pipeline;
+    pipeline.grid = grid_;
+    auto& into = served[s];
+    server.add_session(
+        {cine(3, 2), beamformers[s], pipeline,
+         [&into](const rt::FrameOutput& f) { into.push_back(f.db); }});
+  }
+  server.run();
+
+  for (std::size_t s = 0; s < served.size(); ++s) {
+    const std::vector<Tensor> expected = solo(beamformers[s], 3, 2);
+    ASSERT_EQ(expected.size(), 3u) << "session " << s;
+    ASSERT_EQ(served[s].size(), 3u) << "session " << s;
+    for (std::size_t i = 0; i < 3; ++i)
+      EXPECT_EQ(max_abs_diff(expected[i], served[s][i]), 0.0f)
+          << "session " << s << " frame " << i;
+  }
+}
+
+TEST_F(GraphIdentityTest, BatchedSessionsWithUnequalFramesDrainAfterRetire) {
+  // Two sessions share one batch-capable model but run UNEQUAL frame
+  // counts: once the short session retires, the survivor's remaining
+  // frames must still drain.
+  const auto vbf = std::make_shared<models::TinyVbfBeamformer>(model());
+  const std::vector<std::int64_t> frame_counts = {2, 5};
+
+  std::vector<std::vector<Tensor>> expected;
+  for (const std::int64_t n : frame_counts) expected.push_back(solo(vbf, n, 1));
+
+  Server server;
+  std::vector<std::vector<Tensor>> got(frame_counts.size());
+  for (std::size_t s = 0; s < frame_counts.size(); ++s) {
+    rt::PipelineConfig pipeline;
+    pipeline.grid = grid_;
+    auto& into = got[s];
+    server.add_session(
+        {cine(frame_counts[s], 1), vbf, pipeline,
+         [&into](const rt::FrameOutput& f) { into.push_back(f.db); }});
+  }
+  const ServerReport report = server.run();
+
+  EXPECT_EQ(report.frames, 7);
+  for (std::size_t s = 0; s < frame_counts.size(); ++s) {
+    ASSERT_EQ(got[s].size(), expected[s].size()) << "session " << s;
+    for (std::size_t i = 0; i < got[s].size(); ++i)
+      EXPECT_EQ(max_abs_diff(got[s][i], expected[s][i]), 0.0f)
+          << "session " << s << " frame " << i;
+  }
 }
 
 }  // namespace
