@@ -235,6 +235,9 @@ TEST_F(Golden96x64, TinyVbfHybrid2Iq) {
   // and -O0 builds all reproduce the stored bits; the bound allows
   // one-step flips in up to 1/64 of values.
   check_golden({"tiny_vbf_hybrid2_iq.f32", 0x1p-7, 0x1p-10}, iq);
+  // That bound cannot show bit-identity, so the same IQ is also pinned
+  // exactly by its digest: a rounding change that flips one value fails.
+  check_digest("tiny_vbf_hybrid2_iq.fnv1a", iq);
 }
 
 /// The RF ToF cube of one paper-scale frame: ImagingGrid::paper under the
