@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -115,6 +116,28 @@ inline float finish(float c, float acc, const Finish& f, std::int64_t j) {
   return v;
 }
 
+/// A rounding epilogue's format, with its constants in vector lanes.
+struct Rounding {
+  FixedFormat fmt;
+#ifdef __AVX2__
+  FloatGrid grid{fmt};
+#endif
+};
+
+/// Finish of a rounding epilogue's last K block: the sum is rounded, then
+/// + bias and rounded again, then ReLU.
+struct RoundFinish : Finish {
+  Rounding r;
+};
+
+inline float finish(float c, float acc, const RoundFinish& f,
+                    std::int64_t j) {
+  float v = quantize_value(f.first ? 0.0f + acc : c + acc, f.r.fmt);
+  if (f.bias != nullptr) v = quantize_value(v + f.bias[j], f.r.fmt);
+  if (f.relu) v = v > 0.0f ? v : 0.0f;
+  return v;
+}
+
 #ifdef TVBF_GEMM_VECTOR_EXT
 
 typedef std::int32_t vi __attribute__((vector_size(sizeof(vf))));
@@ -128,11 +151,29 @@ inline void finish(float* c, vf acc, const Finish& f, std::int64_t j) {
   storeu(c, v);
 }
 
+/// v on r's grid: in float lanes, or without AVX2 lane by lane through
+/// quantize_value.
+inline vf to_grid(vf v, const Rounding& r) {
+#ifdef __AVX2__
+  return reinterpret_cast<vf>(round8(reinterpret_cast<__m256>(v), r.grid));
+#else
+  for (std::int64_t i = 0; i < kVw; ++i) v[i] = quantize_value(v[i], r.fmt);
+  return v;
+#endif
+}
+
+inline void finish(float* c, vf acc, const RoundFinish& f, std::int64_t j) {
+  vf v = to_grid(f.first ? vf{} + acc : loadu(c) + acc, f.r);
+  if (f.bias != nullptr) v = to_grid(v + loadu(f.bias + j), f.r);
+  if (f.relu) v = reinterpret_cast<vf>(reinterpret_cast<vi>(v) & (v > vf{}));
+  storeu(c, v);
+}
+
 /// Full register tile: C[0:kMr, 0:2*kVw] (+)= A_tile . B_panel over kc
 /// inner steps, B's rows ldb apart.
-template <class Tile>
+template <class Tile, class F>
 void micro_tile2(const Tile& a, const float* b, std::int64_t ldb, float* c,
-                 std::int64_t ldc, std::int64_t kc, const Finish& f) {
+                 std::int64_t ldc, std::int64_t kc, const F& f) {
   vf c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* brow = b + p * ldb;
@@ -162,9 +203,9 @@ void micro_tile2(const Tile& a, const float* b, std::int64_t ldb, float* c,
 }
 
 /// Half-width tile: C[0:kMr, 0:kVw] (+)= A_tile . B_panel.
-template <class Tile>
+template <class Tile, class F>
 void micro_tile1(const Tile& a, const float* b, std::int64_t ldb, float* c,
-                 std::int64_t ldc, std::int64_t kc, const Finish& f) {
+                 std::int64_t ldc, std::int64_t kc, const F& f) {
   vf c0{}, c1{}, c2{}, c3{};
   for (std::int64_t p = 0; p < kc; ++p) {
     const vf b0 = loadu(b + p * ldb);
@@ -182,10 +223,10 @@ void micro_tile1(const Tile& a, const float* b, std::int64_t ldb, float* c,
 #endif  // TVBF_GEMM_VECTOR_EXT
 
 /// Ragged edge tile with runtime extents (mr <= kMr, nr <= kNr).
-template <class Tile>
+template <class Tile, class F>
 void micro_edge(const Tile& a, const float* b, std::int64_t ldb, float* c,
                 std::int64_t ldc, std::int64_t kc, std::int64_t mr,
-                std::int64_t nr, const Finish& f) {
+                std::int64_t nr, const F& f) {
   float acc[kMr][kNr] = {};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* brow = b + p * ldb;
@@ -209,13 +250,21 @@ inline std::int64_t panel_width(std::int64_t remaining) {
 
 /// One K block [p0, p0 + kc) over output rows [row_begin, row_end) and
 /// columns [0, nc) of c: every tile through the micro-kernels (micro_edge
-/// alone when edge_only). A panel of B starts at b + kc * j with rows pw
-/// apart when packed, else at b + j with rows ldb apart.
-template <class A>
+/// alone when edge_only), finished by f, or by RoundFinish when it is the
+/// last block of a rounding epilogue (the float path keeps its own
+/// instantiation). A panel of B starts at b + kc * j with rows pw apart
+/// when packed, else at b + j with rows ldb apart.
+template <class A, class F>
 void block_tiles(const A& a, std::int64_t p0, std::int64_t kc,
                  const float* b, bool packed, std::int64_t ldb, float* c,
                  std::int64_t ldc, std::int64_t nc, std::int64_t row_begin,
-                 std::int64_t row_end, Finish f, bool edge_only = false) {
+                 std::int64_t row_end, F f, bool edge_only,
+                 const std::optional<Rounding>& rounding) {
+  if constexpr (std::is_same_v<F, Finish>) {
+    if (f.last && rounding)
+      return block_tiles(a, p0, kc, b, packed, ldb, c, ldc, nc, row_begin,
+                         row_end, RoundFinish{f, *rounding}, edge_only, {});
+  }
   const float* bias = f.bias;
   for (std::int64_t i0 = row_begin; i0 < row_end; i0 += kMr) {
     const std::int64_t mr = std::min(kMr, row_end - i0);
@@ -259,16 +308,17 @@ void gemm_panel(const A& a, const float* b, std::int64_t b_rs,
                 std::int64_t depth, std::int64_t n, std::int64_t row_begin,
                 std::int64_t row_end, bool accumulate,
                 const Epilogue& epilogue) {
-  const Finish whole{true, true, epilogue.bias, epilogue.relu};
-  for (std::int64_t i = row_begin; i < row_end && depth == 0; ++i)
-    for (std::int64_t j = 0; j < n && !accumulate; ++j)  // sums of nothing
-      c[i * ldc + j] = finish(0.0f, 0.0f, whole, j);
+  std::optional<Rounding> rounding;
+  if (epilogue.round) rounding.emplace(Rounding{*epilogue.round});
   // Per-thread pack buffer: gemm_panel never nests on one thread, and each
   // pool worker gets its own copy.
   thread_local std::vector<float> packed;
   packed.resize(static_cast<std::size_t>(
       std::min(kKc, depth) * std::min(kNc, ((n + kNr - 1) / kNr) * kNr)));
-  for (std::int64_t p0 = 0; p0 < depth; p0 += kKc) {
+  // At depth 0 one empty K block still finishes the sums of nothing.
+  const std::int64_t end =
+      accumulate ? depth : std::max<std::int64_t>(depth, 1);
+  for (std::int64_t p0 = 0; p0 < end; p0 += kKc) {
     const std::int64_t kc = std::min(kKc, depth - p0);
     Finish f{!accumulate && p0 == 0, !accumulate && p0 + kc == depth,
              nullptr, epilogue.relu};
@@ -292,20 +342,22 @@ void gemm_panel(const A& a, const float* b, std::int64_t b_rs,
       }
       f.bias = epilogue.bias != nullptr ? epilogue.bias + jc : nullptr;
       block_tiles(a, p0, kc, packed.data(), /*packed=*/true, 0, c + jc, ldc,
-                  nc, row_begin, row_end, f);
+                  nc, row_begin, row_end, f, /*edge_only=*/false, rounding);
     }
   }
 }
 
-/// C = A.B with gemm_panel's arithmetic, B read in place (rows ldb apart):
-/// one attention head's operands fit in L1 and need no packing.
+/// C = A.B with gemm_panel's arithmetic and rounding, B read in place
+/// (rows ldb apart): one attention head's operands fit in L1 and need no
+/// packing.
 void gemm_in_place(const StridedA& a, const float* b, std::int64_t ldb,
                    float* c, std::int64_t ldc, std::int64_t m,
-                   std::int64_t depth, std::int64_t n, bool edge_only) {
+                   std::int64_t depth, std::int64_t n, bool edge_only,
+                   const std::optional<Rounding>& rounding) {
   for (std::int64_t p0 = 0; p0 < depth; p0 += kKc) {
     const std::int64_t kc = std::min(kKc, depth - p0);
     block_tiles(a, p0, kc, b + p0 * ldb, /*packed=*/false, ldb, c, ldc, n, 0,
-                m, Finish{p0 == 0, p0 + kc == depth}, edge_only);
+                m, Finish{p0 == 0, p0 + kc == depth}, edge_only, rounding);
   }
 }
 
@@ -314,24 +366,23 @@ void gemm_in_place(const StridedA& a, const float* b, std::int64_t ldb,
 void attention(const float* q, const float* k, const float* v,
                std::int64_t ld, float* out, std::int64_t ldo, std::int64_t np,
                std::int64_t dk, float scale, float* work,
-               const AttentionHook& hook, bool scalar) {
-  const auto round = [&](bool softmax) {
-    if (hook) hook(softmax, work, np * np);
-  };
+               const std::optional<DatapathFormats>& formats, bool scalar) {
+  std::optional<Rounding> op;
+  if (formats) op.emplace(Rounding{formats->op});
   // S^T = K.Q^T: key j's row holds every query's score, so the micro-kernels
   // run across queries, and the softmax down each column.
   float* st = work;
   float* qt = work + np * np;
   for (std::int64_t i = 0; i < np; ++i)
     for (std::int64_t p = 0; p < dk; ++p) qt[p * np + i] = q[i * ld + p];
-  gemm_in_place(StridedA{k, ld, 1}, qt, np, st, np, np, dk, np, scalar);
-  round(false);
+  gemm_in_place(StridedA{k, ld, 1}, qt, np, st, np, np, dk, np, scalar, op);
   for (std::int64_t i = 0; i < np * np; ++i) st[i] *= scale;
-  round(false);
+  if (formats) quantize_inplace(st, np * np, formats->op);
   (scalar ? softmax_columns_scalar : softmax_columns)(st, np, np);
-  round(true);
+  if (formats) quantize_inplace(st, np * np, formats->softmax);
   // out = P.V with P(i, j) = st[j * np + i].
-  gemm_in_place(StridedA{st, 1, np}, v, ld, out, ldo, np, np, dk, scalar);
+  gemm_in_place(StridedA{st, 1, np}, v, ld, out, ldo, np, np, dk, scalar,
+                op);
 }
 
 }  // namespace
@@ -462,15 +513,17 @@ void gemm_tn_accumulate(const float* a, const float* b, float* c,
 void attention_block(const float* q, const float* k, const float* v,
                      std::int64_t ld, float* out, std::int64_t ldo,
                      std::int64_t np, std::int64_t dk, float scale,
-                     float* work, const AttentionHook& hook) {
-  attention(q, k, v, ld, out, ldo, np, dk, scale, work, hook, false);
+                     float* work,
+                     const std::optional<DatapathFormats>& formats) {
+  attention(q, k, v, ld, out, ldo, np, dk, scale, work, formats, false);
 }
 
 void attention_block_scalar(const float* q, const float* k, const float* v,
                             std::int64_t ld, float* out, std::int64_t ldo,
                             std::int64_t np, std::int64_t dk, float scale,
-                            float* work, const AttentionHook& hook) {
-  attention(q, k, v, ld, out, ldo, np, dk, scale, work, hook, true);
+                            float* work,
+                            const std::optional<DatapathFormats>& formats) {
+  attention(q, k, v, ld, out, ldo, np, dk, scale, work, formats, true);
 }
 
 }  // namespace tvbf::kernels

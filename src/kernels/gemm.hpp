@@ -6,9 +6,10 @@
 // The blocked kernels tile C into MR x NR register accumulator panels swept
 // over Kc-sized slices of the inner dimension, with no data-dependent
 // branches in the inner loops, so the compiler can keep the accumulators in
-// vector registers; an epilogue can add a bias and apply ReLU on the last K
-// block. The `_reference` entry points preserve the original naive loops
-// for equivalence testing and benchmarking.
+// vector registers; an epilogue can round to a fixed-point format, add a
+// bias and apply ReLU on the last K block. The `_reference` entry points
+// preserve the original naive loops for equivalence testing and
+// benchmarking.
 //
 // Serial `_rows`/`_panel` variants compute a sub-range of output rows so
 // callers can parallelize across the process-wide pool; the plain entry
@@ -16,16 +17,20 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
+
+#include "kernels/quantize.hpp"
 
 namespace tvbf::kernels {
 
 /// What a GEMM does to each output after its sum: c += bias[j] when bias
 /// is not null, then c = c > 0 ? c : 0 when relu, bit for bit those
-/// separate passes.
+/// separate passes. With a round format, c is rounded to it before the
+/// bias and again after it (quantize_inplace's bits).
 struct Epilogue {
   const float* bias = nullptr;
   bool relu = false;
+  std::optional<FixedFormat> round;
 };
 
 // ---- C = A.B ---------------------------------------------------------------
@@ -82,31 +87,30 @@ void gemm_tn_accumulate(const float* a, const float* b, float* c,
 
 // ---- One attention head ----------------------------------------------------
 
-/// Rounds an attention score block x[0, n) in place, elementwise; softmax
-/// is true for the softmax output.
-using AttentionHook =
-    std::function<void(bool softmax, float* x, std::int64_t n)>;
-
 /// Scratch floats attention_block needs for np patches of head width dk.
 inline std::int64_t attention_block_floats(std::int64_t np, std::int64_t dk) {
   return np * (np + dk);
 }
 
 /// One head over one depth row's np patches, reading the (np, dk) bands q,
-/// k and v (rows ld apart) in place: bit for bit gemm(Q, K^T), the hook,
-/// times scale, the hook, softmax_rows, the hook, then gemm(P, V) into out
-/// (rows ldo apart). The scores stay in `work`, transposed (keys x queries,
-/// softmaxed by softmax_columns). A query whose scores hold NaN or +inf, or
-/// only -inf, comes out all NaN, as through softmax_rows. Serial.
+/// k and v (rows ld apart) in place: bit for bit gemm(Q, K^T), times
+/// scale, softmax_rows, then gemm(P, V) into out (rows ldo apart). With
+/// formats, the scores, the scaled scores and P.V are each rounded at
+/// their op width and the softmax at its own (quantize_inplace's bits).
+/// The scores stay in `work`, transposed (keys x queries, softmaxed by
+/// softmax_columns). A query whose scores hold NaN or +inf, or only -inf,
+/// comes out all NaN, as through softmax_rows. Serial.
 void attention_block(const float* q, const float* k, const float* v,
                      std::int64_t ld, float* out, std::int64_t ldo,
                      std::int64_t np, std::int64_t dk, float scale,
-                     float* work, const AttentionHook& hook = {});
+                     float* work,
+                     const std::optional<DatapathFormats>& formats = {});
 /// attention_block through the scalar edge micro-kernel and the scalar
 /// softmax; the test oracle.
 void attention_block_scalar(const float* q, const float* k, const float* v,
                             std::int64_t ld, float* out, std::int64_t ldo,
                             std::int64_t np, std::int64_t dk, float scale,
-                            float* work, const AttentionHook& hook = {});
+                            float* work,
+                            const std::optional<DatapathFormats>& formats);
 
 }  // namespace tvbf::kernels

@@ -14,8 +14,8 @@ namespace {
 /// nn::LayerNorm's epsilon.
 constexpr float kLayerNormEpsilon = 1e-5f;
 
-/// One tile's forward pass over the views, rounding through the hook, on
-/// buffers allocated once for up to `max_rows` depth rows and reused by
+/// One tile's forward pass over the views, rounding to the formats if any,
+/// on buffers allocated once for up to `max_rows` depth rows and reused by
 /// every tile. With n = rows * np patch rows and d = d_model:
 ///   in_           one slice of the tile's scaled input in the loader's
 ///                 layout; patch row i's column p at a_rows_[i][a_cols_[p]]
@@ -29,9 +29,12 @@ class TileForward {
  public:
   /// worker_loads: pool workers load their own rows of a slice.
   TileForward(const TinyVbfConfig& config, const TinyVbfWeights& weights,
-              const RoundingHook& hook, std::int64_t max_rows,
-              const RowLayout& layout, bool worker_loads)
-      : config_(config), weights_(weights), hook_(hook),
+              const std::optional<kernels::DatapathFormats>& formats,
+              std::int64_t max_rows, const RowLayout& layout,
+              bool worker_loads)
+      : config_(config), weights_(weights), formats_(formats),
+        op_(formats ? std::optional(formats->op) : std::nullopt),
+        inter_(formats ? std::optional(formats->inter) : std::nullopt),
         row_floats_(layout.row_floats), worker_loads_(worker_loads) {
     const std::int64_t np = config.num_patches();
     const std::int64_t n = max_rows * np;
@@ -77,7 +80,7 @@ class TileForward {
     const auto load_rows = [&](std::int64_t r, std::int64_t count) {
       float* in = in_ + (r % slice_rows_) * row_floats_;
       load(z0 + r, count, in);
-      round(RoundAt::kInter, in, count * row_floats_);  // as layer outputs
+      round(inter_, in, count * row_floats_);  // as layer outputs
     };
     for (std::int64_t r0 = 0; r0 < rows; r0 += slice_rows_) {
       const std::int64_t slice = std::min(slice_rows_, rows - r0);
@@ -93,18 +96,17 @@ class TileForward {
             kernels::gemm_indirect_rows(
                 a_rows_.data(), a_cols_.data(), weights_.embed.w->raw(), h,
                 patch_in, d, rb * np, re * np, epilogue(weights_.embed, false));
-            finish(weights_.embed, h + rb * np * d, (re - rb) * np, false);
           },
           /*min_grain=*/1);
     }
-    round(RoundAt::kInter, h_, n * d);
+    round(inter_, h_, n * d);
     // Positional embedding, added to every depth row.
     const float* pos = weights_.pos->raw();
     for (std::int64_t r = 0; r < rows; ++r) {
       float* hr = h_ + r * np * d;
       for (std::int64_t i = 0; i < np * d; ++i) hr[i] += pos[i];
     }
-    round(RoundAt::kInter, h_, n * d);
+    round(inter_, h_, n * d);
     for (const TinyVbfWeights::Block& blk : weights_.blocks) {
       // Layer norm's mean, variance and rsqrt run unrounded (the
       // accelerator's wide non-linear unit); its output is an op result.
@@ -120,41 +122,28 @@ class TileForward {
     }
     dense(h_, n, weights_.dec1, wide_, /*relu=*/true);
     dense(wide_, n, weights_.dec2, out);
-    round(RoundAt::kInter, out, n * weights_.dec2.w->dim(1));
+    round(inter_, out, n * weights_.dec2.w->dim(1));
   }
 
  private:
-  void round(RoundAt at, float* x, std::int64_t n) const {
-    if (hook_) hook_(at, x, n);
+  /// Rounds x[0, n) to fmt on the fixed-point datapath.
+  static void round(const std::optional<kernels::FixedFormat>& fmt, float* x,
+                    std::int64_t n) {
+    if (fmt) kernels::quantize_inplace(x, n, *fmt);
   }
 
-  /// nn::Dense::forward, then ReLU if asked: y = x W through the GEMM with
-  /// epilogue(), then finish() on its `rows` rows of y. Without a hook the
-  /// bias and ReLU ride the epilogue; with one, x W and then + b are each
-  /// rounded at the op width before the ReLU.
+  /// nn::Dense::forward, then ReLU if asked: y = x W + b through the GEMM
+  /// and its epilogue, which on the fixed-point datapath rounds x W and
+  /// then + b at the op width before the ReLU.
   kernels::Epilogue epilogue(const TinyVbfWeights::Dense& layer,
                              bool relu) const {
-    return {hook_ ? nullptr : layer.b->raw(), !hook_ && relu};
-  }
-  void finish(const TinyVbfWeights::Dense& layer, float* y, std::int64_t rows,
-              bool relu) const {
-    if (!hook_) return;
-    const std::int64_t out = layer.w->dim(1);
-    const float* b = layer.b->raw();
-    round(RoundAt::kOp, y, rows * out);
-    for (std::int64_t r = 0; r < rows; ++r)
-      for (std::int64_t j = 0; j < out; ++j) y[r * out + j] += b[j];
-    round(RoundAt::kOp, y, rows * out);
-    if (relu)
-      for (std::int64_t i = 0; i < rows * out; ++i)
-        y[i] = y[i] > 0.0f ? y[i] : 0.0f;
+    return {layer.b->raw(), relu, op_};
   }
   void dense(const float* x, std::int64_t n,
              const TinyVbfWeights::Dense& layer, float* y,
              bool relu = false) const {
     kernels::gemm(x, layer.w->raw(), y, n, layer.w->dim(0), layer.w->dim(1),
                   epilogue(layer, relu));
-    finish(layer, y, n, relu);
   }
 
   /// x_ = layer_norm(h_), an op result.
@@ -162,22 +151,22 @@ class TileForward {
     kernels::layer_norm_rows(h_, x_, n, config_.d_model, gamma->raw(),
                              beta->raw(), kLayerNormEpsilon, nullptr,
                              nullptr);
-    round(RoundAt::kOp, x_, n * config_.d_model);
+    round(op_, x_, n * config_.d_model);
   }
 
   /// h_ += y, at the intermediate width.
   void add_residual(const float* y, std::int64_t n) {
     const std::int64_t size = n * config_.d_model;
     for (std::int64_t i = 0; i < size; ++i) h_[i] += y[i];
-    round(RoundAt::kInter, h_, size);
+    round(inter_, h_, size);
   }
 
   /// nn::MultiHeadAttention::forward up to W_o, over the layer-norm output
   /// in x_: the heads' outputs are concatenated into x_. Each (depth row,
   /// head) runs as one kernels::attention_block over the head bands of q_,
-  /// k_ and v_, in that row's block of wide_; the hook rounds each block
-  /// at the op width after the scores and after the scale, and at the
-  /// softmax width after the softmax.
+  /// k_ and v_, in that row's block of wide_, which rounds the scores, the
+  /// scaled scores and the head's output at the op width and the softmax
+  /// at its own.
   void attention(std::int64_t rows, const TinyVbfWeights::Block& blk) {
     const std::int64_t np = config_.num_patches();
     const std::int64_t d = config_.d_model;
@@ -187,11 +176,6 @@ class TileForward {
     dense(x_, n, blk.wk, k_);
     dense(x_, n, blk.wv, v_);
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dk));
-    kernels::AttentionHook block_hook;
-    if (hook_)
-      block_hook = [this](bool softmax, float* x, std::int64_t size) {
-        round(softmax ? RoundAt::kSoftmax : RoundAt::kOp, x, size);
-      };
     parallel_for(
         0, static_cast<std::size_t>(rows),
         [&](std::size_t rb, std::size_t re) {
@@ -201,17 +185,16 @@ class TileForward {
               const std::int64_t at = r * np * d + h * dk;
               kernels::attention_block(q_ + at, k_ + at, v_ + at, d,
                                        x_ + at, d, np, dk, inv_sqrt_dk,
-                                       wide_ + r * block_, block_hook);
+                                       wide_ + r * block_, formats_);
             }
         },
         /*min_grain=*/1);
-    // Every head's A.V result is rounded once, at the op width.
-    round(RoundAt::kOp, x_, n * d);
   }
 
   const TinyVbfConfig& config_;
   const TinyVbfWeights& weights_;
-  const RoundingHook& hook_;
+  const std::optional<kernels::DatapathFormats>& formats_;
+  std::optional<kernels::FixedFormat> op_, inter_;  ///< formats_' widths
   std::int64_t row_floats_ = 0;  ///< floats per loaded depth row
   bool worker_loads_ = false;
   std::int64_t slice_rows_ = 1;  ///< depth rows per input slice
@@ -232,7 +215,8 @@ class TileForward {
 /// (worker_loads false) slice by slice on the calling thread.
 Tensor run(const TinyVbfConfig& config, const TinyVbfWeights& weights,
            const Shape& shape, const RowLayout& layout, const RowLoader& load,
-           const RoundingHook& rounding, bool worker_loads) {
+           const std::optional<kernels::DatapathFormats>& formats,
+           bool worker_loads) {
   TVBF_REQUIRE(shape.size() == 3 && shape[1] == config.num_lateral &&
                    shape[2] == config.in_channels,
                "Tiny-VBF configured for (nz, " +
@@ -252,7 +236,7 @@ Tensor run(const TinyVbfConfig& config, const TinyVbfWeights& weights,
       fits = fits && at >= 0 && at < layout.row_floats;
     }
   TVBF_REQUIRE(fits, "Tiny-VBF row layout does not match the input");
-  TileForward forward(config, weights, rounding, std::min(kVbfTileRows, nz),
+  TileForward forward(config, weights, formats, std::min(kVbfTileRows, nz),
                       layout, worker_loads);
   Tensor out({nz, config.num_lateral, 2});
   for (std::int64_t z0 = 0; z0 < nz; z0 += kVbfTileRows)
@@ -287,22 +271,23 @@ TinyVbfWeights weights_of(const TinyVbf& model) {
 
 Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
                     const Shape& shape, const RowLoader& load,
-                    const RoundingHook& rounding) {
+                    const std::optional<kernels::DatapathFormats>& formats) {
   return run(config, weights, shape,
              RowLayout::dense(config.num_lateral, config.in_channels), load,
-             rounding, /*worker_loads=*/false);
+             formats, /*worker_loads=*/false);
 }
 
 Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
                     const Shape& shape, const RowLayout& layout,
-                    const RowLoader& load, const RoundingHook& rounding) {
-  return run(config, weights, shape, layout, load, rounding,
+                    const RowLoader& load,
+                    const std::optional<kernels::DatapathFormats>& formats) {
+  return run(config, weights, shape, layout, load, formats,
              /*worker_loads=*/true);
 }
 
 Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
                     const Tensor& input, float input_scale,
-                    const RoundingHook& rounding) {
+                    const std::optional<kernels::DatapathFormats>& formats) {
   const std::int64_t row_in = config.num_lateral * config.in_channels;
   return run_tiny_vbf(
       config, weights, input.shape(),
@@ -312,7 +297,7 @@ Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
         for (std::int64_t i = 0; i < rows * row_in; ++i)
           out[i] = src[i] * input_scale;
       },
-      rounding);
+      formats);
 }
 
 }  // namespace tvbf::models

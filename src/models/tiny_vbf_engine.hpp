@@ -8,11 +8,13 @@
 // one kernels::attention_block, in L1), layer norm and softmax the
 // arithmetic of tvbf::layer_norm and tvbf::softmax_last, and the adds,
 // scales and ReLUs are the same float ops (the bias adds and ReLUs in the
-// GEMM epilogues when there is no hook). So float inference is the
-// autograd output bit for bit; test_models and the benchmark's traced run
-// check it. The fixed-point datapath passes a rounding hook that the engine
-// calls, in place, on every buffer the accelerator rounds (Figs 5-8);
-// float inference passes none.
+// GEMM epilogues). So float inference is the autograd output bit for bit;
+// test_models and the benchmark's traced run check it. The fixed-point
+// datapath passes its formats, and every value the accelerator rounds
+// (Figs 5-8) is rounded where it is produced: dense and attention results
+// in the kernels' epilogues, the loaded input, the positional and residual
+// adds and the layer-norm outputs by the engine. Float inference passes
+// none.
 //
 // A frame runs in tiles of kVbfTileRows depth rows. Every op of the network
 // acts within one depth row (attention runs across the lateral patches of a
@@ -26,25 +28,17 @@
 // a frame's input is never held whole. The loader may copy (nx, nch) rows
 // from a raw ToF cube or write slot tables straight from the acquired RF
 // (us::TofPlan::slot_rows). The embed GEMM's rows are independent and the
-// rounding hook is elementwise, so neither changes the output.
+// rounding is elementwise, so neither changes the output.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <vector>
 
+#include "kernels/quantize.hpp"
 #include "models/tiny_vbf.hpp"
 
 namespace tvbf::models {
-
-/// The points where the fixed-point datapath rounds: a multiply or add
-/// result (the op width), a layer's output buffer (the intermediate width),
-/// and a softmax output (its own, wider width).
-enum class RoundAt { kOp, kInter, kSoftmax };
-
-/// Rounds x[0, n) in place to the format of one datapath point; pool
-/// workers may call it at once, on disjoint buffers.
-using RoundingHook = std::function<void(RoundAt at, float* x, std::int64_t n)>;
 
 /// Non-owning views of one Tiny-VBF's weights, laid out as TinyVbf's
 /// modules: dense weights (in, out) with biases (out), the flat positional
@@ -91,25 +85,29 @@ inline constexpr std::int64_t kVbfSliceBytes = 512 * 1024;
 /// Tiny-VBF over an input of `shape` (nz, nx, nch) whose (nx, nch) rows
 /// `load` writes, already scaled (a raw ToF cube times 1 / max|x| is the
 /// network's [-1, 1] input). The engine asks for each row once, in order,
-/// slice by slice, on the calling thread. With a hook, each loaded slice is
-/// rounded at RoundAt::kInter and every datapath result at its point.
-/// Returns the IQ image (nz, nx, 2).
+/// slice by slice, on the calling thread. With formats, each loaded slice
+/// is rounded at the intermediate width and every datapath result at its
+/// point. Returns the IQ image (nz, nx, 2).
 Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
                     const Shape& shape, const RowLoader& load,
-                    const RoundingHook& rounding = {});
+                    const std::optional<kernels::DatapathFormats>& formats =
+                        {});
 
 /// run_tiny_vbf over rows `load` writes in `layout`, which each pool worker
 /// loads for its own depth rows of a slice and embeds: `load` may run on
 /// several threads at once, over disjoint row ranges, in any order.
 Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
                     const Shape& shape, const RowLayout& layout,
-                    const RowLoader& load, const RoundingHook& rounding = {});
+                    const RowLoader& load,
+                    const std::optional<kernels::DatapathFormats>& formats =
+                        {});
 
 /// run_tiny_vbf over a (nz, nx, nch) tensor: the loader copies its rows,
 /// every element multiplied by `input_scale` (an already normalized input
 /// passes 1).
 Tensor run_tiny_vbf(const TinyVbfConfig& config, const TinyVbfWeights& weights,
                     const Tensor& input, float input_scale,
-                    const RoundingHook& rounding = {});
+                    const std::optional<kernels::DatapathFormats>& formats =
+                        {});
 
 }  // namespace tvbf::models

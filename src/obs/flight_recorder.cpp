@@ -62,16 +62,22 @@ void FlightRecorder::record(EventKind kind, std::int64_t session,
   if (!telemetry::enabled()) return;
   const std::uint64_t idx = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[idx % capacity_];
-  // Seqlock write: stamp odd, fence so the payload stores cannot move
-  // above the stamp, write the payload, publish even. A reader that saw
-  // the odd stamp — or mismatched stamps — discards the slot.
-  s.version.store(2 * idx + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  s.t_ns.store(steady_ns(), std::memory_order_relaxed);
-  s.session.store(session, std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
-  s.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
+  // Seqlock write: claim the odd stamp from a published one, write the
+  // payload, publish even. Payload stores are releases (TSan models no
+  // fences), so a reader that sees one also sees the odd stamp. Writers
+  // that lap the ring may meet in a slot: an event whose slot is being
+  // written, or holds a later event, is dropped as overwritten.
+  std::uint64_t seen = s.version.load(std::memory_order_relaxed);
+  if ((seen & 1) != 0 || seen > 2 * idx ||
+      !s.version.compare_exchange_strong(seen, 2 * idx + 1,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed))
+    return;
+  s.t_ns.store(steady_ns(), std::memory_order_release);
+  s.session.store(session, std::memory_order_release);
+  s.a.store(a, std::memory_order_release);
+  s.b.store(b, std::memory_order_release);
+  s.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_release);
   char packed[kDetailChars] = {};
   if (detail != nullptr) {
     std::strncpy(packed, detail, kDetailChars - 1);
@@ -79,7 +85,7 @@ void FlightRecorder::record(EventKind kind, std::int64_t session,
   for (std::size_t w = 0; w < kDetailWords; ++w) {
     std::uint64_t word = 0;
     std::memcpy(&word, packed + w * 8, 8);
-    s.detail[w].store(word, std::memory_order_relaxed);
+    s.detail[w].store(word, std::memory_order_release);
   }
   s.version.store(2 * idx + 2, std::memory_order_release);
 }
@@ -91,23 +97,22 @@ std::vector<FlightRecorder::Event> FlightRecorder::dump() const {
     const Slot& s = slots_[i];
     const std::uint64_t v1 = s.version.load(std::memory_order_acquire);
     if (v1 == 0 || (v1 & 1) != 0) continue;
+    // Acquire payload loads: the re-read of the version cannot move above
+    // them, so the same stamp means the slot was stable across the copy.
     Event e;
-    e.t_ns = s.t_ns.load(std::memory_order_relaxed);
-    e.session = s.session.load(std::memory_order_relaxed);
-    e.a = s.a.load(std::memory_order_relaxed);
-    e.b = s.b.load(std::memory_order_relaxed);
-    e.kind = static_cast<EventKind>(s.kind.load(std::memory_order_relaxed));
+    e.t_ns = s.t_ns.load(std::memory_order_acquire);
+    e.session = s.session.load(std::memory_order_acquire);
+    e.a = s.a.load(std::memory_order_acquire);
+    e.b = s.b.load(std::memory_order_acquire);
+    e.kind = static_cast<EventKind>(s.kind.load(std::memory_order_acquire));
     char packed[kDetailChars];
     for (std::size_t w = 0; w < kDetailWords; ++w) {
-      const std::uint64_t word = s.detail[w].load(std::memory_order_relaxed);
+      const std::uint64_t word = s.detail[w].load(std::memory_order_acquire);
       std::memcpy(packed + w * 8, &word, 8);
     }
     packed[kDetailChars - 1] = '\0';
     std::memcpy(e.detail, packed, sizeof(e.detail) - 1);
     e.detail[sizeof(e.detail) - 1] = '\0';
-    // The payload loads may not sink below the re-read of the version:
-    // same-stamp means the slot was stable across the copy.
-    std::atomic_thread_fence(std::memory_order_acquire);
     const std::uint64_t v2 = s.version.load(std::memory_order_relaxed);
     if (v1 != v2) continue;
     e.seq = static_cast<std::int64_t>(v1 / 2 - 1);

@@ -12,8 +12,9 @@
 // (version counter stamped odd while writing, even+claim-index when
 // published) lets a concurrent dump skip torn or mid-overwrite slots
 // instead of racing them. The ring overwrites oldest-first; overwritten
-// events are the price of the fixed budget and are counted. Record sites
-// are gated on telemetry::enabled() like every other instrument.
+// events (and any whose slot a lapping writer holds) are the price of the
+// fixed budget and are counted. Record sites are gated on
+// telemetry::enabled() like every other instrument.
 #pragma once
 
 #include <atomic>

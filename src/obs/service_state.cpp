@@ -200,17 +200,17 @@ void ServiceState::thread_note(const char* what) {
   if (idx >= kMaxThreads) return;
   ThreadSlot& slot = impl_->threads[idx];
   // Single writer per slot (this thread); the odd/even stamp only protects
-  // readers from a torn copy.
+  // readers from a torn copy. Release payload stores and acquire payload
+  // loads order it, as in FlightRecorder (TSan does not model fences).
   const std::uint32_t v = slot.version.load(std::memory_order_relaxed);
   slot.version.store(v + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.t_ns.store(steady_ns(), std::memory_order_relaxed);
+  slot.t_ns.store(steady_ns(), std::memory_order_release);
   char packed[kNoteChars] = {};
   if (what != nullptr) std::strncpy(packed, what, kNoteChars - 1);
   for (std::size_t w = 0; w < kNoteWords; ++w) {
     std::uint64_t word = 0;
     std::memcpy(&word, packed + w * 8, 8);
-    slot.what[w].store(word, std::memory_order_relaxed);
+    slot.what[w].store(word, std::memory_order_release);
   }
   slot.version.store(v + 2, std::memory_order_release);
 }
@@ -222,14 +222,13 @@ std::vector<ThreadNote> ServiceState::thread_notes() const {
     const ThreadSlot& slot = impl_->threads[i];
     const std::uint32_t v1 = slot.version.load(std::memory_order_acquire);
     if (v1 == 0 || (v1 & 1) != 0) continue;
-    const std::int64_t t = slot.t_ns.load(std::memory_order_relaxed);
+    const std::int64_t t = slot.t_ns.load(std::memory_order_acquire);
     char packed[kNoteChars];
     for (std::size_t w = 0; w < kNoteWords; ++w) {
-      const std::uint64_t word = slot.what[w].load(std::memory_order_relaxed);
+      const std::uint64_t word = slot.what[w].load(std::memory_order_acquire);
       std::memcpy(packed + w * 8, &word, 8);
     }
     packed[kNoteChars - 1] = '\0';
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.version.load(std::memory_order_relaxed) != v1) continue;
     ThreadNote note;
     note.thread = i;

@@ -6,40 +6,23 @@
 //  * FixedFormat + quantize_value: "fake quantization" — float values
 //    snapped to the representable grid with round-to-nearest and
 //    saturation (it is bit-exact with integer arithmetic whose products are
-//    rounded back to the same format, which unit tests verify).
-//    quantize_inplace applies it to buffers through the vectorized kernel
-//    in kernels/quantize.hpp, with quantize_value as its scalar reference.
+//    rounded back to the same format, which unit tests verify). Both live
+//    in kernels/quantize.hpp, with quantize_inplace, the vectorized form
+//    that the kernels also round with as they produce values.
 //  * Fixed: an actual integer-backed value type used by those tests and by
 //    the accelerator's PE model.
 #pragma once
 
 #include <cstdint>
 
+#include "kernels/quantize.hpp"
 #include "tensor/tensor.hpp"
 
 namespace tvbf::quant {
 
-/// Signed two's-complement fixed-point format: `bits` total (including
-/// sign), `frac_bits` fractional. Representable step is 2^-frac_bits.
-struct FixedFormat {
-  int bits = 16;
-  int frac_bits = 11;
-
-  /// Largest representable value.
-  double max_value() const;
-  /// Smallest (most negative) representable value.
-  double min_value() const;
-  /// Quantization step.
-  double step() const;
-
-  void validate() const;
-};
-
-/// Rounds to the nearest representable value, saturating at the range ends.
-float quantize_value(float v, const FixedFormat& fmt);
-
-/// quantize_value over x[0, n) in place, vectorized (same bits).
-void quantize_inplace(float* x, std::int64_t n, const FixedFormat& fmt);
+using kernels::FixedFormat;
+using kernels::quantize_inplace;
+using kernels::quantize_value;
 
 /// Quantizes every element in place.
 void quantize_tensor_inplace(Tensor& t, const FixedFormat& fmt);

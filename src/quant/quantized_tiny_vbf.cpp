@@ -27,6 +27,10 @@ Tensor maybe_quant_affine(const Tensor& p, const QuantScheme& s) {
 QuantizedTinyVbf::QuantizedTinyVbf(const models::TinyVbf& model,
                                    QuantScheme scheme)
     : config_(model.config()), scheme_(std::move(scheme)) {
+  if (!scheme_.is_float)
+    formats_ = kernels::DatapathFormats{scheme_.op_format(),
+                                        scheme_.inter_format(),
+                                        scheme_.softmax_format()};
   auto grab = [&](const nn::Dense& d) {
     DenseW out;
     out.w = maybe_quant_weights(d.weight().value(), scheme_);
@@ -73,32 +77,21 @@ models::TinyVbfWeights QuantizedTinyVbf::weights() const {
   return w;
 }
 
-models::RoundingHook QuantizedTinyVbf::rounding() const {
-  if (scheme_.is_float) return {};
-  return [this](models::RoundAt at, float* x, std::int64_t n) {
-    using models::RoundAt;
-    quantize_inplace(x, n,
-                     at == RoundAt::kOp      ? scheme_.op_format()
-                     : at == RoundAt::kInter ? scheme_.inter_format()
-                                             : scheme_.softmax_format());
-  };
-}
-
 Tensor QuantizedTinyVbf::infer(const Tensor& input, float input_scale) const {
   return models::run_tiny_vbf(config_, weights(), input, input_scale,
-                              rounding());
+                              formats_);
 }
 
 Tensor QuantizedTinyVbf::infer(const Shape& shape,
                                const models::RowLoader& load) const {
-  return models::run_tiny_vbf(config_, weights(), shape, load, rounding());
+  return models::run_tiny_vbf(config_, weights(), shape, load, formats_);
 }
 
 Tensor QuantizedTinyVbf::infer(const Shape& shape,
                                const models::RowLayout& layout,
                                const models::RowLoader& load) const {
   return models::run_tiny_vbf(config_, weights(), shape, layout, load,
-                              rounding());
+                              formats_);
 }
 
 QuantizedVbfBeamformer::QuantizedVbfBeamformer(

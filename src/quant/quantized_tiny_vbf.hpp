@@ -1,16 +1,17 @@
 // Fixed-point inference of a trained Tiny-VBF under a QuantScheme.
 //
 // Runs the one Tiny-VBF inference engine (models/tiny_vbf_engine.hpp) over
-// quantized copies of the weights, with a rounding hook that fake-quantizes
-// every hardware result in place, mirroring the datapath of the
-// accelerator (Figs 5-8): weights are stored quantized, every multiply/add
-// result is rounded to the op width, softmax runs at its own (wider) width,
-// and each layer writes its output BRAM buffer at the intermediate width.
-// With QuantScheme::float_reference() there is no hook and the output is
-// bit-identical to TinyVbf::infer.
+// quantized copies of the weights, with the scheme's formats, so that every
+// hardware result is fake-quantized where it is produced, mirroring the
+// datapath of the accelerator (Figs 5-8): weights are stored quantized,
+// every multiply/add result is rounded to the op width, softmax runs at its
+// own (wider) width, and each layer writes its output BRAM buffer at the
+// intermediate width. With QuantScheme::float_reference() there are no
+// formats and the output is bit-identical to TinyVbf::infer.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "beamform/beamformer.hpp"
@@ -58,11 +59,10 @@ class QuantizedTinyVbf {
 
   /// Views of the stored weights for the engine.
   models::TinyVbfWeights weights() const;
-  /// The engine hook that rounds to the scheme's formats (none for float).
-  models::RoundingHook rounding() const;
 
   models::TinyVbfConfig config_;
   QuantScheme scheme_;
+  std::optional<kernels::DatapathFormats> formats_;  ///< none for float
   DenseW embed_;
   Tensor pos_;
   std::vector<BlockW> blocks_;

@@ -292,6 +292,9 @@ struct Server::Impl {
 
     for (auto& t : producers) t.join();
     for (auto& t : workers) t.join();
+    // A run stopped by an error leaves its queued and busy frames counted.
+    for (const auto& s : sessions)
+      t_in_flight.sub(static_cast<std::int64_t>(s->ready.size()) + s->busy);
   }
 };
 

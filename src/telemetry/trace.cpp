@@ -31,30 +31,31 @@ void TraceBuffer::record(const char* name,
     return;
   }
   Event& e = events_[idx];
-  // Seqlock write: stamp odd, fence so the payload stores cannot move
-  // above the stamp, write the payload, publish even. The stamp counter
-  // survives clear(), so if a pre-clear straggler still holds this slot
-  // the two writers' versions differ and a reader discards the tear.
+  // Seqlock write: stamp odd, write the payload, publish even. The payload
+  // stores are releases (not a fence, which TSan does not model), so a
+  // reader whose acquire load sees one of them sees the odd stamp too. The
+  // stamp counter survives clear(), so if a pre-clear straggler still holds
+  // this slot the two writers' versions differ and a reader discards the
+  // tear.
   const std::uint64_t stamp = stamps_.fetch_add(1, std::memory_order_relaxed);
   e.version.store(2 * stamp + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   e.begin_ns.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
                        begin.time_since_epoch())
                        .count(),
-                   std::memory_order_relaxed);
+                   std::memory_order_release);
   e.dur_ns.store(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
           .count(),
-      std::memory_order_relaxed);
-  e.flow.store(flow, std::memory_order_relaxed);
+      std::memory_order_release);
+  e.flow.store(flow, std::memory_order_release);
   e.tid.store(static_cast<std::uint32_t>(thread_index()),
-              std::memory_order_relaxed);
+              std::memory_order_release);
   char packed[kNameChars] = {};
   if (name != nullptr) std::strncpy(packed, name, kNameChars - 1);
   for (std::size_t w = 0; w < kNameWords; ++w) {
     std::uint64_t word = 0;
     std::memcpy(&word, packed + w * 8, 8);
-    e.name[w].store(word, std::memory_order_relaxed);
+    e.name[w].store(word, std::memory_order_release);
   }
   e.version.store(2 * stamp + 2, std::memory_order_release);
 }
@@ -62,21 +63,20 @@ void TraceBuffer::record(const char* name,
 bool TraceBuffer::read_slot(const Event& e, Snap& out) const {
   const std::uint64_t v1 = e.version.load(std::memory_order_acquire);
   if (v1 == 0 || (v1 & 1) != 0) return false;
-  out.begin_ns = e.begin_ns.load(std::memory_order_relaxed);
-  out.dur_ns = e.dur_ns.load(std::memory_order_relaxed);
-  out.flow = e.flow.load(std::memory_order_relaxed);
-  out.tid = e.tid.load(std::memory_order_relaxed);
+  // Acquire payload loads: the re-read of the version cannot move above
+  // them, so the same stamp means the slot was stable across the copy.
+  out.begin_ns = e.begin_ns.load(std::memory_order_acquire);
+  out.dur_ns = e.dur_ns.load(std::memory_order_acquire);
+  out.flow = e.flow.load(std::memory_order_acquire);
+  out.tid = e.tid.load(std::memory_order_acquire);
   char packed[kNameChars];
   for (std::size_t w = 0; w < kNameWords; ++w) {
-    const std::uint64_t word = e.name[w].load(std::memory_order_relaxed);
+    const std::uint64_t word = e.name[w].load(std::memory_order_acquire);
     std::memcpy(packed + w * 8, &word, 8);
   }
   packed[kNameChars - 1] = '\0';
   std::memcpy(out.name, packed, kNameChars);
   out.name[sizeof(out.name) - 1] = '\0';
-  // The payload loads may not sink below the re-read of the version:
-  // same-stamp means the slot was stable across the copy.
-  std::atomic_thread_fence(std::memory_order_acquire);
   return e.version.load(std::memory_order_relaxed) == v1;
 }
 

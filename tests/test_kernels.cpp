@@ -11,12 +11,15 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/gemm.hpp"
+#include "kernels/quantize.hpp"
 #include "kernels/reduce.hpp"
 #include "kernels/tof_gather.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -1107,9 +1110,9 @@ TEST(Gemm, EpilogueEqualsSeparateBiasAndReluPasses) {
           v += bias.raw()[j];
           if (relu) v = v > 0.0f ? v : 0.0f;
         }
-      gemm(a.raw(), b.raw(), got.raw(), m, k, n, {bias.raw(), relu});
+      gemm(a.raw(), b.raw(), got.raw(), m, k, n, {bias.raw(), relu, {}});
       gemm_rows(a.raw(), b.raw(), rows.raw(), m, k, n, 0, m, false,
-                {bias.raw(), relu});
+                {bias.raw(), relu, {}});
       EXPECT_EQ(first_mismatch(got.raw(), want.raw(), m * n), -1)
           << m << "x" << k << "x" << n << ", relu " << relu;
       EXPECT_EQ(first_mismatch(rows.raw(), want.raw(), m * n), -1)
@@ -1118,10 +1121,66 @@ TEST(Gemm, EpilogueEqualsSeparateBiasAndReluPasses) {
   }
 }
 
+TEST(Gemm, RoundingEpilogueEqualsSeparatePasses) {
+  // gemm with a rounding epilogue against gemm, then quantize_inplace, + b,
+  // quantize_inplace and ReLU. k of 100, 300 and 512 (one and two K
+  // blocks) lets only the last block round; ragged m and n send the full
+  // tiles through the vector micro-kernels and the edges through the
+  // scalar one. Rows 0 and m - 1 copy B's row 0, whose sums are NaN,
+  // +-inf, half-step ties and values at the clamp edges, and some biases
+  // are half steps, so that + b ties as well.
+  const FixedFormat fmt{16, 8};  // step 2^-8, range [-128, 128 - 2^-8]
+  const float step = 0x1p-8f;
+  const std::vector<float> specials = {
+      kNaN, kInf, -kInf, 0.5f * step, -0.5f * step, 1.5f * step,
+      -2.5f * step, 127.0f + 0.5f * step, 128.0f - step, 128.0f - 0.5f * step,
+      128.0f, -128.0f, -128.0f - 0.5f * step, -129.0f, 1e30f, -0.0f};
+  for (const auto& [m, k, n] :
+       std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>{
+           {13, 100, 24}, {9, 300, 17}, {33, 512, 16}, {6, 512, 37}}) {
+    Rng rng(static_cast<std::uint64_t>(91 + m + k + n));
+    Tensor a = random_tensor({m, k}, rng);
+    Tensor b = random_tensor({k, n}, rng);
+    Tensor bias = random_tensor({n}, rng);
+    for (const std::int64_t i : {std::int64_t{0}, m - 1}) {
+      std::fill_n(a.raw() + i * k, k, 0.0f);
+      a.raw()[i * k] = 1.0f;
+    }
+    for (std::int64_t j = 0; j < n; ++j) {
+      b.raw()[j] = specials[static_cast<std::size_t>(j) % specials.size()];
+      if (j % 3 == 1) bias.raw()[j] = (j % 2 != 0 ? 0.5f : -0.5f) * step;
+    }
+    for (const bool with_bias : {false, true})
+      for (const bool relu : {false, true}) {
+        const float* bp = with_bias ? bias.raw() : nullptr;
+        Tensor want({m, n}), got({m, n}, 7.0f), rows({m, n}, 7.0f);
+        gemm(a.raw(), b.raw(), want.raw(), m, k, n);
+        quantize_inplace(want.raw(), m * n, fmt);
+        for (std::int64_t i = 0; i < m && with_bias; ++i)
+          for (std::int64_t j = 0; j < n; ++j) want.raw()[i * n + j] += bp[j];
+        quantize_inplace(want.raw(), m * n, fmt);
+        for (std::int64_t i = 0; i < m * n && relu; ++i)
+          want.raw()[i] = want.raw()[i] > 0.0f ? want.raw()[i] : 0.0f;
+        gemm(a.raw(), b.raw(), got.raw(), m, k, n, {bp, relu, fmt});
+        gemm_rows(a.raw(), b.raw(), rows.raw(), m, k, n, 0, m, false,
+                  {bp, relu, fmt});
+        const std::string where = std::to_string(m) + "x" +
+                                  std::to_string(k) + "x" +
+                                  std::to_string(n) + ", bias " +
+                                  std::to_string(with_bias) + ", relu " +
+                                  std::to_string(relu);
+        EXPECT_EQ(first_mismatch(got.raw(), want.raw(), m * n), -1) << where;
+        EXPECT_EQ(first_mismatch(rows.raw(), want.raw(), m * n), -1)
+            << where;
+      }
+  }
+}
+
 TEST(Gemm, IndirectRowsEqualGemmOnTheGatheredA) {
   // A read through row pointers and column offsets (each row's columns
   // reversed and strided through a wider buffer) gives gemm_rows' bits on
-  // the gathered copy, with and without an epilogue.
+  // the gathered copy, with no epilogue, a bias and ReLU, and a rounding
+  // one.
   for (const auto& [m, k, n] :
        std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>{
            {1, 1, 1}, {6, 9, 5}, {13, 40, 16}, {21, 300, 20}}) {
@@ -1137,7 +1196,9 @@ TEST(Gemm, IndirectRowsEqualGemmOnTheGatheredA) {
     for (std::int64_t i = 0; i < m; ++i)
       for (std::int64_t p = 0; p < k; ++p)
         gathered.raw()[i * k + p] = rows[i][cols[p]];
-    for (const Epilogue e : {Epilogue{}, Epilogue{bias.raw(), true}}) {
+    for (const Epilogue& e :
+         {Epilogue{}, Epilogue{bias.raw(), true, {}},
+          Epilogue{bias.raw(), true, FixedFormat{16, 8}}}) {
       Tensor want({m, n}), got({m, n});
       gemm_rows(gathered.raw(), b.raw(), want.raw(), m, k, n, 0, m, false, e);
       gemm_indirect_rows(rows.data(), cols.data(), b.raw(), got.raw(), k, n,
@@ -1177,11 +1238,14 @@ TEST(ReduceKernels, SoftmaxColumnsEqualRowsOfTheTranspose) {
       }
 }
 
-/// attention_block's reference: Q.K^T by gemm on copied bands, the hook,
-/// the scale, the hook, softmax_rows, the hook, then gemm(P, V).
+/// attention_block's reference: Q.K^T by gemm on copied bands, the scale,
+/// softmax_rows, then gemm(P, V); with formats each result is rounded
+/// through quantize_value, the softmax at its width and the rest at op's.
 void reference_attention(const float* q, const float* k, const float* v,
                          std::int64_t ld, std::int64_t np, std::int64_t dk,
-                         float scale, const AttentionHook& hook, float* out) {
+                         float scale,
+                         const std::optional<DatapathFormats>& formats,
+                         float* out) {
   std::vector<float> qb(static_cast<std::size_t>(np * dk)), kt(qb.size()),
       vb(qb.size()), s(static_cast<std::size_t>(np * np));
   for (std::int64_t i = 0; i < np; ++i)
@@ -1190,32 +1254,31 @@ void reference_attention(const float* q, const float* k, const float* v,
       kt[static_cast<std::size_t>(p * np + i)] = k[i * ld + p];
       vb[static_cast<std::size_t>(i * dk + p)] = v[i * ld + p];
     }
-  const auto round = [&](bool softmax) {
-    if (hook) hook(softmax, s.data(), np * np);
+  const auto round = [&](float* x, std::int64_t n, bool softmax) {
+    for (std::int64_t i = 0; formats && i < n; ++i)
+      x[i] = quantize_value(x[i], softmax ? formats->softmax : formats->op);
   };
   gemm(qb.data(), kt.data(), s.data(), np, dk, np);
-  round(false);
+  round(s.data(), np * np, false);
   for (float& x : s) x *= scale;
-  round(false);
+  round(s.data(), np * np, false);
   softmax_rows(s.data(), s.data(), np, np);
-  round(true);
+  round(s.data(), np * np, true);
   gemm(s.data(), vb.data(), out, np, np, dk);
+  round(out, np * dk, false);
 }
 
 TEST(AttentionBlock, EqualsGemmSoftmaxGemmOnCopiedBands) {
-  // Bands of a wider (np, 3 * dk) buffer; a hook that snaps each point to
-  // its own grid; a query row holding NaN and one holding +inf come out
-  // all NaN, as through softmax_rows.
-  const AttentionHook snap = [](bool softmax, float* x, std::int64_t n) {
-    const float step = softmax ? 4096.0f : 256.0f;
-    for (std::int64_t i = 0; i < n; ++i)
-      x[i] = std::nearbyint(x[i] * step) / step;
-  };
+  // Bands of a wider (np, 3 * dk) buffer; formats whose op grid some
+  // scores overflow; a query row holding NaN and one holding +inf come out
+  // all NaN, as through softmax_rows, when there is no rounding.
+  const DatapathFormats fixed{{14, 8}, {16, 8}, {16, 12}};
   for (const std::int64_t np : {1, 4, 7, 13, 16, 32})
     for (const std::int64_t dk : {4, 8, 12})
-      for (const bool hooked : {false, true})
+      for (const bool rounded : {false, true})
         for (const bool special : {false, true}) {
-          const AttentionHook hook = hooked ? snap : AttentionHook{};
+          const std::optional<DatapathFormats> formats =
+              rounded ? std::optional(fixed) : std::nullopt;
           Rng rng(static_cast<std::uint64_t>(83 + np * 16 + dk));
           const std::int64_t ld = 3 * dk;
           std::vector<float> qkv(static_cast<std::size_t>(np * ld));
@@ -1230,22 +1293,23 @@ TEST(AttentionBlock, EqualsGemmSoftmaxGemmOnCopiedBands) {
           const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
           const std::int64_t ldo = dk + 3;
           std::vector<float> want(static_cast<std::size_t>(np * dk));
-          reference_attention(q, k, v, ld, np, dk, scale, hook, want.data());
+          reference_attention(q, k, v, ld, np, dk, scale, formats,
+                              want.data());
           std::vector<float> work(
               static_cast<std::size_t>(attention_block_floats(np, dk)));
           for (const bool scalar : {false, true}) {
             std::vector<float> out(static_cast<std::size_t>(np * ldo), 5.0f);
             (scalar ? attention_block_scalar : attention_block)(
                 q, k, v, ld, out.data(), ldo, np, dk, scale, work.data(),
-                hook);
+                formats);
             for (std::int64_t i = 0; i < np; ++i) {
               EXPECT_EQ(first_mismatch(out.data() + i * ldo,
                                        want.data() + i * dk, dk),
                         -1)
                   << "np " << np << ", dk " << dk << ", row " << i
-                  << (hooked ? ", hooked" : "") << (scalar ? ", scalar" : "");
+                  << (rounded ? ", rounded" : "") << (scalar ? ", scalar" : "");
               EXPECT_EQ(out[static_cast<std::size_t>(i * ldo + dk)], 5.0f);
-              if (special && np > 2 && (i == 1 || i == 2)) {
+              if (!rounded && special && np > 2 && (i == 1 || i == 2)) {
                 for (std::int64_t c = 0; c < dk; ++c) {
                   EXPECT_TRUE(std::isnan(out[static_cast<std::size_t>(
                       i * ldo + c)]))

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,18 +141,18 @@ TEST(TinyVbfEngine, ScalesEachTileAsItLoads) {
 
 TEST(TinyVbfEngine, RowLoaderEqualsTensorOverload) {
   // A loader that copies the rows, scaled, gives the tensor overload's bits,
-  // with and without a rounding hook. The engine asks for each row once, in
-  // order, in slices of as many whole rows as fit kVbfSliceBytes: 8 rows at
-  // paper scale (64 KB rows), 48 for 52 x 52 rows, a whole tile for 8 KB.
+  // with and without fixed-point formats. The engine asks for each row
+  // once, in order, in slices of as many whole rows as fit kVbfSliceBytes:
+  // 8 rows at paper scale (64 KB rows), 48 for 52 x 52 rows, a whole tile
+  // for 8 KB.
   ASSERT_EQ(kVbfSliceBytes, 512 * 1024);
   struct Case {
     TinyVbfConfig config;
     std::int64_t nz, slice;
   };
-  const RoundingHook snap = [](RoundAt, float* v, std::int64_t n) {
-    for (std::int64_t i = 0; i < n; ++i)
-      v[i] = std::nearbyint(v[i] * 1024.0f) / 1024.0f;
-  };
+  const kernels::FixedFormat snap{32, 10};  // step 2^-10, no clamping
+  const std::optional<kernels::DatapathFormats> fixed =
+      kernels::DatapathFormats{snap, snap, snap};
   for (const Case& c : {Case{TinyVbfConfig::paper(), 19, 8},
                         Case{TinyVbfConfig::test(52, 52), 71, 48},
                         Case{TinyVbfConfig::test(32, 64), 71, 64}}) {
@@ -171,12 +172,13 @@ TEST(TinyVbfEngine, RowLoaderEqualsTensorOverload) {
         out[i] = x.raw()[z0 * row + i] * s;
     };
     const std::string where = "nx " + std::to_string(c.config.num_lateral);
-    for (const RoundingHook& hook : {RoundingHook{}, snap}) {
+    for (const auto& formats : {std::optional<kernels::DatapathFormats>{},
+                                fixed}) {
       calls.clear();
       EXPECT_TRUE(same_bits(run_tiny_vbf(c.config, weights, x.shape(), load,
-                                         hook),
-                            run_tiny_vbf(c.config, weights, x, s, hook)))
-          << where << (hook ? ", hook" : "");
+                                         formats),
+                            run_tiny_vbf(c.config, weights, x, s, formats)))
+          << where << (formats ? ", formats" : "");
       std::int64_t next = 0;
       for (const auto& [z0, rows] : calls) {
         EXPECT_EQ(z0, next) << where;
@@ -194,7 +196,7 @@ TEST(TinyVbfEngine, RowLoaderEqualsTensorOverload) {
 
 TEST(TinyVbfEngine, RowLayoutLoadsEqualTheTensorOverload) {
   // Rows in a padded, channel-reversed layout, loaded by the pool's
-  // workers, give the tensor overload's bits, with and without a hook; a
+  // workers, give the tensor overload's bits, with and without formats; a
   // layout that reaches outside its rows, or has the wrong channel count,
   // throws.
   Rng rng(16);
@@ -216,14 +218,13 @@ TEST(TinyVbfEngine, RowLayoutLoadsEqualTheTensorOverload) {
               layout.channel_offset[static_cast<std::size_t>(c)]] =
               x.raw()[((z0 + r) * nx + ix) * nch + c] * 0.5f;
   };
-  const RoundingHook snap = [](RoundAt, float* v, std::int64_t n) {
-    for (std::int64_t i = 0; i < n; ++i)
-      v[i] = std::nearbyint(v[i] * 256.0f) / 256.0f;
-  };
-  for (const RoundingHook& hook : {RoundingHook{}, snap})
+  const kernels::FixedFormat snap{32, 8};  // step 2^-8, no clamping
+  for (const auto& formats : {std::optional<kernels::DatapathFormats>{},
+                              std::optional(kernels::DatapathFormats{
+                                  snap, snap, snap})})
     EXPECT_TRUE(same_bits(
-        run_tiny_vbf(config, weights, x.shape(), layout, load, hook),
-        run_tiny_vbf(config, weights, x, 0.5f, hook)));
+        run_tiny_vbf(config, weights, x.shape(), layout, load, formats),
+        run_tiny_vbf(config, weights, x, 0.5f, formats)));
   EXPECT_TRUE(
       same_bits(model.infer(x.shape(), layout, load), model.infer(x, 0.5f)));
   RowLayout outside = layout;

@@ -91,14 +91,18 @@ std::uint32_t bits_of(float v) {
 }
 
 TEST(Quantize, VectorKernelMatchesScalarOracleBitForBit) {
-  // quantize_inplace rounds blocks of 8 in the SIMD kernel and the tail
-  // with quantize_value; every element must come out as quantize_value's
-  // bits, for every width of the paper's schemes and every input class.
+  // quantize_inplace rounds blocks of 8 in float lanes and the tail with
+  // quantize_value, in double; every element must come out as
+  // quantize_value's bits, for every width of the paper's schemes, the
+  // widths whose largest value 2^(bits-1) - 1 float cannot hold (25 bits
+  // still can), and every input class.
   using limits = std::numeric_limits<float>;
   std::vector<FixedFormat> formats;
   for (const int bits : {8, 16, 20, 24, 32}) {
     formats.push_back(activation_format(bits, 4));
     if (bits > 9) formats.push_back(activation_format(bits, 8));
+  }
+  for (const int bits : {8, 16, 20, 24, 25, 26, 32, 33, 48, 63}) {
     formats.push_back(FixedFormat{bits, 0});
     formats.push_back(FixedFormat{bits, bits - 1});
   }
@@ -114,6 +118,9 @@ TEST(Quantize, VectorKernelMatchesScalarOracleBitForBit) {
         static_cast<float>(f.min_value()) - step / 2,
         static_cast<float>(f.max_value()) * 3,
         static_cast<float>(f.min_value()) * 3};
+    for (const double edge : {f.max_value(), f.min_value()})  // neighbours
+      for (const float to : {-limits::infinity(), limits::infinity()})
+        values.push_back(std::nextafter(static_cast<float>(edge), to));
     for (int k = -6; k <= 6; ++k)  // exact half-step ties, odd and even
       values.push_back((static_cast<float>(k) + 0.5f) * step);
     const double range = 2.0 * f.max_value();

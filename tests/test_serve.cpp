@@ -272,6 +272,23 @@ TEST_F(ServeTest, BeamformerExceptionMidCompoundedStreamPropagates) {
   EXPECT_EQ(delivered, (std::vector<std::int64_t>{0, 1}));
 }
 
+TEST_F(ServeTest, FailedRunLeavesNoFrameInFlight) {
+  // The beamformer throws on the first frame while up to four more wait in
+  // the queue: once run() rethrows, serve.in_flight is back where it was,
+  // so a later run's watchdog sees no pending work that is not there.
+  telemetry::Gauge& in_flight =
+      telemetry::Registry::instance().gauge("serve.in_flight");
+  const std::int64_t before = in_flight.value();
+  ServerConfig cfg;
+  cfg.max_in_flight = 4;
+  Server server(cfg);
+  server.add_session({replay(20),
+                      std::make_shared<test::FailingBeamformer>(das(), 0),
+                      pipeline_config(), {}});
+  EXPECT_THROW(server.run(), std::runtime_error);
+  EXPECT_EQ(in_flight.value(), before);
+}
+
 TEST_F(ServeTest, NanT0AngleMidCompoundedStreamPropagates) {
   // Three steered transmits per frame; frame 2 arrives with its middle
   // angle's t0 set to NaN, which the plan cache rejects while the frame is
