@@ -12,7 +12,8 @@
 // records every bound and what it was measured against.
 //
 // A paper-scale cube (24 MB) is too large to store, so it is pinned by a
-// 64-bit FNV-1a digest of its bytes instead; its bound is exact.
+// 64-bit FNV-1a digest of its bytes instead; its bound is exact. So are
+// ToF cubes of steered and cubic plans, and one Hilbert transform.
 //
 // Regenerate with `test_golden --regenerate=<file>[,<file>]`, naming each
 // file under tests/golden/ to rewrite; every other golden is still checked.
@@ -36,6 +37,7 @@
 
 #include "beamform/das.hpp"
 #include "common/rng.hpp"
+#include "dsp/hilbert.hpp"
 #include "kernels/reduce.hpp"
 #include "us/probe.hpp"
 #include "models/neural_beamformer.hpp"
@@ -129,9 +131,9 @@ void check_golden(const Golden& g, const Tensor& out) {
   EXPECT_LE(s.rms, g.rms) << g.file;
 }
 
-/// FNV-1a (64-bit) over the bytes of t's values, in order.
-std::uint64_t fnv1a(const Tensor& t) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+/// FNV-1a (64-bit) over the bytes of t's values, in order, continuing
+/// from `h` (so fnv1a(b, fnv1a(a)) digests a then b).
+std::uint64_t fnv1a(const Tensor& t, std::uint64_t h = 0xcbf29ce484222325ull) {
   const auto* p = reinterpret_cast<const unsigned char*>(t.raw());
   const std::size_t bytes = static_cast<std::size_t>(t.size()) * sizeof(float);
   for (std::size_t i = 0; i < bytes; ++i) {
@@ -141,11 +143,11 @@ std::uint64_t fnv1a(const Tensor& t) {
   return h;
 }
 
-/// Compares t's digest with the hex digest stored in `file`, or rewrites it.
-void check_digest(const char* file, const Tensor& t) {
+/// Compares `digest` with the hex digest stored in `file`, or rewrites it.
+void check_digest(const char* file, std::uint64_t digest) {
   const std::string path = std::string(TVBF_GOLDEN_DIR) + "/" + file;
   std::ostringstream got;
-  got << std::hex << std::setw(16) << std::setfill('0') << fnv1a(t);
+  got << std::hex << std::setw(16) << std::setfill('0') << digest;
   std::string stored;
   std::ifstream(path) >> stored;
   if (regenerating(file)) {
@@ -237,7 +239,7 @@ TEST_F(Golden96x64, TinyVbfHybrid2Iq) {
   check_golden({"tiny_vbf_hybrid2_iq.f32", 0x1p-7, 0x1p-10}, iq);
   // That bound cannot show bit-identity, so the same IQ is also pinned
   // exactly by its digest: a rounding change that flips one value fails.
-  check_digest("tiny_vbf_hybrid2_iq.fnv1a", iq);
+  check_digest("tiny_vbf_hybrid2_iq.fnv1a", fnv1a(iq));
 }
 
 /// The RF ToF cube of one paper-scale frame: ImagingGrid::paper under the
@@ -256,7 +258,7 @@ TEST(GoldenDigest, PaperScaleTofCube) {
   const us::ImagingGrid grid = us::ImagingGrid::paper(acq.probe);
   const us::TofCube cube = us::tof_correct(acq, grid, {});
   ASSERT_EQ(cube.real.shape(), (Shape{368, 128, 128}));
-  check_digest("tof_paper_rf.fnv1a", cube.real);
+  check_digest("tof_paper_rf.fnv1a", fnv1a(cube.real));
 
   const us::TofPlan plan = us::TofPlan::build_for(acq, grid);
   ASSERT_TRUE(plan.reads_rf());
@@ -274,11 +276,67 @@ TEST(GoldenDigest, PaperScaleTofCube) {
             iz * row + kernels::slot_offset(nx, ix, c))];
   EXPECT_EQ(fnv1a(rows), fnv1a(cube.real));
   if (!regenerating("tof_paper_rf.fnv1a"))
-    check_digest("tof_paper_rf.fnv1a", rows);
+    check_digest("tof_paper_rf.fnv1a", fnv1a(rows));
   const float peak = plan.peak(acq);
   const float max_abs = kernels::max_abs(cube.real.raw(), cube.real.size());
   EXPECT_EQ(std::memcmp(&peak, &max_abs, sizeof(float)), 0)
       << peak << " vs " << max_abs;
+}
+
+/// Fixed-seed Gaussian RF for the L11-5v probe, `n` samples per channel.
+us::Acquisition l11_rf(std::int64_t n, double angle, double t0) {
+  us::Acquisition acq;
+  acq.probe = us::Probe::l11_5v();
+  acq.steering_angle_rad = angle;
+  acq.t0 = t0;
+  acq.rf = Tensor({n, acq.probe.num_elements});
+  Rng rng(29);
+  for (auto& v : acq.rf.data()) v = static_cast<float>(rng.normal());
+  return acq;
+}
+
+constexpr std::size_t kEntryBytes = sizeof(std::int32_t) + sizeof(float);
+
+/// The RF ToF cubes of full-table plans steered by +8 and then -8 degrees,
+/// on the paper grid's columns over its first 96 depth rows, one digest.
+TEST(GoldenDigest, SteeredTofCubes) {
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  for (const double degrees : {8.0, -8.0}) {
+    const us::Acquisition acq = l11_rf(1828, degrees * M_PI / 180.0, 0.0);
+    us::ImagingGrid grid = us::ImagingGrid::paper(acq.probe);
+    grid.nz = 96;
+    const us::TofPlan plan = us::TofPlan::build_for(acq, grid);
+    ASSERT_EQ(plan.bytes(), 96u * 128u * 128u * kEntryBytes) << degrees;
+    digest = fnv1a(plan.apply(acq, false).real, digest);
+  }
+  check_digest("tof_steered_rf.fnv1a", digest);
+}
+
+/// The RF ToF cubes of two cubic plans at 0 degrees over 1,500 samples with
+/// t0 = 6.6 us, so the shallowest entries fall before the window, the
+/// deepest past it, and both ends take linear edge entries: a compact plan
+/// (128 columns on the elements), then a full one (100 columns off them).
+TEST(GoldenDigest, CubicTofCubes) {
+  const us::Acquisition acq = l11_rf(1500, 0.0, 6.6e-6);
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  for (const std::int64_t nx : {128, 100}) {
+    const us::ImagingGrid grid = us::ImagingGrid::reduced(acq.probe, 64, nx);
+    const us::TofPlan plan =
+        us::TofPlan::build_for(acq, grid, dsp::Interp::kCubic);
+    ASSERT_EQ(plan.bytes(),
+              (nx == 128 ? 64u * 255u : 64u * 100u * 128u) * kEntryBytes);
+    digest = fnv1a(plan.apply(acq, false).real, digest);
+  }
+  check_digest("tof_cubic_rf.fnv1a", digest);
+}
+
+/// dsp::analytic_columns (the Hilbert transform every IQ image passes
+/// through) of fixed-seed Gaussian RF, 368 x 128 (FFTs of 512 points).
+TEST(GoldenDigest, AnalyticColumns) {
+  Tensor rf({368, 128});
+  Rng rng(31);
+  for (auto& v : rf.data()) v = static_cast<float>(rng.normal());
+  check_digest("analytic_columns.fnv1a", fnv1a(dsp::analytic_columns(rf)));
 }
 
 }  // namespace
