@@ -15,6 +15,48 @@
 namespace tvbf::kernels {
 namespace {
 
+/// Encodes the fractional sample position `t` into a plan entry, mirroring
+/// the boundary conventions of dsp::interp_linear / dsp::interp_cubic
+/// exactly: outside [0, n-1] the sample is zero; cubic falls back to linear
+/// near the edges; t landing on the last sample reads it via frac == 1 so
+/// the gather never touches x[n] (n >= 2).
+void encode_entry(double t, std::int64_t n, Interp interp, std::int32_t& idx,
+                  float& frac) {
+  if (!(t >= 0.0) || t > static_cast<double>(n - 1)) {
+    idx = kTofOutOfRange;
+    frac = 0.0f;
+    return;
+  }
+  const auto i0 = static_cast<std::int64_t>(t);
+  const bool last = i0 + 1 >= n;
+  const std::int64_t base = last ? n - 2 : i0;
+  const float f = last ? 1.0f
+                       : static_cast<float>(t - static_cast<double>(i0));
+  if (interp == Interp::kCubic && !last && i0 != 0 && i0 + 2 < n) {
+    idx = static_cast<std::int32_t>(i0);  // interior Catmull-Rom
+    frac = f;
+    return;
+  }
+  // Linear entry: in linear plans this is the only non-zero kind (idx >= 0
+  // means linear there); cubic plans mark edge fallbacks with the bias.
+  idx = interp == Interp::kCubic
+            ? kTofLinearBias - static_cast<std::int32_t>(base)
+            : static_cast<std::int32_t>(base);
+  frac = f;
+}
+
+/// Channels [e_begin, nch) of the pixel, one entry at a time.
+void encode_scalar(const TofEncode& p, std::int64_t e_begin,
+                   std::int32_t* idx, float* frac) {
+  for (std::int64_t e = e_begin; e < p.nch; ++e) {
+    // The receive term of us::two_way_delay.
+    const double dx = p.x - p.xs[e];
+    const double t_rx = std::sqrt(dx * dx + p.z * p.z) / p.sound_speed;
+    encode_entry((p.t_tx + t_rx - p.t0) * p.fs, p.nsamples, p.interp, idx[e],
+                 frac[e]);
+  }
+}
+
 /// One plan entry sampled from a contiguous channel line.
 inline float gather(const float* line, std::int32_t idx, float frac,
                     Interp interp) {
@@ -217,6 +259,50 @@ void rows_avx2(const TofGather& g, std::int64_t z_begin, std::int64_t z_end) {
   }
 }
 
+void encode_avx2(const TofEncode& p, std::int32_t* idx, float* frac) {
+  const std::int64_t body = p.nch - p.nch % 4;
+  const __m256d x = _mm256_set1_pd(p.x), zz = _mm256_set1_pd(p.z * p.z);
+  const __m256d c = _mm256_set1_pd(p.sound_speed);
+  const __m256d t_tx = _mm256_set1_pd(p.t_tx), t0 = _mm256_set1_pd(p.t0);
+  const __m256d fs = _mm256_set1_pd(p.fs), zero = _mm256_setzero_pd();
+  const __m256d last_t = _mm256_set1_pd(static_cast<double>(p.nsamples - 1));
+  const __m128i last_base =
+      _mm_set1_epi32(static_cast<std::int32_t>(p.nsamples - 2));
+  const __m128i bias = _mm_set1_epi32(kTofLinearBias);
+  const __m128i out_of_range = _mm_set1_epi32(kTofOutOfRange);
+  const __m256i low_halves = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const bool cubic = p.interp == Interp::kCubic;
+  for (std::int64_t e = 0; e < body; e += 4) {
+    const __m256d dx = _mm256_sub_pd(x, _mm256_loadu_pd(p.xs + e));
+    const __m256d t_rx = _mm256_div_pd(
+        _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(dx, dx), zz)), c);
+    const __m256d t =
+        _mm256_mul_pd(_mm256_sub_pd(_mm256_add_pd(t_tx, t_rx), t0), fs);
+    // 0 <= t <= n - 1, false for NaN; as 32-bit lanes.
+    const __m256d in_range = _mm256_and_pd(_mm256_cmp_pd(t, zero, _CMP_GE_OQ),
+                                           _mm256_cmp_pd(t, last_t, _CMP_LE_OQ));
+    const __m128i in32 = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+        _mm256_castpd_si256(in_range), low_halves));
+    // In range, trunc(t) <= n - 1 fits; it is n - 1 only at t == n - 1,
+    // which the min makes base n - 2 with t - base == 1 exactly. Lanes out
+    // of range compute garbage that the blends below drop.
+    const __m128i base = _mm_min_epi32(_mm256_cvttpd_epi32(t), last_base);
+    const __m128 f =
+        _mm256_cvtpd_ps(_mm256_sub_pd(t, _mm256_cvtepi32_pd(base)));
+    __m128i code = base;
+    if (cubic) {
+      const __m128i interior =
+          _mm_and_si128(_mm_cmpgt_epi32(base, _mm_setzero_si128()),
+                        _mm_cmpgt_epi32(last_base, base));
+      code = _mm_blendv_epi8(_mm_sub_epi32(bias, base), base, interior);
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(idx + e),
+                     _mm_blendv_epi8(out_of_range, code, in32));
+    _mm_storeu_ps(frac + e, _mm_and_ps(_mm_castsi128_ps(in32), f));
+  }
+  encode_scalar(p, body, idx, frac);
+}
+
 /// (1 - f) * a + f * b over four channels, in double, rounded to float.
 inline __m128 lerp_rf4(__m128 a, __m128 b, __m256d f, __m256d one_minus_f) {
   return _mm256_cvtpd_ps(
@@ -332,6 +418,18 @@ void tof_gather(const TofGather& g) {
 }
 
 void tof_gather_scalar(const TofGather& g) { rows_scalar(g, 0, g.nz); }
+
+void tof_encode(const TofEncode& p, std::int32_t* idx, float* frac) {
+#ifdef __AVX2__
+  encode_avx2(p, idx, frac);
+#else
+  encode_scalar(p, 0, idx, frac);
+#endif
+}
+
+void tof_encode_scalar(const TofEncode& p, std::int32_t* idx, float* frac) {
+  encode_scalar(p, 0, idx, frac);
+}
 
 void tof_slot_rows_compact_rf(const CompactRfGather& g, std::int64_t z0,
                               std::int64_t z1, float scale, float* out) {

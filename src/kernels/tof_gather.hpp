@@ -20,8 +20,15 @@
 // Tiny-VBF embed does); the other returns the cube's peak max |v| from a
 // per-RF-row bound, evaluating only the slots that could hold it.
 //
-// This TU is compiled with -ffp-contract=off: the lerp and the cubic
-// polynomial are never fused into FMAs.
+// The encoder writes a plan's entries: one pixel's channels, four at a
+// time in the AVX2 form, the delay formed in double through vsqrtpd and
+// vdivpd, which round as sqrtsd and divsd do. Its scalar form, the
+// receive term of us::two_way_delay plus the entry encoding, runs each
+// pixel's last nch % 4 channels; it is the oracle and the path without
+// AVX2. The two agree bit for bit.
+//
+// This TU is compiled with -ffp-contract=off: the delay, the lerp and the
+// cubic polynomial are never fused into FMAs.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +45,29 @@ namespace tvbf::kernels {
 ///                                    plans use it near the line's ends
 inline constexpr std::int32_t kTofOutOfRange = -1;
 inline constexpr std::int32_t kTofLinearBias = -2;
+
+/// One pixel's entries over elements at lateral positions xs[0..nch).
+/// Channel e's delay is t = (t_tx + sqrt(dx * dx + z * z) / sound_speed -
+/// t0) * fs samples, dx = x - xs[e], with t_tx the pixel's transmit delay.
+/// Over nsamples >= 2 samples it encodes as: t outside [0, nsamples - 1],
+/// NaN included, -> (kTofOutOfRange, 0); else base = min(trunc(t),
+/// nsamples - 2) and frac = float(t - base), so the last sample reads as
+/// frac 1 of the last pair, and idx = base; a cubic plan biases idx to
+/// kTofLinearBias - base unless 1 <= base <= nsamples - 3 (Catmull-Rom
+/// needs base - 1 .. base + 2). nsamples must be below 2^31.
+struct TofEncode {
+  const double* xs = nullptr;
+  std::int64_t nch = 0;
+  double x = 0.0, z = 0.0, t_tx = 0.0;
+  double sound_speed = 0.0, t0 = 0.0, fs = 0.0;
+  std::int64_t nsamples = 0;
+  Interp interp = Interp::kLinear;
+};
+
+/// Writes the pixel's entries to idx[0..nch) and frac[0..nch).
+void tof_encode(const TofEncode& p, std::int32_t* idx, float* frac);
+/// The scalar form, entry by entry.
+void tof_encode_scalar(const TofEncode& p, std::int32_t* idx, float* frac);
 
 /// One gather over a plan table. Pixel (iz, ix) reads its nch entries
 /// starting at iz * row_stride + col0 + ix * col_step; its entry e reads

@@ -92,12 +92,6 @@ std::shared_ptr<const TofPlan> PlanCache::get(const us::Probe& probe,
                                               double t0,
                                               std::int64_t n_samples,
                                               dsp::Interp interp) {
-  // A NaN key equals no key, itself included: every lookup would miss,
-  // build a fresh plan and leave its in-flight latch behind for good.
-  for (const double v : {probe.pitch, probe.sampling_frequency,
-                         probe.sound_speed, steering_angle_rad, t0, grid.x0,
-                         grid.z0, grid.dx, grid.dz})
-    TVBF_REQUIRE(std::isfinite(v), "ToF plan key geometry must be finite");
   TofPlanKey key;
   key.num_elements = probe.num_elements;
   key.pitch = probe.pitch;
@@ -108,6 +102,9 @@ std::shared_ptr<const TofPlan> PlanCache::get(const us::Probe& probe,
   key.n_samples = n_samples;
   key.grid = grid;
   key.interp = interp;
+  // A NaN key equals no key, itself included: every lookup would miss,
+  // build a fresh plan and leave its in-flight latch behind for good.
+  key.require_finite();
 
   std::shared_ptr<InFlight> flight;
   bool builder = false;

@@ -1,9 +1,11 @@
 #include "us/tof_plan.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <span>
 
 #include "common/parallel.hpp"
@@ -13,36 +15,6 @@
 namespace tvbf::us {
 
 namespace {
-
-// Encodes the fractional sample position `t` into a plan entry, mirroring
-// the boundary conventions of dsp::interp_linear / dsp::interp_cubic
-// exactly: outside [0, n-1] the sample is zero; cubic falls back to linear
-// near the edges; t landing on the last sample reads it via frac == 1 so
-// the gather never touches x[n] (n >= 2 is guaranteed by build()).
-void encode_entry(double t, std::int64_t n, dsp::Interp interp,
-                  std::int32_t& idx, float& frac) {
-  if (!(t >= 0.0) || t > static_cast<double>(n - 1)) {
-    idx = kernels::kTofOutOfRange;
-    frac = 0.0f;
-    return;
-  }
-  const auto i0 = static_cast<std::int64_t>(t);
-  const bool last = i0 + 1 >= n;
-  const std::int64_t base = last ? n - 2 : i0;
-  const float f = last ? 1.0f
-                       : static_cast<float>(t - static_cast<double>(i0));
-  if (interp == dsp::Interp::kCubic && !last && i0 != 0 && i0 + 2 < n) {
-    idx = static_cast<std::int32_t>(i0);  // interior Catmull-Rom
-    frac = f;
-    return;
-  }
-  // Linear entry: in linear plans this is the only non-zero kind (idx >= 0
-  // means linear there); cubic plans mark edge fallbacks with the bias.
-  idx = interp == dsp::Interp::kCubic
-            ? kernels::kTofLinearBias - static_cast<std::int32_t>(base)
-            : static_cast<std::int32_t>(base);
-  frac = f;
-}
 
 std::size_t hash_combine(std::size_t seed, std::size_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
@@ -73,69 +45,82 @@ std::size_t hash_key(const TofPlanKey& key) {
   return hash_combine(h, static_cast<std::size_t>(key.interp));
 }
 
+void TofPlanKey::require_finite() const {
+  for (const double v : {pitch, sampling_frequency, sound_speed,
+                         steering_angle_rad, t0, grid.x0, grid.z0, grid.dx,
+                         grid.dz})
+    TVBF_REQUIRE(std::isfinite(v), "ToF plan key geometry must be finite");
+}
+
 TofPlan TofPlan::build(const us::Probe& probe, const us::ImagingGrid& grid,
                        double steering_angle_rad, double t0,
                        std::int64_t n_samples, dsp::Interp interp) {
+  TofPlan plan;
+  plan.key_ = {probe.num_elements, probe.pitch, probe.sampling_frequency,
+               probe.sound_speed, steering_angle_rad, t0, n_samples, grid,
+               interp};
+  plan.key_.require_finite();
   probe.validate();
   grid.validate();
   TVBF_REQUIRE(n_samples > 1, "ToF plan needs more than one RF sample");
   TVBF_REQUIRE(probe.num_elements * n_samples < (std::int64_t{1} << 31),
                "ToF plan lines exceed 2^31 samples (32-bit gather offsets)");
 
-  TofPlan plan;
-  plan.key_ = {probe.num_elements, probe.pitch, probe.sampling_frequency,
-               probe.sound_speed, steering_angle_rad, t0, n_samples, grid,
-               interp};
-
   const std::int64_t n_ch = probe.num_elements;
-  const double fs = probe.sampling_frequency;
   const double c = probe.sound_speed;
   const auto xs = probe.element_positions();
   const double sin_th = std::sin(steering_angle_rad);
   const double cos_th = std::cos(steering_angle_rad);
   const double tx_offset =
       sin_th >= 0.0 ? xs.front() * sin_th : xs.back() * sin_th;
-
-  const std::int64_t nx = grid.nx, width = nx + n_ch - 1;
-  // Calls put(ix, e, idx, frac) with each entry of row iz.
-  const auto encode_row = [&](std::int64_t iz, const auto& put) {
-    const double z = grid.z_at(iz);
-    for (std::int64_t ix = 0; ix < nx; ++ix) {
-      const double x = grid.x_at(ix);
-      for (std::int64_t e = 0; e < n_ch; ++e) {
-        const double tau = us::two_way_delay(
-            x, z, xs[static_cast<std::size_t>(e)], sin_th, cos_th, tx_offset,
-            c);
-        std::int32_t idx = 0;
-        float frac = 0.0f;
-        encode_entry((tau - t0) * fs, n_samples, interp, idx, frac);
-        put(ix, e, idx, frac);
-      }
-    }
+  // The encoder's input for pixel (iz, ix), over every channel.
+  const auto pixel = [&](std::int64_t iz, std::int64_t ix) {
+    const double x = grid.x_at(ix), z = grid.z_at(iz);
+    // The transmit term of us::two_way_delay: the same expression on the
+    // same inputs, so the same double, once per pixel.
+    const double t_tx = (z * cos_th + x * sin_th - tx_offset) / c;
+    return kernels::TofEncode{xs.data(), n_ch, x, z, t_tx, c, t0,
+                              probe.sampling_frequency, n_samples, interp};
   };
 
   // Compact pass: entry (ix, e) of row iz goes to slot ix - e, which keeps
-  // its first entry (ix == 0 or e == 0); a later one that differs (frac is
-  // never NaN or -0, so == compares bits) ends the pass.
+  // its first entry (ix == 0 or e == 0); a later one that differs ends the
+  // pass. Pixel 0 is encoded into its slots, every other pixel in chunks
+  // on the stack, whose channels from 1 on are compared with their slots
+  // as 32-bit lanes: idx, and frac's bits (frac is never NaN or -0, so
+  // equal bits are equal values).
+  const std::int64_t nx = grid.nx, width = nx + n_ch - 1;
   plan.idx_.resize(static_cast<std::size_t>(grid.nz * width));
   plan.frac_.resize(plan.idx_.size());
   std::atomic<bool> compact{true};
   parallel_for_each(0, static_cast<std::size_t>(grid.nz), [&](std::size_t zi) {
-    if (!compact.load(std::memory_order_relaxed)) return;
     const auto iz = static_cast<std::int64_t>(zi);
     std::int32_t* idx = plan.idx_.data() + iz * width + nx - 1;
     float* frac = plan.frac_.data() + iz * width + nx - 1;
-    bool same = true;
-    encode_row(iz, [&](std::int64_t ix, std::int64_t e, std::int32_t i,
-                       float f) {
-      if (ix == 0 || e == 0) {
-        idx[e - ix] = i;
-        frac[e - ix] = f;
-      } else {
-        same = same && idx[e - ix] == i && frac[e - ix] == f;
+    kernels::tof_encode(pixel(iz, 0), idx, frac);
+    constexpr std::int64_t kChunk = 128;
+    std::int32_t chunk_idx[kChunk];
+    float chunk_frac[kChunk];
+    for (std::int64_t ix = 1; ix < nx; ++ix) {
+      if (!compact.load(std::memory_order_relaxed)) return;
+      kernels::TofEncode p = pixel(iz, ix);
+      for (std::int64_t e0 = 0; e0 < n_ch; e0 += kChunk) {
+        p.xs = xs.data() + e0;
+        p.nch = std::min(kChunk, n_ch - e0);
+        kernels::tof_encode(p, chunk_idx, chunk_frac);
+        const std::int64_t k = e0 == 0 ? 1 : 0, slot = e0 - ix + k;
+        const auto bytes = static_cast<std::size_t>(p.nch - k) * 4;
+        if (std::memcmp(chunk_idx + k, idx + slot, bytes) != 0 ||
+            std::memcmp(chunk_frac + k, frac + slot, bytes) != 0) {
+          compact.store(false, std::memory_order_relaxed);
+          return;
+        }
+        if (k == 1) {
+          idx[-ix] = chunk_idx[0];
+          frac[-ix] = chunk_frac[0];
+        }
       }
-    });
-    if (!same) compact.store(false, std::memory_order_relaxed);
+    }
   }, /*min_grain=*/1);
   plan.compact_ = compact.load(std::memory_order_relaxed);
   if (plan.compact_) return plan;
@@ -145,13 +130,11 @@ TofPlan TofPlan::build(const us::Probe& probe, const us::ImagingGrid& grid,
   plan.frac_ = std::vector<float>(plan.idx_.size());
   parallel_for_each(0, static_cast<std::size_t>(grid.nz), [&](std::size_t zi) {
     const auto iz = static_cast<std::int64_t>(zi);
-    std::int32_t* idx = plan.idx_.data() + iz * nx * n_ch;
-    float* frac = plan.frac_.data() + iz * nx * n_ch;
-    encode_row(iz, [&](std::int64_t ix, std::int64_t e, std::int32_t i,
-                       float f) {
-      idx[ix * n_ch + e] = i;
-      frac[ix * n_ch + e] = f;
-    });
+    for (std::int64_t ix = 0; ix < nx; ++ix) {
+      const std::int64_t at = (iz * nx + ix) * n_ch;
+      kernels::tof_encode(pixel(iz, ix), plan.idx_.data() + at,
+                          plan.frac_.data() + at);
+    }
   }, /*min_grain=*/1);
   return plan;
 }

@@ -35,6 +35,11 @@ struct TofPlanKey {
   dsp::Interp interp = dsp::Interp::kLinear;
 
   bool operator==(const TofPlanKey&) const = default;
+
+  /// Throws InvalidArgument unless the geometry is finite: probe pitch,
+  /// sampling frequency and sound speed, angle, t0, grid origin and
+  /// spacing. (A NaN key would equal no key, itself included.)
+  void require_finite() const;
 };
 
 /// Hash for unordered containers keyed on TofPlanKey.
@@ -54,7 +59,8 @@ class TofPlan {
  public:
   /// Builds the plan from explicit geometry. `n_samples` is the RF length
   /// the plan will be applied to (boundary handling depends on it);
-  /// num_elements * n_samples must be below 2^31.
+  /// num_elements * n_samples must be below 2^31, and the key's geometry
+  /// finite (TofPlanKey::require_finite).
   static TofPlan build(const us::Probe& probe, const us::ImagingGrid& grid,
                        double steering_angle_rad, double t0,
                        std::int64_t n_samples,

@@ -23,6 +23,7 @@
 #include "kernels/reduce.hpp"
 #include "kernels/tof_gather.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "us/tof.hpp"
 
 namespace tvbf::kernels {
 namespace {
@@ -1082,6 +1083,133 @@ TEST(TofGatherKernel, SlotRowsAssembleTheAppliedCube) {
           << "nch " << nch << ", scale " << scale;
     }
   }
+}
+
+// ---- ToF plan entry encoder -------------------------------------------------
+
+/// One entry as tof_plan.hpp documents it: t outside [0, n - 1] reads 0;
+/// else idx = floor(t) and frac = float(t - idx), but idx = n - 2 with
+/// frac = 1 at t = n - 1; a cubic plan biases an entry without four
+/// samples around it.
+void reference_entry(double t, std::int64_t n, Interp interp,
+                     std::int32_t& idx, float& frac) {
+  idx = kTofOutOfRange;
+  frac = 0.0f;
+  if (!(t >= 0.0 && t <= static_cast<double>(n - 1))) return;
+  const double floor_t = std::floor(t);
+  const bool last = floor_t == static_cast<double>(n - 1);
+  const auto base = static_cast<std::int32_t>(last ? n - 2 : floor_t);
+  frac = last ? 1.0f : static_cast<float>(t - floor_t);
+  const bool four = base >= 1 && base + 2 <= n - 1;
+  idx = interp == Interp::kCubic && !four ? kTofLinearBias - base : base;
+}
+
+TEST(TofEncodeKernel, Avx2EqualsScalarTwinAndTwoWayDelayReference) {
+  // fs = 2^25 scales t exactly, so a t0 of tau - m / fs puts an entry of
+  // delay tau at t = m exactly: t0s put chosen entries at n - 1 and one
+  // ulp below it, and the rest of the pixels before, inside and past the
+  // window. At t = 0 exactly (t0 = tau), a delay one ulp off reads as a
+  // frac of about 1e-13 or as out of range, so each channel of one pixel
+  // takes that turn. Channel counts around the 4-lane step, columns on and
+  // off the elements, steered both ways, linear and cubic. c = 1480: at
+  // 1540, x / c and x * (1 / c) differ for only 0.6% of x.
+  const double fs = 0x1p25, c = 1480.0, pitch = 0.3e-3;
+  const std::int64_t n = 200, nz = 6, nx = 5;
+  std::int64_t before = 0, past = 0, at_zero = 0, at_last = 0,
+               below_last = 0, interior = 0, biased = 0;
+  for (const std::int64_t nch :
+       {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 52, 128}) {
+    std::vector<double> xs(static_cast<std::size_t>(nch));
+    for (std::int64_t e = 0; e < nch; ++e)
+      xs[static_cast<std::size_t>(e)] =
+          (static_cast<double>(e) - static_cast<double>(nch - 1) / 2) * pitch;
+    for (const double angle : {0.0, 0.14, -0.14}) {
+      const double sin_th = std::sin(angle), cos_th = std::cos(angle);
+      const double tx_offset =
+          sin_th >= 0.0 ? xs.front() * sin_th : xs.back() * sin_th;
+      for (const bool on_elements : {true, false}) {
+        const auto x_at = [&](std::int64_t ix) {
+          return on_elements ? xs[static_cast<std::size_t>(ix % nch)]
+                             : xs.front() + (0.77 * static_cast<double>(ix) +
+                                             0.13) * pitch;
+        };
+        const auto z_at = [](std::int64_t iz) {
+          return 5e-3 + 1.1e-3 * static_cast<double>(iz);
+        };
+        const auto tau = [&](std::int64_t iz, std::int64_t ix,
+                             std::int64_t e) {
+          return us::two_way_delay(x_at(ix), z_at(iz),
+                                   xs[static_cast<std::size_t>(e)], sin_th,
+                                   cos_th, tx_offset, c);
+        };
+        std::vector<double> t0s = {8e-6, 1.0, -1.0,
+                                   std::numeric_limits<double>::quiet_NaN()};
+        for (const std::int64_t e : {std::int64_t{0}, nch - 1}) {
+          const double d = tau(2, 3, e);
+          t0s.push_back(d - static_cast<double>(n - 1) / fs);
+          t0s.push_back(
+              d - std::nextafter(static_cast<double>(n - 1), 0.0) / fs);
+        }
+        for (std::int64_t e = 0; e < nch; ++e) t0s.push_back(tau(2, 3, e));
+        for (const double t0 : t0s) {
+          for (const Interp interp : {Interp::kLinear, Interp::kCubic}) {
+            for (std::int64_t iz = 0; iz < nz; ++iz) {
+              for (std::int64_t ix = 0; ix < nx; ++ix) {
+                const double x = x_at(ix), z = z_at(iz);
+                const TofEncode p{xs.data(), nch, x, z,
+                                  (z * cos_th + x * sin_th - tx_offset) / c,
+                                  c, t0, fs, n, interp};
+                std::vector<std::int32_t> idx(xs.size(), 7), idx_twin(idx),
+                    idx_ref(idx);
+                std::vector<float> frac(xs.size(), 7.0f), frac_twin(frac),
+                    frac_ref(frac);
+                tof_encode(p, idx.data(), frac.data());
+                tof_encode_scalar(p, idx_twin.data(), frac_twin.data());
+                for (std::int64_t e = 0; e < nch; ++e) {
+                  const auto u = static_cast<std::size_t>(e);
+                  const double t = (tau(iz, ix, e) - t0) * fs;
+                  reference_entry(t, n, interp, idx_ref[u], frac_ref[u]);
+                  before += t < 0.0;
+                  at_zero += t == 0.0;
+                  past += t > static_cast<double>(n - 1);
+                  at_last += t == static_cast<double>(n - 1);
+                  below_last +=
+                      t == std::nextafter(static_cast<double>(n - 1), 0.0);
+                  interior += interp == Interp::kCubic && idx_ref[u] >= 0;
+                  biased += idx_ref[u] <= kTofLinearBias;
+                }
+                const auto where = [&] {
+                  return "nch " + std::to_string(nch) + ", angle " +
+                         std::to_string(angle) + ", on " +
+                         std::to_string(on_elements) + ", t0 " +
+                         std::to_string(t0) + ", cubic " +
+                         std::to_string(interp == Interp::kCubic) +
+                         ", pixel " + std::to_string(iz) + "," +
+                         std::to_string(ix);
+                };
+                EXPECT_EQ(idx, idx_twin) << where();
+                EXPECT_EQ(idx_twin, idx_ref) << where();
+                EXPECT_EQ(first_mismatch(frac.data(), frac_twin.data(), nch),
+                          -1)
+                    << where();
+                EXPECT_EQ(
+                    first_mismatch(frac_twin.data(), frac_ref.data(), nch), -1)
+                    << where();
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Every case the t0s aim at occurred.
+  EXPECT_GT(before, 0);
+  EXPECT_GT(past, 0);
+  EXPECT_GT(at_zero, 0);
+  EXPECT_GT(at_last, 0);
+  EXPECT_GT(below_last, 0);
+  EXPECT_GT(interior, 0);
+  EXPECT_GT(biased, 0);
 }
 
 // ---- GEMM epilogue, indirect A ----------------------------------------------

@@ -301,6 +301,38 @@ TEST_F(TofPlanTest, BuildRejectsLinesPast32BitOffsets) {
   EXPECT_NO_THROW(TofPlan::build(probe_, one, 0.0, 0.0, limit - 1));
 }
 
+TEST_F(TofPlanTest, BuildRejectsNonFiniteGeometry) {
+  // Each non-finite geometry field throws before an entry is encoded, in
+  // build() and so in tof_correct(). Unchecked, a NaN t0 or angle built a
+  // whole plan that apply() then refused as not matching the acquisition,
+  // and a t0 of +inf gave an all-zero cube.
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    for (int field = 0; field < 9; ++field) {
+      us::Acquisition acq = acq_;
+      us::ImagingGrid grid = grid_;
+      double* const target[] = {&acq.probe.pitch,
+                                &acq.probe.sampling_frequency,
+                                &acq.probe.sound_speed,
+                                &acq.steering_angle_rad,
+                                &acq.t0,
+                                &grid.x0,
+                                &grid.z0,
+                                &grid.dx,
+                                &grid.dz};
+      *target[field] = v;
+      EXPECT_THROW(TofPlan::build(acq.probe, grid, acq.steering_angle_rad,
+                                  acq.t0, acq.num_samples()),
+                   InvalidArgument)
+          << "field " << field << ", value " << v;
+      EXPECT_THROW(us::tof_correct(acq, grid, {}), InvalidArgument)
+          << "field " << field << ", value " << v;
+    }
+  }
+}
+
 constexpr std::size_t kEntryBytes = sizeof(std::int32_t) + sizeof(float);
 
 TEST_F(TofPlanTest, PaperGridAtZeroDegreesKeepsTheCompactTable) {
@@ -309,6 +341,7 @@ TEST_F(TofPlanTest, PaperGridAtZeroDegreesKeepsTheCompactTable) {
   const us::Acquisition acq = random_rf(l11, 1828, 0.0);
   const TofPlan plan = TofPlan::build_for(acq, paper);
   // One entry per (depth row, ix - e): 368 x 255.
+  EXPECT_TRUE(plan.reads_rf());
   EXPECT_EQ(plan.bytes(), 368u * 255u * kEntryBytes);
   const us::TofCube cube = plan.apply(acq, false);
   EXPECT_EQ(max_abs_diff(cube.real, reference_cube(acq, paper)), 0.0f);
@@ -325,6 +358,21 @@ TEST_F(TofPlanTest, OffElementGridKeepsTheFullTable) {
   EXPECT_EQ(
       max_abs_diff(plan.apply(acq, false).real, reference_cube(acq, grid)),
       0.0f);
+}
+
+TEST_F(TofPlanTest, NearlyAlignedGridKeepsTheFullTable) {
+  // Columns a hair off the elements: nearly every entry's idx equals its
+  // slot's, but some fracs do not, so the table stays full.
+  const us::ImagingGrid aligned = us::ImagingGrid::reduced(
+      probe_, 48, probe_.num_elements, 10e-3, 28e-3);
+  us::ImagingGrid grid = aligned;
+  grid.dx *= 1.0 + 1e-8;
+  const us::Acquisition acq = random_rf(probe_, 700, 0.0);
+  EXPECT_TRUE(TofPlan::build_for(acq, aligned).reads_rf());
+  const TofPlan plan = TofPlan::build_for(acq, grid);
+  EXPECT_EQ(plan.bytes(), 48u * 16u * 16u * kEntryBytes);
+  EXPECT_TRUE(
+      same_bits(plan.apply(acq, false).real, reference_cube(acq, grid)));
 }
 
 TEST_F(TofPlanTest, SteeredPlanKeepsTheFullTable) {
