@@ -11,6 +11,18 @@ bool is_power_of_two(std::size_t n) {
   return n != 0 && (n & (n - 1)) == 0;
 }
 
+/// a * b written out: (ar br - ai bi, ar bi + ai br), each product rounded
+/// before its add or subtract (this TU is compiled with -ffp-contract=off).
+/// std::complex's operator* forms the same values, but for a result whose
+/// parts are both NaN it calls libgcc's __muldc3, which recovers infinite
+/// operands as C Annex G asks; that check and call kept the loops below
+/// scalar. Here NaN and infinite inputs simply propagate.
+inline std::complex<double> mul(std::complex<double> a,
+                                std::complex<double> b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+
 /// In-place iterative radix-2 Cooley-Tukey; `inverse` flips the twiddle sign.
 void fft_radix2(std::vector<std::complex<double>>& x, bool inverse) {
   const std::size_t n = x.size();
@@ -28,10 +40,10 @@ void fft_radix2(std::vector<std::complex<double>>& x, bool inverse) {
       std::complex<double> w(1.0, 0.0);
       for (std::size_t j = 0; j < len / 2; ++j) {
         const std::complex<double> u = x[i + j];
-        const std::complex<double> v = x[i + j + len / 2] * w;
+        const std::complex<double> v = mul(x[i + j + len / 2], w);
         x[i + j] = u + v;
         x[i + j + len / 2] = u - v;
-        w *= wlen;
+        w = mul(w, wlen);
       }
     }
   }

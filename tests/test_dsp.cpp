@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -56,7 +59,117 @@ TEST(Fft, SingleToneLandsInOneBin) {
   }
 }
 
+/// The radix-2 FFT with its products formed by std::complex<double>'s
+/// operator*, which calls libgcc's __muldc3 where both parts of a product
+/// are NaN: the transform as it was written before the products were
+/// spelled out in real arithmetic.
+void fft_std_complex(std::vector<std::complex<double>>& x, bool inverse) {
+  const std::size_t n = x.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(x[i], x[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double ang = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
+    const std::complex<double> wlen(std::cos(ang), std::sin(ang));
+    for (std::size_t i = 0; i < n; i += len) {
+      std::complex<double> w(1.0, 0.0);
+      for (std::size_t j = 0; j < len / 2; ++j) {
+        const std::complex<double> u = x[i + j];
+        const std::complex<double> v = x[i + j + len / 2] * w;
+        x[i + j] = u + v;
+        x[i + j + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& v : x) v *= inv_n;
+  }
+}
+
+/// Real and imaginary parts, in order.
+std::vector<double> parts(const std::vector<std::complex<double>>& x) {
+  std::vector<double> out;
+  for (const auto& v : x) {
+    out.push_back(v.real());
+    out.push_back(v.imag());
+  }
+  return out;
+}
+
+TEST(Fft, NonFiniteInputAgainstStdComplexProducts) {
+  // A NaN sample makes every output NaN either way. An infinite one makes
+  // some outputs infinite and others NaN: where __muldc3 recovered an
+  // infinite product the transform now reads NaN; every other part keeps
+  // its bits (finite ones included).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  tvbf::Rng rng(9);
+  std::vector<std::complex<double>> column(64);
+  for (auto& v : column) v = {rng.normal(), 0.0};
+  using Samples = std::vector<std::pair<std::size_t, double>>;
+  const std::vector<Samples> cases = {
+      {{5, nan}}, {{5, inf}}, {{5, -inf}}, {{3, nan}, {9, inf}, {20, -inf}}};
+  for (const bool inverse : {false, true}) {
+    for (const Samples& samples : cases) {
+      std::vector<std::complex<double>> x = column;
+      bool has_nan = false;
+      for (const auto& [at, value] : samples) {
+        x[at] = {value, 0.0};
+        has_nan = has_nan || std::isnan(value);
+      }
+      std::vector<std::complex<double>> want = x;
+      fft_std_complex(want, inverse);
+      if (inverse)
+        ifft_inplace(x);
+      else
+        fft_inplace(x);
+      const std::vector<double> got_parts = parts(x);
+      const std::vector<double> want_parts = parts(want);
+      std::size_t recovered = 0;
+      for (std::size_t i = 0; i < got_parts.size(); ++i) {
+        const double g = got_parts[i], w = want_parts[i];
+        if (std::isnan(w)) {
+          EXPECT_TRUE(std::isnan(g)) << i;
+        } else if (std::isinf(w) && std::isnan(g)) {
+          ++recovered;
+        } else {
+          EXPECT_EQ(std::memcmp(&g, &w, sizeof g), 0) << i << ": " << g
+                                                       << " vs " << w;
+        }
+      }
+      if (has_nan) {
+        EXPECT_EQ(recovered, 0u);
+        for (const double g : got_parts) EXPECT_TRUE(std::isnan(g));
+      } else {
+        EXPECT_GT(recovered, 0u) << "inverse " << inverse;
+      }
+    }
+  }
+}
+
 class FftSize : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FftSize, MatchesStdComplexProductsBitForBit) {
+  tvbf::Rng rng(GetParam() + 3);
+  std::vector<std::complex<double>> x(GetParam());
+  for (auto& v : x) v = {rng.normal(), rng.normal()};
+  for (const bool inverse : {false, true}) {
+    std::vector<std::complex<double>> got = x, want = x;
+    fft_std_complex(want, inverse);
+    if (inverse)
+      ifft_inplace(got);
+    else
+      fft_inplace(got);
+    const std::vector<double> g = parts(got), w = parts(want);
+    EXPECT_EQ(std::memcmp(g.data(), w.data(), g.size() * sizeof(double)), 0)
+        << "inverse " << inverse;
+  }
+}
 
 TEST_P(FftSize, MatchesReferenceDft) {
   tvbf::Rng rng(GetParam());
