@@ -3,7 +3,7 @@
 // Part 1 times the ToF stage alone — per-frame us::tof_correct (geometry
 // rebuilt every frame, the pre-runtime behavior) against us::TofPlan::apply
 // through the plan cache (geometry built once, every frame pays only the
-// gather). Part 2 runs the full source -> ToF -> DAS -> envelope/log
+// gather) — and the geometry pass on its own, a cold TofPlan::build_for. Part 2 runs the full source -> ToF -> DAS -> envelope/log
 // pipeline and prints per-stage latency. Part 3 checks that the streamed
 // B-mode frame is numerically identical to the one-shot path.
 // Results are also written to bench_out/BENCH_pipeline.json so the perf
@@ -115,6 +115,13 @@ int main(int argc, char** argv) {
     scratch = us::tof_correct(acq, grid, {});
   const double per_frame_s = t.seconds() / static_cast<double>(n_base);
 
+  // The geometry pass alone: one cold plan build, outside the cache.
+  std::size_t plan_bytes = us::TofPlan::build_for(acq, grid).bytes();
+  t.reset();
+  for (std::int64_t i = 0; i < n_base; ++i)
+    plan_bytes = us::TofPlan::build_for(acq, grid).bytes();
+  const double build_s = t.seconds() / static_cast<double>(n_base);
+
   const auto plan = us::PlanCache::instance().get_for(acq, grid);
   us::ChannelWorkspace workspace;
   us::TofCube cached_cube;
@@ -130,6 +137,8 @@ int main(int argc, char** argv) {
               per_frame_s * 1e3, 1.0 / per_frame_s);
   std::printf("  cached TofPlan::apply  %8.2f ms  (%6.1f frames/s)\n",
               cached_s * 1e3, 1.0 / cached_s);
+  std::printf("  cold TofPlan::build_for %7.2f ms  (%.2f MB plan)\n",
+              build_s * 1e3, static_cast<double>(plan_bytes) / 1e6);
   std::printf("  speedup %.2fx, max |diff| %.3g\n\n", per_frame_s / cached_s,
               static_cast<double>(tof_diff));
 
@@ -171,6 +180,7 @@ int main(int argc, char** argv) {
   json.add("tof_stage", "per_frame_ms", per_frame_s * 1e3, "ms");
   json.add("tof_stage", "cached_plan_ms", cached_s * 1e3, "ms");
   json.add("tof_stage", "speedup", per_frame_s / cached_s, "x");
+  json.add("tof_stage", "plan_build_ms", build_s * 1e3, "ms");
   json.add("pipeline", "streaming_fps", rep_stream.fps(), "fps");
   json.add("parity", "streamed_vs_oneshot_max_diff",
            static_cast<double>(db_diff), "dB");
