@@ -13,7 +13,8 @@
 //
 // A paper-scale cube (24 MB) is too large to store, so it is pinned by a
 // 64-bit FNV-1a digest of its bytes instead; its bound is exact. So are
-// ToF cubes of steered and cubic plans, and one Hilbert transform.
+// its DAS channel sum, the scene's DAS IQ from an analytic cube, ToF cubes
+// of steered and cubic plans, and one Hilbert transform.
 //
 // Regenerate with `test_golden --regenerate=<file>[,<file>]`, naming each
 // file under tests/golden/ to rewrite; every other golden is still checked.
@@ -182,8 +183,11 @@ class Golden96x64 : public ::testing::Test {
     us::SimParams sim = us::SimParams::in_silico();
     sim.max_depth = grid.z_end() + 3e-3;
     sim.seed = 18;
-    cube_ = std::make_unique<us::TofCube>(us::tof_correct(
-        us::simulate_plane_wave(*probe_, phantom, 0.0, sim), grid, {}));
+    const us::Acquisition acq =
+        us::simulate_plane_wave(*probe_, phantom, 0.0, sim);
+    cube_ = std::make_unique<us::TofCube>(us::tof_correct(acq, grid, {}));
+    analytic_cube_ = std::make_unique<us::TofCube>(
+        us::tof_correct(acq, grid, {.analytic = true}));
     Rng weights(19);
     model_ = std::make_shared<models::TinyVbf>(
         models::TinyVbfConfig::test(32, 64), weights);
@@ -192,16 +196,19 @@ class Golden96x64 : public ::testing::Test {
   static void TearDownTestSuite() {
     probe_.reset();
     cube_.reset();
+    analytic_cube_.reset();
     model_.reset();
   }
 
   static std::unique_ptr<us::Probe> probe_;
-  static std::unique_ptr<us::TofCube> cube_;
+  static std::unique_ptr<us::TofCube> cube_;           ///< RF
+  static std::unique_ptr<us::TofCube> analytic_cube_;  ///< same RF, analytic
   static std::shared_ptr<const models::TinyVbf> model_;
 };
 
 std::unique_ptr<us::Probe> Golden96x64::probe_;
 std::unique_ptr<us::TofCube> Golden96x64::cube_;
+std::unique_ptr<us::TofCube> Golden96x64::analytic_cube_;
 std::shared_ptr<const models::TinyVbf> Golden96x64::model_;
 
 TEST_F(Golden96x64, DasIq) {
@@ -212,6 +219,15 @@ TEST_F(Golden96x64, DasIq) {
   // float ulps at the image's peak of 169.5) stays nonzero because clang
   // builds are not checked against it here.
   check_golden({"das_iq.f32", 1e-4, 1e-5}, iq);
+}
+
+TEST_F(Golden96x64, DasAnalyticIq) {
+  // The analytic cube's channel sum is the IQ image itself (no Hilbert
+  // stage after it), pinned exactly: the DAS sum accumulates in double in
+  // channel order, outside the FMA kernels, in every build.
+  const Tensor iq = bf::DasBeamformer(*probe_).beamform(*analytic_cube_);
+  ASSERT_EQ(iq.shape(), (Shape{96, 64, 2}));
+  check_digest("das_analytic_iq.fnv1a", fnv1a(iq));
 }
 
 TEST_F(Golden96x64, TinyVbfFloatIq) {
@@ -248,7 +264,9 @@ TEST_F(Golden96x64, TinyVbfHybrid2Iq) {
 /// 45 mm, so the deepest outer pixels fall outside it and read 0. The same
 /// cube assembled through slot_offset from the plan's cube-free slot rows
 /// (the compact-RF kernel), in uneven row ranges at scale 1, must give the
-/// same digest, and the plan's peak must be max_abs of the cube.
+/// same digest, and the plan's peak must be max_abs of the cube. The DAS
+/// channel sum of the cube (beamform_rf, before the Hilbert stage) is
+/// pinned too.
 TEST(GoldenDigest, PaperScaleTofCube) {
   us::Acquisition acq;
   acq.probe = us::Probe::l11_5v();
@@ -281,6 +299,8 @@ TEST(GoldenDigest, PaperScaleTofCube) {
   const float max_abs = kernels::max_abs(cube.real.raw(), cube.real.size());
   EXPECT_EQ(std::memcmp(&peak, &max_abs, sizeof(float)), 0)
       << peak << " vs " << max_abs;
+  check_digest("das_paper_rf.fnv1a",
+               fnv1a(bf::DasBeamformer(acq.probe).beamform_rf(cube)));
 }
 
 /// Fixed-seed Gaussian RF for the L11-5v probe, `n` samples per channel.
