@@ -11,13 +11,18 @@
 #include <string>
 #include <vector>
 
-#include "device/command.hpp"
 #include "tensor/tensor.hpp"
 #include "us/tof.hpp"
 
 namespace tvbf::us {
 class TofPlan;
 }  // namespace tvbf::us
+
+/// Named only by BatchedBeamformer::encode_cost_probe, for perf/'s
+/// TracedBatched; no definition exists.
+namespace tvbf::device {
+class CommandEncoder;
+}  // namespace tvbf::device
 
 namespace tvbf::bf {
 

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "device/device.hpp"
+#include "common/parallel.hpp"
 #include "dsp/hilbert.hpp"
 
 namespace tvbf::bf {
@@ -14,19 +14,41 @@ void check_cube(const us::TofCube& cube, const us::Probe& probe) {
                "cube channel count does not match the probe");
 }
 
-/// Bound apodization+grid context for DasApplyCmd's weight callback: the
-/// device layer owns the weighted-sum loop, the pixel-geometry weights stay
-/// here in beamform/.
-struct WeightContext {
-  const Apodization& apod;
-  const us::ImagingGrid& grid;
-
-  static void fill(const void* ctx, std::int64_t iz, std::int64_t ix,
-                   std::vector<float>& w) {
-    const auto& self = *static_cast<const WeightContext*>(ctx);
-    self.apod.weights_into(self.grid.x_at(ix), self.grid.z_at(iz), w);
-  }
-};
+/// The apodized channel sum of `cube`, per pixel in double and in channel
+/// order: (nz, nx) beamformed RF for an RF cube, interleaved (nz, nx, 2) IQ
+/// for an analytic one. The loop stays out of the kernels, which are
+/// compiled with -mfma, where `acc += w * x` may fuse and round otherwise.
+Tensor channel_sum(const us::TofCube& cube, const Apodization& apod) {
+  const std::int64_t nz = cube.nz(), nx = cube.nx(), nch = cube.channels();
+  const float* im = cube.is_analytic() ? cube.imag.raw() : nullptr;
+  Tensor out = im != nullptr ? Tensor({nz, nx, 2}) : Tensor({nz, nx});
+  float* dst = out.raw();
+  parallel_for_each(0, static_cast<std::size_t>(nz), [&](std::size_t zi) {
+    const auto iz = static_cast<std::int64_t>(zi);
+    std::vector<float> w;
+    for (std::int64_t ix = 0; ix < nx; ++ix) {
+      apod.weights_into(cube.grid.x_at(ix), cube.grid.z_at(iz), w);
+      const std::int64_t px = iz * nx + ix;
+      const float* re = cube.real.raw() + px * nch;
+      if (im == nullptr) {
+        double acc = 0.0;
+        for (std::int64_t e = 0; e < nch; ++e)
+          acc += static_cast<double>(w[static_cast<std::size_t>(e)]) * re[e];
+        dst[px] = static_cast<float>(acc);
+        continue;
+      }
+      double acc_re = 0.0, acc_im = 0.0;
+      for (std::int64_t e = 0; e < nch; ++e) {
+        const auto we = static_cast<double>(w[static_cast<std::size_t>(e)]);
+        acc_re += we * re[e];
+        acc_im += we * im[px * nch + e];
+      }
+      dst[px * 2] = static_cast<float>(acc_re);
+      dst[px * 2 + 1] = static_cast<float>(acc_im);
+    }
+  }, /*min_grain=*/4);
+  return out;
+}
 }  // namespace
 
 DasBeamformer::DasBeamformer(const us::Probe& probe, ApodizationParams apod)
@@ -38,17 +60,7 @@ Tensor DasBeamformer::beamform_rf(const us::TofCube& cube) const {
   check_cube(cube, probe_);
   TVBF_REQUIRE(!cube.is_analytic(),
                "beamform_rf expects an RF (non-analytic) cube");
-  const std::int64_t nz = cube.nz(), nx = cube.nx(), nch = cube.channels();
-  const Apodization apod(probe_, apod_params_);
-  const WeightContext ctx{apod, cube.grid};
-
-  Tensor sum_re({nz, nx});
-  device::cpu().submit(
-      device::CommandEncoder()
-          .encode(device::DasApplyCmd{cube.real.raw(), nullptr, sum_re.raw(),
-                                      nz, nx, nch, &ctx, WeightContext::fill})
-          .finish());
-  return sum_re;
+  return channel_sum(cube, Apodization(probe_, apod_params_));
 }
 
 Tensor DasBeamformer::beamform(const us::TofCube& cube) const {
@@ -58,19 +70,8 @@ Tensor DasBeamformer::beamform(const us::TofCube& cube) const {
     // with the Hilbert Transform to obtain the final B-mode image").
     return dsp::analytic_columns(beamform_rf(cube));
   }
-
   // Analytic input sums straight into the interleaved (nz, nx, 2) IQ image.
-  const std::int64_t nz = cube.nz(), nx = cube.nx(), nch = cube.channels();
-  const Apodization apod(probe_, apod_params_);
-  const WeightContext ctx{apod, cube.grid};
-  Tensor iq({nz, nx, 2});
-  device::cpu().submit(
-      device::CommandEncoder()
-          .encode(device::DasApplyCmd{cube.real.raw(), cube.imag.raw(),
-                                      iq.raw(), nz, nx, nch, &ctx,
-                                      WeightContext::fill})
-          .finish());
-  return iq;
+  return channel_sum(cube, Apodization(probe_, apod_params_));
 }
 
 }  // namespace tvbf::bf

@@ -1,4 +1,3 @@
-#include "device/device.hpp"
 #include "kernels/conv.hpp"
 #include "nn/ops.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -36,11 +35,7 @@ Variable conv2d_same(const Variable& input, const Variable& kernel,
   const std::int64_t H = in.dim(0), W = in.dim(1);
   const std::int64_t Co = k.dim(3);
   Tensor out({H, W, Co});
-  device::cpu().submit(
-      device::CommandEncoder()
-          .encode(device::Conv2dForwardCmd{in.raw(), k.raw(), out.raw(),
-                                           conv_shape(in, k)})
-          .finish());
+  kernels::conv2d_same_forward(in.raw(), k.raw(), out.raw(), conv_shape(in, k));
   out = tvbf::add_bias(out, bias.value());
   return Variable::make_op(
       std::move(out), {input, kernel, bias},
@@ -49,17 +44,15 @@ Variable conv2d_same(const Variable& input, const Variable& kernel,
         const Tensor& k = n.parents[1]->value;
         const kernels::Conv2dShape s = conv_shape(in, k);
         const float* dy = n.grad.raw();
-        device::CommandEncoder enc;
         if (n.parents[2]->requires_grad)
-          enc.encode(device::Conv2dBackwardBiasCmd{
-              dy, n.parents[2]->ensure_grad().raw(), s});
+          kernels::conv2d_same_backward_bias(
+              dy, n.parents[2]->ensure_grad().raw(), s);
         if (n.parents[1]->requires_grad)
-          enc.encode(device::Conv2dBackwardKernelCmd{
-              in.raw(), dy, n.parents[1]->ensure_grad().raw(), s});
+          kernels::conv2d_same_backward_kernel(
+              in.raw(), dy, n.parents[1]->ensure_grad().raw(), s);
         if (n.parents[0]->requires_grad)
-          enc.encode(device::Conv2dBackwardInputCmd{
-              k.raw(), dy, n.parents[0]->ensure_grad().raw(), s});
-        if (!enc.empty()) device::cpu().submit(enc.finish());
+          kernels::conv2d_same_backward_input(
+              k.raw(), dy, n.parents[0]->ensure_grad().raw(), s);
       },
       "conv2d_same");
 }

@@ -1,4 +1,4 @@
-#include "device/device.hpp"
+#include "kernels/gemm.hpp"
 #include "nn/ops.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -44,11 +44,8 @@ Variable batched_matmul(const Variable& a, const Variable& b) {
           if (broadcast) {
             // dB = sum_b A[b]^T dC[b] = A_flat^T dC_flat with the batch
             // folded into the rows; threaded over the k rows of dB.
-            device::cpu().submit(
-                device::CommandEncoder()
-                    .gemm_tn(A.raw(), n.grad.raw(), gb.raw(), batch * m, k,
-                             nn)
-                    .finish());
+            kernels::gemm_tn_accumulate(A.raw(), n.grad.raw(), gb.raw(),
+                                        batch * m, k, nn);
           } else {
             add_inplace(gb, tvbf::batched_matmul(transpose_last2(A), n.grad));
           }

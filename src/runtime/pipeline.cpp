@@ -82,19 +82,9 @@ void FrameProcessor::prepare(const Frame& frame) {
                       plans_[0]->reads_rf()
                   ? &frame.acq
                   : nullptr;
-  slots_.clear();
-  if (num_angles_ > 1) {
-    // Per-angle destination cubes, recycled through the arena frame after
-    // frame (apply() reuses correctly-shaped buffers without allocating).
-    const Shape cube_shape{config_.grid.nz, config_.grid.nx,
-                           frame.acq.probe.num_elements};
-    slots_.resize(num_angles_);
-    for (auto& slot : slots_) {
-      slot.real = arena_.acquire(cube_shape);
-      slot.imag = config_.tof.analytic ? arena_.acquire(cube_shape) : Tensor();
-      slot.grid = config_.grid;
-    }
-  }
+  // Per-angle destination cubes, kept frame after frame: apply() reuses a
+  // correctly-shaped buffer without allocating and sets its grid.
+  slots_.resize(num_angles_ > 1 ? num_angles_ : 0);
 }
 
 void FrameProcessor::apply_tof_angle(const Frame& frame, std::size_t angle) {
@@ -113,11 +103,6 @@ void FrameProcessor::compound() {
     cubes.reserve(slots_.size());
     for (const auto& slot : slots_) cubes.push_back(&slot);
     bf::compound_cubes(cubes, cube_);
-    for (auto& slot : slots_) {
-      arena_.release(std::move(slot.real));
-      arena_.release(std::move(slot.imag));
-    }
-    slots_.clear();
   }
   times_.compound_s = t.seconds();
 }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "beamform/beamformer.hpp"
-#include "graph/arena.hpp"
 #include "runtime/frame_source.hpp"
 #include "us/tof_plan.hpp"
 
@@ -75,11 +74,11 @@ struct FrameOutput {
 };
 
 /// Reusable per-frame processing state for one stream: the cached per-angle
-/// ToF plan handles, per-angle cube slots (arena-recycled), the compounded
-/// cube + channel workspaces and the output image tensors. Pipeline drives
-/// one FrameProcessor through process(); the serving layer (src/serve) owns
-/// one per session and walks each of its frames through process() the same
-/// way. Not thread-safe: one frame at a time, from one thread at a time.
+/// ToF plan handles, per-angle cube slots, the compounded cube + channel
+/// workspaces and the output image tensors. Pipeline drives one
+/// FrameProcessor through process(); the serving layer (src/serve) owns one
+/// per session and walks each of its frames through process() the same way.
+/// Not thread-safe: one frame at a time, from one thread at a time.
 ///
 /// A single-angle RF frame whose cached plan reads RF directly
 /// (us::TofPlan::reads_rf) defers its cube: the ToF step does nothing, and
@@ -116,14 +115,14 @@ class FrameProcessor {
   const bf::Beamformer& beamformer() const { return *beamformer_; }
 
  private:
-  /// Latches `frame`: fetches one cached plan per steering angle and
-  /// acquires per-angle cube slots from the arena (multi-angle only).
+  /// Latches `frame`: fetches one cached plan per steering angle and sizes
+  /// the per-angle cube slots (none for a single-angle frame).
   void prepare(const Frame& frame);
   /// ToF-corrects acquisition `angle` into its slot (or straight into the
   /// processor cube for single-angle frames; nothing for a deferred cube).
   void apply_tof_angle(const Frame& frame, std::size_t angle);
-  /// Folds the per-angle slots into the processor cube (coherent mean) and
-  /// releases the slots back to the arena. Single-angle: no-op.
+  /// Folds the per-angle slots into the processor cube (coherent mean).
+  /// Single-angle: no-op.
   void compound();
   /// Forms the IQ image: through the plan for a deferred cube the
   /// beamformer accepts, else from the compounded cube.
@@ -135,14 +134,13 @@ class FrameProcessor {
   PipelineConfig config_;
 
   // Frame state. The ToF cubes, channel workspaces and angle slots — the
-  // large buffers — are reused across frames (slots recycle through the
-  // arena); the beamformer/postprocess stages still return fresh
-  // image-sized tensors per frame.
+  // large buffers — are reused across frames; memory held between frames
+  // is what the last frame used. The beamformer/postprocess stages still
+  // return fresh image-sized tensors per frame.
   std::size_t num_angles_ = 1;
   std::vector<std::shared_ptr<const us::TofPlan>> plans_;
   std::vector<us::ChannelWorkspace> workspaces_;
   std::vector<us::TofCube> slots_;  ///< per-angle cubes (multi-angle only)
-  graph::BufferArena arena_;
   /// The prepared frame's acquisition while its cube is deferred, else
   /// null.
   const us::Acquisition* deferred_ = nullptr;

@@ -4,7 +4,8 @@
 #include <cmath>
 #include <limits>
 
-#include "device/device.hpp"
+#include "common/parallel.hpp"
+#include "kernels/gemm.hpp"
 #include "kernels/reduce.hpp"
 
 namespace tvbf {
@@ -135,9 +136,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                                   to_string(b.shape()));
   const std::int64_t n = b.dim(1);
   Tensor c({m, n});
-  device::cpu().submit(
-      device::CommandEncoder().gemm(a.raw(), b.raw(), c.raw(), m, k, n)
-          .finish());
+  kernels::gemm(a.raw(), b.raw(), c.raw(), m, k, n);
   return c;
 }
 
@@ -155,15 +154,32 @@ Tensor batched_matmul(const Tensor& a, const Tensor& b) {
   TVBF_REQUIRE(bk == k, "batched_matmul inner dims differ: " +
                             to_string(a.shape()) + " x " + to_string(b.shape()));
   Tensor c({B, m, n});
-  device::CommandEncoder enc;
   if (broadcast) {
     // One rhs for every batch: fold the batch into the rows and run a single
     // flat GEMM, so the packed B panels are reused across the whole batch.
-    enc.gemm(a.raw(), b.raw(), c.raw(), B * m, k, n);
-  } else {
-    enc.batched_gemm(a.raw(), b.raw(), c.raw(), B, m, k, n);
+    kernels::gemm(a.raw(), b.raw(), c.raw(), B * m, k, n);
+    return c;
   }
-  device::cpu().submit(enc.finish());
+  // Chunk the flat (batch, row) range, then hand each per-batch span of
+  // consecutive rows to the blocked kernel in one call.
+  const float* pa = a.raw();
+  const float* pb = b.raw();
+  float* pc = c.raw();
+  parallel_for(
+      0, static_cast<std::size_t>(B * m),
+      [&](std::size_t rb, std::size_t re) {
+        std::size_t r = rb;
+        while (r < re) {
+          const auto batch = static_cast<std::int64_t>(r) / m;
+          const auto row = static_cast<std::int64_t>(r) % m;
+          const auto rows = std::min<std::int64_t>(
+              static_cast<std::int64_t>(re - r), m - row);
+          kernels::gemm_rows(pa + batch * m * k, pb + batch * k * n,
+                             pc + batch * m * n, m, k, n, row, row + rows);
+          r += static_cast<std::size_t>(rows);
+        }
+      },
+      /*min_grain=*/8);
   return c;
 }
 

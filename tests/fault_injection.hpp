@@ -1,6 +1,8 @@
 // Fault-injection doubles shared by the runtime and serve suites: a frame
 // source and a beamformer that throw std::runtime_error at a chosen frame,
-// and a source that hands over one frame with a corrupt transmit time.
+// a source that hands over one frame with a corrupt transmit time, and one
+// whose compounded stream drops to a single angle for one frame. Also the
+// one-shot B-mode image those suites compare streamed frames with.
 #pragma once
 
 #include <atomic>
@@ -10,9 +12,14 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "beamform/beamformer.hpp"
+#include "beamform/compounding.hpp"
+#include "dsp/hilbert.hpp"
 #include "runtime/frame_source.hpp"
+#include "runtime/pipeline.hpp"
+#include "us/tof.hpp"
 
 namespace tvbf::test {
 
@@ -75,6 +82,55 @@ class NanT0Source : public rt::FrameSource {
   std::size_t angle_;
   std::int64_t calls_ = 0;
 };
+
+/// Forwards to `inner`, whose frames carry several acquisitions, and hands
+/// over frame `single_at` (0-based; none when negative) with its first
+/// acquisition only: the stream's angle count changes twice, and the
+/// per-angle buffers with it.
+class SingleAngleFrameSource : public rt::FrameSource {
+ public:
+  SingleAngleFrameSource(std::shared_ptr<rt::FrameSource> inner,
+                         std::int64_t single_at)
+      : inner_(std::move(inner)), single_at_(single_at) {}
+
+  std::string name() const override { return "single_angle"; }
+  const us::Probe& probe() const override { return inner_->probe(); }
+  std::int64_t num_frames() const override { return inner_->num_frames(); }
+  bool next(rt::Frame& frame) override {
+    if (!inner_->next(frame)) return false;
+    if (calls_++ == single_at_) frame.extra.clear();
+    return true;
+  }
+  void reset() override {
+    inner_->reset();
+    calls_ = 0;
+  }
+
+ private:
+  std::shared_ptr<rt::FrameSource> inner_;
+  std::int64_t single_at_;
+  std::int64_t calls_ = 0;
+};
+
+/// The B-mode image of `frame` formed one shot: tof_correct per
+/// acquisition, compound_cubes when there are several, beamform, then
+/// envelope and log-compression.
+inline Tensor one_shot_db(const rt::Frame& frame,
+                          const rt::PipelineConfig& config,
+                          const bf::Beamformer& beamformer) {
+  std::vector<us::TofCube> cubes;
+  std::vector<const us::TofCube*> views;
+  for (std::size_t i = 0; i < frame.num_acquisitions(); ++i)
+    cubes.push_back(
+        us::tof_correct(frame.acquisition(i), config.grid, config.tof));
+  for (const us::TofCube& cube : cubes) views.push_back(&cube);
+  us::TofCube compounded;
+  if (cubes.size() > 1) bf::compound_cubes(views, compounded);
+  return dsp::log_compress(
+      dsp::envelope_iq(beamformer.beamform(cubes.size() > 1 ? compounded
+                                                            : cubes.front())),
+      config.dynamic_range_db);
+}
 
 /// Forwards beamform() to `inner` and throws on call `fail_at` (0-based).
 /// Calls may come from different threads, one frame at a time.

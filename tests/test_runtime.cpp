@@ -795,35 +795,28 @@ class PipelineIdentityTest : public ::testing::Test {
   }
 
   /// Asserts the Pipeline reproduces, bit for bit, the one-shot reference
-  /// of each frame: per-angle tof_correct -> compound_cubes (multi-angle
-  /// frames) -> beamform -> envelope/log-compression.
+  /// (test::one_shot_db) of each frame of cine(3, angles). Frame
+  /// `single_at`, if not negative, carries only its first acquisition, so
+  /// the stream's angle count changes twice and the processor's per-angle
+  /// slots shrink to none and grow back.
   void expect_identical(const std::shared_ptr<const bf::Beamformer>& beamformer,
-                        std::int64_t angles) {
+                        std::int64_t angles, std::int64_t single_at = -1) {
     PipelineConfig cfg;
     cfg.grid = grid_;
     std::vector<Tensor> got;
-    Pipeline pipeline(cine(3, angles), beamformer, cfg);
+    Pipeline pipeline(std::make_shared<test::SingleAngleFrameSource>(
+                          cine(3, angles), single_at),
+                      beamformer, cfg);
     pipeline.run([&](const FrameOutput& f) { got.push_back(f.db); });
     ASSERT_EQ(got.size(), 3u);
 
-    const auto source = cine(3, angles);
+    test::SingleAngleFrameSource source(cine(3, angles), single_at);
     Frame frame;
-    for (std::size_t k = 0; source->next(frame); ++k) {
-      std::vector<us::TofCube> cubes;
-      std::vector<const us::TofCube*> views;
-      for (std::size_t i = 0; i < frame.num_acquisitions(); ++i)
-        cubes.push_back(us::tof_correct(frame.acquisition(i), grid_, cfg.tof));
-      for (const us::TofCube& cube : cubes) views.push_back(&cube);
-      us::TofCube compounded;
-      if (cubes.size() > 1) bf::compound_cubes(views, compounded);
-      const Tensor want = dsp::log_compress(
-          dsp::envelope_iq(beamformer->beamform(
-              cubes.size() > 1 ? compounded : cubes.front())),
-          cfg.dynamic_range_db);
+    for (std::size_t k = 0; source.next(frame); ++k) {
       ASSERT_LT(k, got.size());
-      EXPECT_TRUE(same_bits(got[k], want))
-          << beamformer->name() << ", frame " << k << ", " << angles
-          << " angle(s)";
+      EXPECT_TRUE(same_bits(got[k], test::one_shot_db(frame, cfg, *beamformer)))
+          << beamformer->name() << ", frame " << k << ", "
+          << frame.num_acquisitions() << " angle(s)";
     }
   }
 
@@ -848,12 +841,14 @@ TEST_F(PipelineIdentityTest, DasMatchesOneShotSingleAndCompounded) {
   const auto das = std::make_shared<bf::DasBeamformer>(probe_);
   expect_identical(das, 1);
   expect_identical(das, 3);
+  expect_identical(das, 3, /*single_at=*/1);
 }
 
 TEST_F(PipelineIdentityTest, TinyVbfMatchesOneShotSingleAndCompounded) {
   const auto vbf = std::make_shared<models::TinyVbfBeamformer>(model());
   expect_identical(vbf, 1);
   expect_identical(vbf, 3);
+  expect_identical(vbf, 3, /*single_at=*/1);
 }
 
 TEST_F(PipelineIdentityTest, QuantizedMatchesOneShotSingleAndCompounded) {

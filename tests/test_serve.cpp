@@ -789,6 +789,39 @@ TEST_F(GraphIdentityTest, ServerGraphMatchesSoloPipelinesMixedSessions) {
   }
 }
 
+TEST_F(GraphIdentityTest, SessionAngleCountChangesWithinStream) {
+  // One session whose frames carry 3, then 1, then 3 acquisitions: each
+  // served frame must be its one-shot image, bit for bit.
+  rt::PipelineConfig cfg;
+  cfg.grid = grid_;
+  const std::vector<std::shared_ptr<const bf::Beamformer>> beamformers = {
+      std::make_shared<bf::DasBeamformer>(probe_),
+      std::make_shared<models::TinyVbfBeamformer>(model())};
+  for (const auto& beamformer : beamformers) {
+    std::vector<Tensor> got;
+    Server server;
+    server.add_session(
+        {std::make_shared<test::SingleAngleFrameSource>(cine(3, 3), 1),
+         beamformer, cfg,
+         [&got](const rt::FrameOutput& f) { got.push_back(f.db); }});
+    server.run();
+    ASSERT_EQ(got.size(), 3u) << beamformer->name();
+
+    test::SingleAngleFrameSource source(cine(3, 3), 1);
+    rt::Frame frame;
+    for (std::size_t k = 0; source.next(frame); ++k) {
+      const Tensor want = test::one_shot_db(frame, cfg, *beamformer);
+      ASSERT_EQ(got[k].shape(), want.shape());
+      EXPECT_EQ(std::memcmp(got[k].raw(), want.raw(),
+                            static_cast<std::size_t>(want.size()) *
+                                sizeof(float)),
+                0)
+          << beamformer->name() << ", frame " << k << ", "
+          << frame.num_acquisitions() << " angle(s)";
+    }
+  }
+}
+
 TEST_F(GraphIdentityTest, BatchedSessionsWithUnequalFramesDrainAfterRetire) {
   // Two sessions share one batch-capable model but run UNEQUAL frame
   // counts: once the short session retires, the survivor's remaining

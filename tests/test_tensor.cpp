@@ -3,8 +3,10 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "kernels/gemm.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -182,6 +184,39 @@ TEST(TensorOps, BatchedMatmulBroadcastAndFull) {
     const Tensor bb = slice0(b3, b, b + 1).reshaped({6, 2});
     const Tensor yb = slice0(y3, b, b + 1).reshaped({4, 2});
     EXPECT_TRUE(allclose(yb, matmul(ab, bb), 1e-5f, 1e-5f));
+  }
+  // The full case runs chunks of the flat (batch, row) range; with 45 rows
+  // the chunks cross batch boundaries, and each batch's rows must still be
+  // the blocked kernel's, bit for bit.
+  const std::int64_t batch = 5, m = 9, k = 21, n = 13;
+  const Tensor lhs = random_tensor({batch, m, k}, rng);
+  const Tensor rhs = random_tensor({batch, k, n}, rng);
+  Tensor direct({batch, m, n});
+  for (std::int64_t i = 0; i < batch; ++i)
+    kernels::gemm_rows(lhs.raw() + i * m * k, rhs.raw() + i * k * n,
+                       direct.raw() + i * m * n, m, k, n, 0, m);
+  EXPECT_EQ(max_abs_diff(batched_matmul(lhs, rhs), direct), 0.0f);
+}
+
+TEST(TensorOps, ZeroSizeProducts) {
+  // An empty inner dimension sums nothing, so every output is 0; an empty
+  // outer one leaves an empty product.
+  const auto all_zero = [](const Tensor& t) {
+    for (const float v : t.data())
+      if (v != 0.0f) return false;
+    return true;
+  };
+  const std::vector<std::tuple<Shape, Shape, Shape>> cases = {
+      {{2, 0}, {0, 2}, {2, 2}},
+      {{0, 3}, {3, 2}, {0, 2}},
+      {{2, 3}, {3, 0}, {2, 0}},
+      {{0, 2, 3}, {3, 2}, {0, 2, 2}},
+      {{2, 2, 0}, {2, 0, 2}, {2, 2, 2}}};
+  for (const auto& [sa, sb, want] : cases) {
+    const Tensor a = Tensor::ones(sa), b = Tensor::ones(sb);
+    const Tensor c = sa.size() == 2 ? matmul(a, b) : batched_matmul(a, b);
+    EXPECT_EQ(c.shape(), want) << to_string(sa) << " x " << to_string(sb);
+    EXPECT_TRUE(all_zero(c)) << to_string(sa) << " x " << to_string(sb);
   }
 }
 

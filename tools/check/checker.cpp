@@ -514,7 +514,7 @@ void pass_instruments(PassContext& ctx) {
         continue;
       }
       // Prefix and dot-shape checks apply only when the literal is the
-      // whole name; a fragment composed with + ("device.submit." + kind)
+      // whole name; a fragment composed with + ("serve.session." + id)
       // gets the charset check alone.
       const std::size_t after = skip_ws(text, close + 1);
       if (after >= text.size() || (text[after] != ')' && text[after] != ','))

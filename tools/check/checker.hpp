@@ -53,7 +53,7 @@ struct Config {
   std::vector<std::string> atomics_allow_implicit;
   /// Path prefixes allowed to own std::thread / std::jthread objects.
   std::vector<std::string> thread_allow;
-  /// Allowed instrument-name namespaces ("serve.", "graph.", ...). Empty
+  /// Allowed instrument-name namespaces ("serve.", "pipeline.", ...). Empty
   /// disables the instrument-name pass.
   std::vector<std::string> instrument_prefixes;
 };
